@@ -2,7 +2,7 @@
 the projective line: exact bundle cohomology, stratum enumeration,
 Chow-ring relation matrices, and graded quotient-ring checks."""
 
-from . import chowsym, cli, polynomial, splitbundle, strata, tautring
+from . import chowsym, polynomial, splitbundle, strata, tautring
 
 __all__ = ["chowsym", "cli", "polynomial", "splitbundle", "strata",
            "tautring"]

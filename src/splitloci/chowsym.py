@@ -20,6 +20,7 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from .linalg import echelon, rank
 from .polynomial import Poly
 
 # codimension grading of the generator symbols; parameter symbols
@@ -247,8 +248,8 @@ def det_bareiss(rows: Sequence[Sequence[Poly]]) -> Poly:
 def det(rows: Sequence[Sequence[Poly]]) -> Poly:
     """Bareiss determinant cross-checked against cofactor expansion."""
     value = det_bareiss(rows)
-    if len(rows) <= 6:
-        assert value == det_cofactor(rows), "determinant engines disagree"
+    if len(rows) <= 6 and value != det_cofactor(rows):
+        raise RuntimeError("determinant engines disagree")
     return value
 
 
@@ -318,7 +319,8 @@ def ce_rank(k: int, i: int) -> int:
     if k < 3 or i < 1 or i > k - 2:
         raise ValueError("index out of range")
     value = Fraction(i * (k - 2 - i), k - 1) * comb(k, i + 1)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise RuntimeError("syzygy rank %s is not an integer" % value)
     return int(value)
 
 
@@ -672,55 +674,19 @@ def _apply_subs(poly: Poly, subs) -> Poly:
 
 def _null_vector(rows: List[List[Fraction]]) -> Optional[List[Fraction]]:
     """A nonzero rational kernel vector of a square matrix, or None."""
-    n = len(rows)
-    m = [row[:] for row in rows]
-    pivots: List[Tuple[int, int]] = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, n) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(n):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == n:
-            return None
-    pivot_cols = {c for _, c in pivots}
-    free = next(c for c in range(n) if c not in pivot_cols)
-    vec = [Fraction(0)] * n
+    reduced, pivots = echelon(rows)
+    free = next((c for c in range(len(rows)) if c not in pivots), None)
+    if free is None:
+        return None
+    vec = [Fraction(0)] * len(rows)
     vec[free] = Fraction(1)
-    for rr, cc in pivots:
-        vec[cc] = -m[rr][free]
+    for row, c in zip(reduced, pivots):
+        vec[c] = Fraction(-row[free], row[c])
     return vec
 
 
 def _matrix_at(rows, values) -> List[List[Fraction]]:
     return [[entry.evaluate(values) for entry in row] for row in rows]
-
-
-def _rowspace_rank(rows: List[List[Fraction]]) -> int:
-    m = [row[:] for row in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = m[rank][c]
-        m[rank] = [x / inv for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return rank
 
 
 def _rowspaces_agree(rows_a, rows_b, params, trials: int = 5) -> bool:
@@ -730,8 +696,7 @@ def _rowspaces_agree(rows_a, rows_b, params, trials: int = 5) -> bool:
         values = {p: rng.randint(-20, 20) for p in params}
         a = _matrix_at(rows_a, values)
         b = _matrix_at(rows_b, values)
-        ra, rb = _rowspace_rank(a), _rowspace_rank(b)
-        if not (ra == rb == _rowspace_rank(a + b)):
+        if not (rank(a) == rank(b) == rank(a + b)):
             return False
     return True
 

@@ -178,7 +178,9 @@ def in_psi(record: StratumRecord) -> bool:
     else:
         answer = e[0] + f[0] + f[1] - (g + 4) >= -1
     # cross-check against the vanishing of the correction term
-    assert answer == (record.correction == 0)
+    if answer != (record.correction == 0):
+        raise RuntimeError("Psi membership of %s, %s disagrees with the "
+                           "correction term" % (record.e, record.f))
     return answer
 
 
@@ -299,7 +301,9 @@ def _make_record(g: int, cover_degree: int, e: SplittingType,
         genus=g, cover_degree=cover_degree, e=e, f=f,
         codim=codim, expected_e=xe, expected_f=xf, correction=corr,
         in_psi=(corr == 0), flags=flags, label=label, lower_gonality=lower)
-    assert in_psi(record) == record.in_psi
+    if in_psi(record) != record.in_psi:
+        raise RuntimeError("Psi membership of %s, %s disagrees with the "
+                           "correction term" % (e, f))
     return record
 
 

@@ -4,6 +4,13 @@ Verifies, by degreewise exact linear algebra over the rationals, the
 ring-theoretic properties asserted of the built-in kappa-class ideals:
 Hilbert function, socle degrees and dimensions, the Gorenstein pairing
 test, the Artinian vanishing window, and minimal-generator counts.
+
+Each public call builds one GradedQuotient and drops it on return. It
+echelons the ideal's rows of each degree once, by the fraction-free
+integer elimination of `linalg.echelon`, and stops at the first
+max(weight) consecutive degrees where the quotient vanishes: a monomial
+of higher degree sheds one variable at a time, losing at most max(weight)
+each step, so it has a divisor in that window, which lies in the ideal.
 """
 
 from __future__ import annotations
@@ -11,8 +18,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from .linalg import echelon, rank
 from .polynomial import Poly
 
 Exponents = Tuple[int, ...]
@@ -46,11 +54,6 @@ def _mono_exponents(mono, nvars: int) -> Exponents:
     return tuple(exps.get(_var(i), 0) for i in range(nvars))
 
 
-def _poly_from_exponents(exps: Exponents, coeff=1) -> Poly:
-    mono = tuple((_var(i), e) for i, e in enumerate(exps) if e)
-    return Poly({tuple(sorted(mono)): Fraction(coeff)})
-
-
 def weighted_degree(p: Poly, weights: Sequence[int]) -> int:
     wmap = {_var(i): w for i, w in enumerate(weights)}
     return p.weighted_degree(wmap)
@@ -80,60 +83,12 @@ class WeightedIdeal:
         return [weighted_degree(g, self.weights) for g in self.generators]
 
 
-def _rank(rows: List[List[Fraction]]) -> int:
-    m = [row[:] for row in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = m[rank][c]
-        m[rank] = [x / inv for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return rank
-
-
-def _rref(rows: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
-    m = [row[:] for row in rows]
-    pivots: List[int] = []
-    r = 0
-    ncols = len(m[0]) if m else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m[:r], pivots
-
-
-def _vector(p: Poly, basis: List[Exponents], nvars: int) -> List[Fraction]:
-    index = {m: i for i, m in enumerate(basis)}
-    vec = [Fraction(0)] * len(basis)
-    for mono, coeff in p.terms.items():
-        vec[index[_mono_exponents(mono, nvars)]] += coeff
-    return vec
-
-
-def _ideal_rows(ideal: WeightedIdeal, d: int,
+def _ideal_rows(ideal: WeightedIdeal, d: int, index: Dict[Exponents, int],
                 min_cofactor_degree: int = 0) -> List[List[Fraction]]:
     """Coefficient vectors of m*g_j spanning I_d (or (m.I)_d with
-    min_cofactor_degree = 1), over the monomial basis of degree d."""
+    min_cofactor_degree = 1), over the columns `index` gives the
+    monomials of degree d."""
     weights = ideal.weights
-    basis = monomials(d, weights)
     rows: List[List[Fraction]] = []
     for g, hom in zip(ideal.generators, ideal.homogeneous):
         if not hom:
@@ -141,188 +96,185 @@ def _ideal_rows(ideal: WeightedIdeal, d: int,
         dg = weighted_degree(g, weights)
         if d < dg:
             continue
+        terms = [(_mono_exponents(mono, ideal.nvars), c)
+                 for mono, c in g.terms.items()]
         for exps in monomials(d - dg, weights):
             if min_cofactor_degree and sum(exps) < min_cofactor_degree:
                 continue
-            prod = _poly_from_exponents(exps) * g
-            rows.append(_vector(prod, basis, ideal.nvars))
+            row = [0] * len(index)
+            for t, c in terms:
+                row[index[_mul(exps, t)]] = c
+            rows.append(row)
     return rows
 
 
+def _mul(a: Exponents, b: Exponents) -> Exponents:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _times(mono: Exponents, var_index: int) -> Exponents:
+    return mono[:var_index] + (mono[var_index] + 1,) + mono[var_index + 1:]
+
+
+class _Degree:
+    """I_d in echelon form over the monomials of degree d. The monomials
+    of the non-pivot columns, `free`, are a basis of the quotient R_d."""
+
+    def __init__(self, ideal: WeightedIdeal, d: int):
+        self.basis = monomials(d, ideal.weights)
+        self.index = {m: i for i, m in enumerate(self.basis)}
+        self.rows, pivots = echelon(_ideal_rows(ideal, d, self.index))
+        self.pivot_row = {c: k for k, c in enumerate(pivots)}
+        self.free = [c for c in range(len(self.basis)) if c not in self.pivot_row]
+
+    def normal_form(self, mono: Exponents) -> List[Fraction]:
+        """Coordinates of a monomial modulo I_d over the basis `free`."""
+        col = self.index[mono]
+        k = self.pivot_row.get(col)
+        if k is None:
+            return [int(f == col) for f in self.free]
+        row = self.rows[k]
+        return [Fraction(-row[f], row[col]) for f in self.free]
+
+
+class GradedQuotient:
+    """R = Q[k1..kw]/I, each degree eliminated once, in increasing order,
+    up to the first max(weight) consecutive degrees where R vanishes."""
+
+    def __init__(self, ideal: WeightedIdeal):
+        self.ideal = ideal
+        self._degrees: List[_Degree] = []
+
+    def _vanished(self) -> bool:
+        w = max(self.ideal.weights)
+        return (len(self._degrees) >= w
+                and not any(deg.free for deg in self._degrees[-w:]))
+
+    def degree(self, d: int) -> Optional[_Degree]:
+        """The echelon form of I_d, or None where R_d = 0 past the
+        vanishing window."""
+        while len(self._degrees) <= d and not self._vanished():
+            self._degrees.append(_Degree(self.ideal, len(self._degrees)))
+        return self._degrees[d] if d < len(self._degrees) else None
+
+    def ideal_rank(self, d: int) -> int:
+        deg = self.degree(d)
+        if deg is None:
+            return len(monomials(d, self.ideal.weights))
+        return len(deg.pivot_row)
+
+
+# The checks below take a WeightedIdeal, or the GradedQuotient of one so
+# that the checks of one report share its eliminations.
+IdealOrQuotient = Union[WeightedIdeal, GradedQuotient]
+
+
+def _quotient(ideal: IdealOrQuotient) -> GradedQuotient:
+    return ideal if isinstance(ideal, GradedQuotient) else GradedQuotient(ideal)
+
+
 def graded_ideal_rank(ideal: WeightedIdeal, d: int) -> int:
-    return _rank(_ideal_rows(ideal, d))
+    return GradedQuotient(ideal).ideal_rank(d)
 
 
-def hilbert(ideal: WeightedIdeal, d_max: int) -> List[int]:
+def hilbert(ideal: IdealOrQuotient, d_max: int) -> List[int]:
     """hilbert[d] = dim of the degree-d piece of the quotient ring."""
-    return [len(monomials(d, ideal.weights)) - graded_ideal_rank(ideal, d)
-            for d in range(d_max + 1)]
+    q = _quotient(ideal)
+    return [len(deg.free) if deg else 0 for deg in map(q.degree, range(d_max + 1))]
 
 
-def _membership_constraints(ideal: WeightedIdeal, d: int,
-                            var_index: int) -> List[List[Fraction]]:
-    """Linear constraints on x in degree d saying k_i * x lies in I."""
-    weights = ideal.weights
-    basis_d = monomials(d, weights)
-    target = d + weights[var_index]
-    basis_t = monomials(target, weights)
-    index_t = {m: i for i, m in enumerate(basis_t)}
-    rref, pivots = _rref(_ideal_rows(ideal, target))
-    nonpivots = [c for c in range(len(basis_t)) if c not in pivots]
-    # multiplication by k_i maps monomial columns injectively
-    constraints: List[List[Fraction]] = []
-    for np_col in nonpivots:
-        row = [Fraction(0)] * len(basis_d)
-        for j, mono in enumerate(basis_d):
-            shifted = list(mono)
-            shifted[var_index] += 1
-            col = index_t[tuple(shifted)]
-            # residual coefficient of column np_col after reducing e_col
-            value = Fraction(1) if col == np_col else Fraction(0)
-            for rr, pc in zip(rref, pivots):
-                if pc == col:
-                    value -= rr[np_col]
-                    break
-            row[j] = value
-        constraints.append(row)
-    return constraints
-
-
-def _kernel_basis(rows: List[List[Fraction]], ncols: int) -> List[List[Fraction]]:
-    if not rows:
-        return [[Fraction(1 if i == j else 0) for i in range(ncols)]
-                for j in range(ncols)]
-    rref, pivots = _rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    out = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for row, pc in zip(rref, pivots):
-            vec[pc] = -row[f]
-        out.append(vec)
-    return out
-
-
-def socle(ideal: WeightedIdeal, d_max: int) -> Tuple[List[int], List[int]]:
+def socle(ideal: IdealOrQuotient, d_max: int) -> Tuple[List[int], List[int]]:
     """Degrees d <= d_max - max(weight) with nonzero socle, and their
-    dimensions; x is in the socle iff every k_i * x lies in I."""
+    dimensions; the socle of R_d is the kernel of x -> (k_1 x, ..., k_w x)
+    into the sum of the R_{d+w_i}."""
+    q = _quotient(ideal)
+    weights = q.ideal.weights
     degrees: List[int] = []
     dims: List[int] = []
-    top = d_max - max(ideal.weights)
-    for d in range(top + 1):
-        basis_d = monomials(d, ideal.weights)
-        constraints: List[List[Fraction]] = []
-        for i in range(ideal.nvars):
-            constraints.extend(_membership_constraints(ideal, d, i))
-        kernel = _kernel_basis(constraints, len(basis_d))
-        dim_kernel = len(kernel)
-        dim_ideal = graded_ideal_rank(ideal, d)
-        dim_socle = dim_kernel - dim_ideal
+    for d in range(d_max - max(weights) + 1):
+        deg = q.degree(d)
+        if deg is None:
+            break
+        images = []
+        for f in deg.free:
+            image: List[Fraction] = []
+            for i, w in enumerate(weights):
+                target = q.degree(d + w)
+                if target is not None:
+                    image += target.normal_form(_times(deg.basis[f], i))
+            images.append(image)
+        dim_socle = len(deg.free) - rank(images)
         if dim_socle:
             degrees.append(d)
             dims.append(dim_socle)
     return degrees, dims
 
 
-def artinian_check(ideal: WeightedIdeal, g: int,
+def artinian_check(ideal: IdealOrQuotient, g: int,
                    d_max: Optional[int] = None) -> Tuple[bool, Optional[Tuple[int, int]]]:
     """Look for max(weight) consecutive vanishing degrees at or above
     g-1; once found, every higher degree vanishes too, because any
     monomial of higher degree factors through the window."""
+    q = _quotient(ideal)
     if d_max is None:
         d_max = g + 6
-    w = max(ideal.weights)
-    h = hilbert(ideal, d_max)
+    w = max(q.ideal.weights)
+    h = hilbert(q, d_max)
     for start in range(g - 1, d_max - w + 2):
         if start + w - 1 <= d_max and all(h[start + i] == 0 for i in range(w)):
             return True, (start, start + w - 1)
     return False, None
 
 
-def _quotient_basis(ideal: WeightedIdeal, d: int) -> Tuple[List[Exponents], List[List[Fraction]], List[int]]:
-    basis = monomials(d, ideal.weights)
-    rref, pivots = _rref(_ideal_rows(ideal, d))
-    nonpivots = [c for c in range(len(basis)) if c not in pivots]
-    return basis, rref, nonpivots
-
-
-def _reduce_vector(vec: List[Fraction], rref: List[List[Fraction]],
-                   pivots: List[int]) -> List[Fraction]:
-    out = vec[:]
-    for row, pc in zip(rref, pivots):
-        if out[pc] != 0:
-            f = out[pc]
-            out = [a - f * b for a, b in zip(out, row)]
-    return out
-
-
-def gorenstein_check(ideal: WeightedIdeal, g: int,
+def gorenstein_check(ideal: IdealOrQuotient, g: int,
                      d_max: Optional[int] = None) -> dict:
     """Socle must be 1-dimensional in its top degree D, and every
     multiplication pairing R^i x R^{D-i} -> R^D must have full rank."""
+    q = _quotient(ideal)
     if d_max is None:
         d_max = g + 6
-    degrees, dims = socle(ideal, d_max)
+    degrees, dims = socle(q, d_max)
     report = {"socle_degrees": degrees, "socle_dims": dims,
               "gorenstein": False, "pairings": []}
     if len(degrees) != 1 or dims != [1]:
         report["diagnostic"] = "socle is not 1-dimensional in a single degree"
         return report
     top = degrees[0]
-    h = hilbert(ideal, top)
+    h = hilbert(q, top)
     if any(h[i] != h[top - i] for i in range(top + 1)):
         report["diagnostic"] = "hilbert function is not symmetric"
         return report
 
-    basis_top = monomials(top, ideal.weights)
-    rref_top, pivots_top = _rref(_ideal_rows(ideal, top))
-    nonpivot_top = [c for c in range(len(basis_top)) if c not in pivots_top]
-    coord = nonpivot_top[0]
-
-    def top_coordinate(p: Poly) -> Fraction:
-        vec = _vector(p, basis_top, ideal.nvars)
-        reduced = _reduce_vector(vec, rref_top, pivots_top)
-        return reduced[coord]
-
+    # R^top = R^0 is one-dimensional, so each product is one coordinate
+    deg_top = q.degree(top)
     ok = True
     for i in range(top // 2 + 1):
-        basis_i = monomials(i, ideal.weights)
-        _, rref_i, nonpiv_i = _quotient_basis(ideal, i)[0:3]
-        basis_j = monomials(top - i, ideal.weights)
-        _, rref_j, nonpiv_j = _quotient_basis(ideal, top - i)[0:3]
-        if len(nonpiv_i) != len(nonpiv_j):
-            ok = False
-            report["pairings"].append({"degree": i, "full_rank": False})
-            continue
-        pairing = []
-        for ci in nonpiv_i:
-            row = []
-            u = _poly_from_exponents(basis_i[ci])
-            for cj in nonpiv_j:
-                v = _poly_from_exponents(basis_j[cj])
-                row.append(top_coordinate(u * v))
-            pairing.append(row)
-        full = _rank(pairing) == len(nonpiv_i)
+        deg_i, deg_j = q.degree(i), q.degree(top - i)
+        pairing = [[deg_top.normal_form(_mul(deg_i.basis[ci], deg_j.basis[cj]))[0]
+                    for cj in deg_j.free]
+                   for ci in deg_i.free]
+        full = rank(pairing) == len(deg_i.free)
         ok = ok and full
-        report["pairings"].append({"degree": i, "dim": len(nonpiv_i),
+        report["pairings"].append({"degree": i, "dim": len(deg_i.free),
                                    "full_rank": full})
     report["gorenstein"] = ok
     return report
 
 
-def minimal_generators(ideal: WeightedIdeal,
+def minimal_generators(ideal: IdealOrQuotient,
                        d_max: Optional[int] = None) -> Dict[int, int]:
     """dim I_d / (m . I)_d per degree; nonzero entries count a minimal
     generating set."""
+    q = _quotient(ideal)
     if d_max is None:
-        d_max = max(ideal.generator_degrees())
+        d_max = max(q.ideal.generator_degrees())
     out: Dict[int, int] = {}
     for d in range(d_max + 1):
-        full = _rank(_ideal_rows(ideal, d))
-        inner = _rank(_ideal_rows(ideal, d, min_cofactor_degree=1))
-        if full - inner:
-            out[d] = full - inner
+        index = {m: i for i, m in enumerate(monomials(d, q.ideal.weights))}
+        count = q.ideal_rank(d) - rank(
+            _ideal_rows(q.ideal, d, index, min_cofactor_degree=1))
+        if count:
+            out[d] = count
     return out
 
 
@@ -430,11 +382,11 @@ def quotient_report(g: int, interpretation: Optional[str] = None,
     ideal = builtin_ideal(g, interpretation)
     if d_max is None:
         d_max = g + 6
-    h = hilbert(ideal, d_max)
-    degrees, dims = socle(ideal, d_max)
-    gor = gorenstein_check(ideal, g, d_max)
-    art, window = artinian_check(ideal, g, d_max)
-    mingens = minimal_generators(ideal)
+    quotient = GradedQuotient(ideal)
+    gor = gorenstein_check(quotient, g, d_max)
+    degrees, dims = gor["socle_degrees"], gor["socle_dims"]
+    art, window = artinian_check(quotient, g, d_max)
+    mingens = minimal_generators(quotient)
     notes = []
     if degrees == [g - 2] and dims == [1]:
         notes.append("socle sits in degree g-2 = %d with dimension 1" % (g - 2))
@@ -446,7 +398,7 @@ def quotient_report(g: int, interpretation: Optional[str] = None,
         interpretation=interpretation,
         weights=list(ideal.weights),
         generator_degrees=ideal.generator_degrees(),
-        hilbert=h,
+        hilbert=hilbert(quotient, d_max),
         socle_degrees=degrees,
         socle_dims=dims,
         gorenstein=gor["gorenstein"],
@@ -454,6 +406,6 @@ def quotient_report(g: int, interpretation: Optional[str] = None,
         artinian_window=None if window is None else list(window),
         minimal_generator_count=sum(mingens.values()),
         minimal_generators_by_degree=mingens,
-        ci_verdict=ci_verdict(ideal),
+        ci_verdict=sum(mingens.values()) <= ideal.nvars,
         notes=notes,
     )

@@ -201,6 +201,12 @@ class TestDeterminants:
         with pytest.raises(ValueError):
             cs.det_bareiss([[Poly.const(1), Poly.const(2)]])
 
+    def test_det_raises_when_engines_disagree(self, monkeypatch):
+        m = [[Poly.const(c) for c in row] for row in [[2, 1], [1, 3]]]
+        monkeypatch.setattr(cs, "det_cofactor", lambda rows: Poly.const(0))
+        with pytest.raises(RuntimeError, match="determinant engines disagree"):
+            cs.det(m)
+
     def test_det_on_all_registered_matrices(self):
         for spec in cs.LEMMAS.values():
             for rows in filter(None, (spec.rows, spec.reconstructed_rows)):

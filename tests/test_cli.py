@@ -1,10 +1,14 @@
 """Tests for the expression grammar and the command-line front end."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import splitloci
 from splitloci import cli
 from splitloci.cli import Node, OLeaf, ParseError, Query
 
@@ -204,6 +208,17 @@ class TestMain:
         assert cli.main(["eval", "h0(O(3))", "--out", str(target)]) == 0
         assert target.read_text() == "4\n"
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("module", ["splitloci", "splitloci.cli"])
+    def test_python_dash_m_runs_cli(self, module):
+        # stderr stays empty: no runpy warning about a preloaded module
+        src = os.path.dirname(os.path.dirname(os.path.abspath(splitloci.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "eval", "h1(End(O(2,3,5)))"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "3\n", "")
 
 
 class TestTable:

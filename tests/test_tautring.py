@@ -82,6 +82,14 @@ class TestClassicalOracles:
         assert tr.artinian_check(ideal, 7) == (True, (6, 7))
         assert tr.ci_verdict(ideal)
 
+    def test_hilbert_far_past_the_artinian_window(self):
+        # degrees above the vanishing window 6..7 are not eliminated, and
+        # still read as zero
+        ideal = tr.WeightedIdeal((1, 2), [k(1, 4), k(2, 2)])
+        assert tr.hilbert(ideal, 60) == [1, 1, 2, 2, 1, 1] + [0] * 55
+        assert tr.graded_ideal_rank(ideal, 60) == len(tr.monomials(60, (1, 2)))
+        assert tr.socle(ideal, 60) == ([5], [1])
+
     def test_redundant_generator_not_minimal(self):
         # k1^3 = k1 * k1^2 is not a minimal generator
         ideal = tr.WeightedIdeal((1, 1), [k(1, 2), k(1, 3), k(2, 4)])
