@@ -2,13 +2,13 @@
 
 Elements live in a ring generated by first/second Chern classes of
 filtration subquotients together with a hyperplane-type class z subject
-to z^2 = -c2. The module computes total Chern classes of filtered
-bundles by the splitting principle, extracts the (a, a') components of
-a class written as a + a'z, builds the relation matrices that express
-those components in the filtration generators, and verifies their
-determinants against closed forms. It also houses the Pfaffian
-structure equations of a 5x5 skew matrix, rank formulas for the
-resolution bundles, and the Sym^2 Chern-class identity.
+to z^2 = -c2; a class c = a + a'z carries its components as
+(c.a, c.b) = (a, a'). The module computes total Chern classes of
+filtered bundles by the splitting principle, holds the relation matrices
+that express those components in the filtration generators, and
+verifies their determinants against closed forms. It also houses the
+Pfaffian structure equations of a 5x5 skew matrix, rank formulas for
+the resolution bundles, and the Sym^2 Chern-class identity.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from . import strata
 from .linalg import echelon, rank
 from .polynomial import Poly
 
@@ -135,9 +136,6 @@ class GradedElt:
             parts.setdefault(w, GradedElt()).b.terms[mono] = coeff
         return dict(sorted(parts.items()))
 
-    def is_homogeneous(self) -> bool:
-        return len(self.graded_parts()) <= 1
-
     def __str__(self):
         if self.b.is_zero():
             return str(self.a)
@@ -185,9 +183,6 @@ class FilteredBundle:
     def rank(self) -> int:
         return sum(p.rank for p in self.pieces)
 
-    def direct_sum(self, other: "FilteredBundle") -> "FilteredBundle":
-        return FilteredBundle(self.pieces + other.pieces)
-
 
 def chern_total(bundle: FilteredBundle) -> List[GradedElt]:
     """Chern classes c_1..c_rank via the splitting principle."""
@@ -196,11 +191,6 @@ def chern_total(bundle: FilteredBundle) -> List[GradedElt]:
         total = total * piece.total_chern()
     parts = total.graded_parts()
     return [parts.get(i, GradedElt()) for i in range(1, bundle.rank() + 1)]
-
-
-def ce_extract(c: GradedElt) -> Tuple[Poly, Poly]:
-    """Split a class c = a + a'z into its (a, a') components."""
-    return (c.a, c.b)
 
 
 # ---------------------------------------------------------------------------
@@ -659,17 +649,13 @@ _register(LemmaSpec(
 ENGINEERED_ZERO = {"genus": 6, "e": (2, 3, 4), "f": (3, 6)}
 
 
-def _stratum_values(degree: int, g: int, e, f) -> Dict[str, int]:
+def _stratum_values(g: int, e, f) -> Dict[str, int]:
     values = {"g": g}
     for i, p in enumerate(e):
         values["e%d" % (i + 1)] = p
     for i, p in enumerate(f):
         values["f%d" % (i + 1)] = p
     return values
-
-
-def _apply_subs(poly: Poly, subs) -> Poly:
-    return poly.rewrite(list(subs))
 
 
 def _null_vector(rows: List[List[Fraction]]) -> Optional[List[Fraction]]:
@@ -747,26 +733,19 @@ EVAL_GENUS_RANGE = {4: range(5, 13), 5: range(7, 10)}
 
 
 def _applicable_strata(spec: LemmaSpec):
-    from . import strata as strata_mod
     for g in EVAL_GENUS_RANGE[spec.degree]:
-        for rec in strata_mod.enumerate_strata(spec.degree, g):
+        for rec in strata.enumerate_strata(spec.degree, g):
             if spec.hypotheses(g, rec.e.parts, rec.f.parts):
                 yield g, rec
 
 
-def build_relation_matrix(lemma_id: str) -> LemmaSpec:
-    if lemma_id not in LEMMAS:
-        raise KeyError("unknown lemma id: %s" % lemma_id)
-    return LEMMAS[lemma_id]
-
-
 def verify_lemma(lemma_id: str) -> LemmaReport:
-    spec = build_relation_matrix(lemma_id)
-    rows = [[_apply_subs(entry, spec.substitutions) for entry in row]
-            for row in spec.rows]
+    spec = LEMMAS[lemma_id]
+    subs = spec.substitutions
+    rows = [[entry.rewrite(subs) for entry in row] for row in spec.rows]
     det_computed = det(rows)
     claimed_sub = (None if spec.claimed is None
-                   else _apply_subs(spec.claimed, spec.substitutions))
+                   else spec.claimed.rewrite(subs))
 
     if spec.claimed is None:
         verdict = "nonvanishing-only"
@@ -777,7 +756,7 @@ def verify_lemma(lemma_id: str) -> LemmaReport:
 
     evaluations: List[dict] = []
     for g, rec in _applicable_strata(spec):
-        values = _stratum_values(spec.degree, g, rec.e.parts, rec.f.parts)
+        values = _stratum_values(g, rec.e.parts, rec.f.parts)
         value_computed = det_computed.evaluate(values)
         value_claimed = (None if claimed_sub is None
                          else claimed_sub.evaluate(values))
@@ -798,7 +777,7 @@ def verify_lemma(lemma_id: str) -> LemmaReport:
 
     reconstructed = None
     if spec.reconstructed_rows is not None:
-        recon_rows = [[_apply_subs(entry, spec.substitutions) for entry in row]
+        recon_rows = [[entry.rewrite(subs) for entry in row]
                       for row in spec.reconstructed_rows]
         det_recon = det(recon_rows)
         params = sorted({v for row in spec.rows for entry in row
@@ -837,7 +816,7 @@ def _engineered_zero_evaluation(spec: LemmaSpec) -> dict:
     g = ENGINEERED_ZERO["genus"]
     e = ENGINEERED_ZERO["e"]
     f = ENGINEERED_ZERO["f"]
-    values = _stratum_values(4, g, e, f)
+    values = _stratum_values(g, e, f)
     numeric = _matrix_at(spec.rows, values)
     vec = _null_vector(numeric)
     singular = vec is not None

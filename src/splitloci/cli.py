@@ -16,19 +16,31 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from . import chowsym, splitbundle, strata, tautring
+from .splitbundle import SplittingType
 
-QUERY_FUNCS = ("h0", "h1", "chi", "rank", "deg", "xcodim")
-
-NODE_ARITIES = {
-    "Dual": ("expr",),
-    "Twist": ("expr", "int"),
-    "Tensor": ("expr", "expr"),
-    "Sym2": ("expr",),
-    "Wedge2": ("expr",),
-    "End": ("expr",),
-    "Hom": ("expr", "expr"),
-    "Sum": ("expr", "expr"),
+# query name -> the function it applies to the evaluated expression
+QUERIES = {
+    "h0": splitbundle.h0,
+    "h1": splitbundle.h1,
+    "chi": splitbundle.chi,
+    "rank": SplittingType.rank,
+    "deg": SplittingType.degree,
+    "xcodim": splitbundle.expected_codim,
 }
+QUERY_FUNCS = tuple(QUERIES)
+
+# node name -> (argument kinds, the function it applies to its arguments)
+NODES = {
+    "Dual": (("expr",), splitbundle.dual),
+    "Twist": (("expr", "int"), splitbundle.twist),
+    "Tensor": (("expr", "expr"), splitbundle.tensor),
+    "Sym2": (("expr",), splitbundle.sym2),
+    "Wedge2": (("expr",), splitbundle.wedge2),
+    "End": (("expr",), splitbundle.end),
+    "Hom": (("expr", "expr"), splitbundle.hom),
+    "Sum": (("expr", "expr"), splitbundle.direct_sum),
+}
+NODE_ARITIES = {name: kinds for name, (kinds, _) in NODES.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -62,13 +74,20 @@ class ParseError(ValueError):
         super().__init__(text)
 
 
+# Only ASCII is accepted, so a character offset is also a byte offset.
+_DIGITS = frozenset("0123456789")
+_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+_ALNUM = _DIGITS | _LETTERS
+_SPACE = frozenset(" \t\n\r\v\f")
+
+
 class _Tokenizer:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
 
     def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
+        while self.pos < len(self.text) and self.text[self.pos] in _SPACE:
             self.pos += 1
 
     def peek(self) -> Tuple[str, str, int]:
@@ -78,15 +97,15 @@ class _Tokenizer:
         if start >= len(self.text):
             return ("END", "", start)
         ch = self.text[start]
-        if ch.isalpha():
+        if ch in _LETTERS:
             end = start
-            while end < len(self.text) and (self.text[end].isalnum()):
+            while end < len(self.text) and self.text[end] in _ALNUM:
                 end += 1
             return ("NAME", self.text[start:end], start)
-        if ch.isdigit() or (ch == "-" and start + 1 < len(self.text)
-                            and self.text[start + 1].isdigit()):
+        if ch in _DIGITS or (ch == "-" and start + 1 < len(self.text)
+                             and self.text[start + 1] in _DIGITS):
             end = start + 1
-            while end < len(self.text) and self.text[end].isdigit():
+            while end < len(self.text) and self.text[end] in _DIGITS:
                 end += 1
             return ("INT", self.text[start:end], start)
         if ch in "(),":
@@ -180,44 +199,16 @@ def print_query(q: Query) -> str:
     return "%s(%s)" % (q.func, print_expr(q.expr))
 
 
-def eval_expr(expr: Union[Node, OLeaf]) -> splitbundle.SplittingType:
+def eval_expr(expr: Union[Node, OLeaf]) -> SplittingType:
     if isinstance(expr, OLeaf):
-        return splitbundle.SplittingType(expr.parts)
-    args = expr.args
-    if expr.op == "Dual":
-        return splitbundle.dual(eval_expr(args[0]))
-    if expr.op == "Twist":
-        return splitbundle.twist(eval_expr(args[0]), args[1])
-    if expr.op == "Tensor":
-        return splitbundle.tensor(eval_expr(args[0]), eval_expr(args[1]))
-    if expr.op == "Sym2":
-        return splitbundle.sym2(eval_expr(args[0]))
-    if expr.op == "Wedge2":
-        return splitbundle.wedge2(eval_expr(args[0]))
-    if expr.op == "End":
-        return splitbundle.end(eval_expr(args[0]))
-    if expr.op == "Hom":
-        return splitbundle.hom(eval_expr(args[0]), eval_expr(args[1]))
-    if expr.op == "Sum":
-        return splitbundle.direct_sum(eval_expr(args[0]), eval_expr(args[1]))
-    raise ValueError("unknown node %r" % expr.op)
+        return SplittingType(expr.parts)
+    kinds, func = NODES[expr.op]
+    return func(*(arg if kind == "int" else eval_expr(arg)
+                  for kind, arg in zip(kinds, expr.args)))
 
 
 def eval_query(q: Query) -> int:
-    e = eval_expr(q.expr)
-    if q.func == "h0":
-        return splitbundle.h0(e)
-    if q.func == "h1":
-        return splitbundle.h1(e)
-    if q.func == "chi":
-        return splitbundle.chi(e)
-    if q.func == "rank":
-        return e.rank()
-    if q.func == "deg":
-        return e.degree()
-    if q.func == "xcodim":
-        return splitbundle.expected_codim(e)
-    raise ValueError("unknown query %r" % q.func)
+    return QUERIES[q.func](eval_expr(q.expr))
 
 
 # ---------------------------------------------------------------------------

