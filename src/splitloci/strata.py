@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import splitbundle as sb
@@ -112,6 +113,11 @@ def tet_check(g: int, e, f) -> ConstraintVerdict:
 PENT_LINEAR = (("L1", 0, 2, 3), ("L2", 0, 3, 2), ("L3", 1, 2, 2),
                ("L4", 1, 4, 0), ("L5", 2, 3, 0), ("L6", 0, 4, 1),
                ("L7", 1, 3, 1))
+
+# _PENT_FLOORS[b]: the (a, k) of the PENT_LINEAR entries that bound f[b]
+# below once f[a] is chosen, for the degree-5 f generator.
+_PENT_FLOORS = tuple(tuple((a, k) for _, a, slot, k in PENT_LINEAR
+                           if slot == b) for b in range(5))
 
 
 def pent_check(g: int, e, f) -> ConstraintVerdict:
@@ -317,11 +323,10 @@ def enumerate_strata(cover_degree: int, g: int) -> List[StratumRecord]:
     records: List[StratumRecord] = []
     if cover_degree == 4:
         total = g + 3
-        for e_parts in _weakly_increasing_tuples(3, total, total,
+        # E3MAX caps e3, hence every entry of e, at (g + 3) // 2.
+        for e_parts in _weakly_increasing_tuples(3, total, total // 2,
                                                  lambda prefix: 1):
             e = SplittingType(e_parts)
-            if 2 * e.parts[2] > total:
-                continue
             # Q12VAN bounds f2 above, which bounds f1 below.
             for f1 in range(total - 2 * e.parts[1], 2 * e.parts[0] + 1):
                 f = SplittingType((f1, total - f1))
@@ -343,10 +348,10 @@ def enumerate_strata(cover_degree: int, g: int) -> List[StratumRecord]:
                 f_lo = ftotal - 8 * e4
 
                 def floor(prefix):
-                    # each entry of PENT_LINEAR bounds f[b] below, given f[a]
-                    return max([f_lo] + [g + 4 - e.parts[k] - prefix[a]
-                                         for _, a, b, k in PENT_LINEAR
-                                         if b == len(prefix)])
+                    lo = f_lo
+                    for a, k in _PENT_FLOORS[len(prefix)]:
+                        lo = max(lo, g + 4 - e.parts[k] - prefix[a])
+                    return lo
 
                 for f_parts in _weakly_increasing_tuples(5, ftotal, 2 * e4,
                                                          floor):
@@ -391,27 +396,59 @@ def pair_order(r1: StratumRecord, r2: StratumRecord) -> str:
     return ce if ce == cf else sb.INCOMPARABLE
 
 
-def _strictly_below(r1: StratumRecord, r2: StratumRecord) -> bool:
-    return pair_order(r1, r2) == sb.LESS_EQUAL and r1.key() != r2.key()
+def _above_masks(sums: Sequence[Tuple[int, ...]]) -> List[int]:
+    """Bit j of the i-th mask is set when every entry of sums[j] is at
+    least the matching entry of sums[i] and sums[j] != sums[i]."""
+    n = len(sums)
+    masks = [(1 << n) - 1] * n
+    for column in zip(*sums):
+        # at_least[v]: the j whose entry in this column is >= v
+        at_least: Dict[int, int] = {}
+        mask = 0
+        for j in sorted(range(n), key=column.__getitem__, reverse=True):
+            mask |= 1 << j
+            at_least[column[j]] = mask
+        masks = [m & at_least[v] for m, v in zip(masks, column)]
+    same: Dict[Tuple[int, ...], int] = {}
+    for j, s in enumerate(sums):
+        same[s] = same.get(s, 0) | 1 << j
+    return [m & ~same[s] for m, s in zip(masks, sums)]
 
 
 def hasse(records: Sequence[StratumRecord]) -> Tuple[List[Tuple[str, str]], str]:
-    """Transitive reduction of the pair order, plus DOT text."""
+    """Transitive reduction of the pair order, plus DOT text.
+
+    Record i lies strictly below record j in `pair_order` exactly when
+    each prefix sum of e and of f of i is at most the matching sum of j
+    and the sums are not all equal. The concatenated prefix sums are
+    computed once per record. up[i] is a Python-int bitmask with bit j
+    set when record j lies strictly above record i; down[j], its
+    transpose, has bit i set when record i lies strictly below record j
+    (the same masks, taken over the negated sums). (i, j) is an edge of
+    the Hasse diagram when bit j is set in up[i] and no record lies
+    between them, that is up[i] & down[j] == 0; edges come out in
+    increasing i, then increasing j.
+
+    The masks take O(n log n) integer operations per prefix-sum position
+    and the edge scan n^2 bit tests, so the cost is O(n^2), where one
+    `pair_order` call per ordered pair and a scan over every middle
+    record for each comparable pair cost O(n^3).
+    """
     n = len(records)
-    below = [[_strictly_below(records[i], records[j]) for j in range(n)]
-             for i in range(n)]
-    edges = []
-    for i in range(n):
-        for j in range(n):
-            if not below[i][j]:
-                continue
-            if any(below[i][k] and below[k][j] for k in range(n)):
-                continue
-            edges.append((records[i].node_id(), records[j].node_id()))
-    lines = ["digraph strata {"]
     for r in records:
-        display = r.label if r.label else r.node_id()
-        lines.append('  "%s" [label="%s"];' % (r.node_id(), display))
+        # raises ValueError on records of another rank or degree
+        sb.dominates(r.e, records[0].e)
+        sb.dominates(r.f, records[0].f)
+    sums = [tuple(accumulate(r.e.parts)) + tuple(accumulate(r.f.parts))
+            for r in records]
+    up = _above_masks(sums)
+    down = _above_masks([tuple(-x for x in s) for s in sums])
+    ids = [r.node_id() for r in records]
+    edges = [(ids[i], ids[j]) for i, u in enumerate(up) for j in range(n)
+             if u >> j & 1 and not u & down[j]]
+    lines = ["digraph strata {"]
+    for r, node in zip(records, ids):
+        lines.append('  "%s" [label="%s"];' % (node, r.label or node))
     for lo, hi in edges:
         lines.append('  "%s" -> "%s";' % (lo, hi))
     lines.append("}")

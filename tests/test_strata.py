@@ -1,8 +1,11 @@
 """Tests for the degree-4 and degree-5 pair-stratum enumeration."""
 
+import dataclasses
+import functools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from splitloci import splitbundle as sb
 from splitloci import strata
@@ -169,8 +172,29 @@ def reachability(records):
     return below, reach
 
 
+STRATA_WINDOWS = [(4, g) for g in range(5, strata.GENUS_MAX + 1)] + \
+    [(5, g) for g in range(7, strata.GENUS_MAX + 1)]
+
+
+@functools.lru_cache(maxsize=None)
+def enumerated(degree, genus):
+    return tuple(strata.enumerate_strata(degree, genus))
+
+
+def scanned_edges(records):
+    """The Hasse diagram's edges as a scan over i, then j, finds them: (i, j)
+    when record i lies strictly below record j and no record between."""
+    n = len(records)
+    below, _ = reachability(records)
+    ids = [r.node_id() for r in records]
+    return [(ids[i], ids[j]) for i in range(n) for j in range(n)
+            if below[i][j]
+            and not any(below[i][k] and below[k][j] for k in range(n))]
+
+
 class TestHasse:
-    @pytest.mark.parametrize("degree,genus", [(4, 9), (5, 9), (4, 7)])
+    @pytest.mark.parametrize("degree,genus",
+                             [(4, 9), (5, 9), (4, 7), (5, 24), (4, 24)])
     def test_edges_are_transitive_reduction(self, degree, genus):
         records = strata.enumerate_strata(degree, genus)
         edges, _ = strata.hasse(records)
@@ -192,6 +216,39 @@ class TestHasse:
         assert dot.startswith("digraph strata {")
         assert 'label="Psi0"' in dot
         assert dot.rstrip().endswith("}")
+
+    @settings(max_examples=60, deadline=None)
+    @given(window=st.sampled_from(STRATA_WINDOWS), data=st.data())
+    def test_random_sublists_match_the_reference_scan(self, window, data):
+        # sub-lists in random order; an index drawn twice repeats a record
+        records = enumerated(*window)
+        picks = data.draw(st.lists(st.integers(0, len(records) - 1),
+                                   max_size=30))
+        chosen = [records[i] for i in picks]
+        edges, dot = strata.hasse(chosen)
+        assert edges == scanned_edges(chosen)
+        assert dot.count(" -> ") == len(edges)
+
+    def test_rejects_records_of_different_genera(self):
+        records = strata.enumerate_strata(4, 9) + strata.enumerate_strata(4, 10)
+        with pytest.raises(ValueError, match="incomparable families"):
+            strata.hasse(records)
+
+    def test_rejects_f_of_another_degree(self):
+        record = strata.enumerate_strata(5, 9)[0]
+        other = dataclasses.replace(
+            record, f=sb.SplittingType(record.f.parts[:4] + (record.f[4] + 1,)))
+        with pytest.raises(ValueError, match="incomparable families"):
+            strata.hasse([record, other])
+
+    def test_empty_input(self):
+        assert strata.hasse([]) == ([], "digraph strata {\n}")
+
+    def test_single_record_has_no_edges(self):
+        record = strata.enumerate_strata(5, 9)[0]
+        edges, dot = strata.hasse([record])
+        assert edges == []
+        assert " -> " not in dot
 
 
 class TestStarUnion:
