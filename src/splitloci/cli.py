@@ -4,7 +4,7 @@ Subcommands: eval (bundle-expression queries), strata (enumeration
 reports, with DOT output for the dominance diagram), lemma verify
 (relation-matrix determinant reports), and taut (graded quotient-ring
 reports). Exit code 0 means success, 1 means a verification failure,
-2 means a usage or parse error.
+2 means a usage or parse error or an output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -74,6 +74,9 @@ class ParseError(ValueError):
         super().__init__(text)
 
 
+# Deeper nesting is a parse error, not a RecursionError in eval_expr.
+MAX_DEPTH = 256
+
 # Only ASCII is accepted, so a character offset is also a byte offset.
 _DIGITS = frozenset("0123456789")
 _LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
@@ -133,7 +136,7 @@ def _parse_int(tok: _Tokenizer) -> int:
     return int(value)
 
 
-def _parse_expr(tok: _Tokenizer) -> Union[Node, OLeaf]:
+def _parse_expr(tok: _Tokenizer, depth: int = 0) -> Union[Node, OLeaf]:
     kind, value, offset = tok.next()
     if kind != "NAME":
         raise ParseError("got %r" % (value or "end of input"), offset,
@@ -157,6 +160,8 @@ def _parse_expr(tok: _Tokenizer) -> Union[Node, OLeaf]:
     if value not in NODE_ARITIES:
         raise ParseError("unknown node %r" % value, offset,
                          ["'O'"] + sorted(NODE_ARITIES))
+    if depth == MAX_DEPTH:
+        raise ParseError("nodes nested deeper than %d" % MAX_DEPTH, offset)
     tok.expect_punct("(")
     args: List[Union[Node, OLeaf, int]] = []
     for i, want in enumerate(NODE_ARITIES[value]):
@@ -165,7 +170,8 @@ def _parse_expr(tok: _Tokenizer) -> Union[Node, OLeaf]:
             if not (kind == "PUNCT" and nxt == ","):
                 raise ParseError("wrong arity for %s" % value, off2, ["','"])
             tok.next()
-        args.append(_parse_int(tok) if want == "int" else _parse_expr(tok))
+        args.append(_parse_int(tok) if want == "int"
+                    else _parse_expr(tok, depth + 1))
     tok.expect_punct(")")
     return Node(value, tuple(args))
 
@@ -394,7 +400,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ValueError as err:
+    except (OSError, ValueError) as err:
+        # an OSError here is an --out path that cannot be written
         print(str(err), file=sys.stderr)
         return 2
 

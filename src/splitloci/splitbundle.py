@@ -9,7 +9,8 @@ expected codimension of a splitting locus, and the dominance partial order.
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+from itertools import accumulate, combinations
+from typing import Iterable
 
 LESS_EQUAL = "less-equal"
 GREATER_EQUAL = "greater-equal"
@@ -126,16 +127,10 @@ def chi(e) -> int:
 
 
 def expected_codim(e) -> int:
-    return h1(end(e))
-
-
-def _prefix_sums(parts: Tuple[int, ...]) -> Tuple[int, ...]:
-    out = []
-    total = 0
-    for p in parts:
-        total += p
-        out.append(total)
-    return tuple(out)
+    """h1(End(e)): End(e) has the parts e_j - e_i, and
+    h1(O(a)) = max(0, -a - 1), so with e sorted the sum runs over i < j
+    of max(0, e_j - e_i - 1)."""
+    return sum(max(0, b - a - 1) for a, b in combinations(_coerce(e).parts, 2))
 
 
 def dominates(e_lo, e_hi) -> str:
@@ -143,8 +138,8 @@ def dominates(e_lo, e_hi) -> str:
     e_lo, e_hi = _coerce(e_lo), _coerce(e_hi)
     if e_lo.rank() != e_hi.rank() or e_lo.degree() != e_hi.degree():
         raise ValueError("incomparable families")
-    lo = _prefix_sums(e_lo.parts)
-    hi = _prefix_sums(e_hi.parts)
+    lo = tuple(accumulate(e_lo.parts))
+    hi = tuple(accumulate(e_hi.parts))
     le = all(a <= b for a, b in zip(lo, hi))
     ge = all(a >= b for a, b in zip(lo, hi))
     if le and ge:

@@ -12,8 +12,9 @@ splitting locus.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from itertools import accumulate
+from dataclasses import dataclass
+from itertools import (accumulate, combinations,
+                       combinations_with_replacement)
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import splitbundle as sb
@@ -78,10 +79,6 @@ class StratumRecord:
         }
 
 
-def _verdict(violated: List[str]) -> ConstraintVerdict:
-    return ConstraintVerdict(not violated, tuple(violated))
-
-
 def tet_check(g: int, e, f) -> ConstraintVerdict:
     e = e if isinstance(e, SplittingType) else SplittingType(e)
     f = f if isinstance(f, SplittingType) else SplittingType(f)
@@ -104,7 +101,7 @@ def tet_check(g: int, e, f) -> ConstraintVerdict:
         violated.append("Q12VAN")
     if f2 > e1 + e3 and f1 != 2 * e1:
         violated.append("CONDITIONAL")
-    return _verdict(violated)
+    return ConstraintVerdict(not violated, tuple(violated))
 
 
 # The linear constraints L1..L7 on a degree-5 pair (e, f): each entry
@@ -142,46 +139,27 @@ def pent_check(g: int, e, f) -> ConstraintVerdict:
     for name, a, b, k in PENT_LINEAR:
         if f.parts[a] + f.parts[b] + e.parts[k] < g + 4:
             violated.append(name)
-    return _verdict(violated)
-
-
-class ConstraintError(ValueError):
-    def __init__(self, verdict: ConstraintVerdict):
-        super().__init__("pair violates constraints: %s" % (verdict.violated,))
-        self.verdict = verdict
-
-
-def tet_codim(g: int, e, f) -> Tuple[int, int, int, int]:
-    e = e if isinstance(e, SplittingType) else SplittingType(e)
-    f = f if isinstance(f, SplittingType) else SplittingType(f)
-    verdict = tet_check(g, e, f)
-    if not verdict.allowed:
-        raise ConstraintError(verdict)
-    expected_e = sb.expected_codim(e)
-    expected_f = sb.expected_codim(f)
-    correction = sb.h1(sb.tensor(sb.dual(f), sb.sym2(e)))
-    return (expected_e + expected_f - correction, expected_e, expected_f, correction)
-
-
-def pent_codim(g: int, e, f) -> Tuple[int, int, int, int]:
-    e = e if isinstance(e, SplittingType) else SplittingType(e)
-    f = f if isinstance(f, SplittingType) else SplittingType(f)
-    verdict = pent_check(g, e, f)
-    if not verdict.allowed:
-        raise ConstraintError(verdict)
-    expected_e = sb.expected_codim(e)
-    expected_f = sb.expected_codim(f)
-    correction = sb.h1(sb.twist(sb.tensor(e, sb.wedge2(f)), -(g + 4)))
-    return (expected_e + expected_f - correction, expected_e, expected_f, correction)
+    return ConstraintVerdict(not violated, tuple(violated))
 
 
 def in_psi(record: StratumRecord) -> bool:
+    """Membership of the record's pair in the good open locus Psi.
+
+    Psi is cut out by 2e1 - f2 >= -1 in degree 4 and by
+    e1 + f1 + f2 - (g + 4) >= -1 in degree 5. For every genus this holds
+    exactly when the correction term vanishes. The correction is a sum of
+    terms max(0, t), so it is 0 exactly when its largest t is <= 0. With
+    the parts sorted, the largest t is f2 - 2e1 - 1 in degree 4 (the
+    largest f_j minus the smallest e_i + e_k, i <= k) and
+    g + 3 - e1 - f1 - f2 in degree 5 (the smallest e_i plus the smallest
+    f_j + f_l, j < l), and in each case t <= 0 is the inequality above.
+    The comparison below checks that at runtime.
+    """
     e, f, g = record.e.parts, record.f.parts, record.genus
     if record.cover_degree == 4:
         answer = 2 * e[0] - f[1] >= -1
     else:
         answer = e[0] + f[0] + f[1] - (g + 4) >= -1
-    # cross-check against the vanishing of the correction term
     if answer != (record.correction == 0):
         raise RuntimeError("Psi membership of %s, %s disagrees with the "
                            "correction term" % (record.e, record.f))
@@ -277,35 +255,53 @@ GENUS5_PSI2_NOTE = (
 
 def _weakly_increasing_tuples(length: int, total: int, hi: int, floor):
     """All weakly increasing integer tuples with the given sum and entries
-    at most hi, where floor(prefix) bounds from below the entry that
-    follows the entries in prefix."""
+    at most hi, where each tuple t has t[slot] >= floor(t[:n], slot)
+    for every n <= slot.
+
+    floor(prefix, slot) bounds the entry in any slot from len(prefix) on
+    from below, using only the entries in prefix. Since the entries
+    increase, each later entry is at least the running max of the last
+    entry and the floors of the slots up to its own, so a value is
+    skipped when the rest of the sum cannot cover those least entries;
+    no admissible tuple is lost."""
     def rec(prefix, remaining):
-        slots = length - len(prefix)
-        if slots == 0:
-            if remaining == 0:
-                yield tuple(prefix)
+        slot = len(prefix)
+        if slot == length:
+            yield tuple(prefix)
             return
-        for value in range(max(prefix[-1:] + [floor(prefix)]), hi + 1):
-            rest = remaining - value
-            if rest < value * (slots - 1) or rest > hi * (slots - 1):
-                continue
-            yield from rec(prefix + [value], rest)
+        later = range(slot + 1, length)
+        # the later entries lie in [value, hi], which bounds value
+        lo = max(prefix[-1:] + [floor(prefix, slot),
+                                remaining - hi * len(later)])
+        for value in range(lo, min(hi, remaining // (len(later) + 1)) + 1):
+            extended = prefix + [value]
+            least = accumulate((floor(extended, s) for s in later), max,
+                               initial=value)
+            if remaining - value >= sum(least) - value:
+                yield from rec(extended, remaining - value)
     yield from rec([], total)
 
 
 def _make_record(g: int, cover_degree: int, e: SplittingType,
                  f: SplittingType) -> StratumRecord:
+    """The record of a pair the enumerator has accepted. The correction
+    is h1(f^dual (x) Sym2 e) in degree 4 and h1(e (x) Wedge2 f (x)
+    O(-g-4)) in degree 5, summed over the parts by h1(O(a)) =
+    max(0, -a - 1)."""
+    xe, xf = sb.expected_codim(e), sb.expected_codim(f)
     if cover_degree == 4:
-        codim, xe, xf, corr = tet_codim(g, e, f)
+        corr = sum(max(0, fj - ei - ek - 1) for fj in f.parts
+                   for ei, ek in combinations_with_replacement(e.parts, 2))
     else:
-        codim, xe, xf, corr = pent_codim(g, e, f)
+        corr = sum(max(0, g + 3 - ei - fj - fl) for ei in e.parts
+                   for fj, fl in combinations(f.parts, 2))
     flags = classify(g, cover_degree, e, f)
     key = (cover_degree, g, e.parts, f.parts)
     label = FIXTURE_LABELS.get(key)
     lower = bool(flags) or key in LOWER_GONALITY_FIXTURES
     record = StratumRecord(
         genus=g, cover_degree=cover_degree, e=e, f=f,
-        codim=codim, expected_e=xe, expected_f=xf, correction=corr,
+        codim=xe + xf - corr, expected_e=xe, expected_f=xf, correction=corr,
         in_psi=(corr == 0), flags=flags, label=label, lower_gonality=lower)
     in_psi(record)
     return record
@@ -325,13 +321,13 @@ def enumerate_strata(cover_degree: int, g: int) -> List[StratumRecord]:
         total = g + 3
         # E3MAX caps e3, hence every entry of e, at (g + 3) // 2.
         for e_parts in _weakly_increasing_tuples(3, total, total // 2,
-                                                 lambda prefix: 1):
+                                                 lambda prefix, slot: 1):
             e = SplittingType(e_parts)
-            # Q12VAN bounds f2 above, which bounds f1 below.
-            for f1 in range(total - 2 * e.parts[1], 2 * e.parts[0] + 1):
+            # Q12VAN bounds f2 above, which bounds f1 below; f1 <= f2
+            # caps f1 at total // 2.
+            for f1 in range(total - 2 * e.parts[1],
+                            min(2 * e.parts[0], total // 2) + 1):
                 f = SplittingType((f1, total - f1))
-                if f.parts != (f1, total - f1):
-                    continue
                 if tet_check(g, e, f).allowed:
                     records.append(_make_record(g, 4, e, f))
     else:
@@ -342,16 +338,15 @@ def enumerate_strata(cover_degree: int, g: int) -> List[StratumRecord]:
         for e1 in range(e1_lo, e1_hi + 1):
             for rest in _weakly_increasing_tuples(3, etotal - e1,
                                                   (2 * g + 8) // 5,
-                                                  lambda prefix: e1):
+                                                  lambda prefix, slot: e1):
                 e = SplittingType((e1,) + rest)
                 e4 = e.parts[3]
                 f_lo = ftotal - 8 * e4
 
-                def floor(prefix):
-                    lo = f_lo
-                    for a, k in _PENT_FLOORS[len(prefix)]:
-                        lo = max(lo, g + 4 - e.parts[k] - prefix[a])
-                    return lo
+                def floor(prefix, slot):
+                    return max([f_lo] + [g + 4 - e.parts[k] - prefix[a]
+                                         for a, k in _PENT_FLOORS[slot]
+                                         if a < len(prefix)])
 
                 for f_parts in _weakly_increasing_tuples(5, ftotal, 2 * e4,
                                                          floor):
@@ -383,19 +378,6 @@ def strata_report_json(records: Sequence[StratumRecord]) -> str:
     return json.dumps(strata_report(records), indent=2)
 
 
-def pair_order(r1: StratumRecord, r2: StratumRecord) -> str:
-    """Product of the dominance orders on the e and f coordinates."""
-    ce = sb.dominates(r1.e, r2.e)
-    cf = sb.dominates(r1.f, r2.f)
-    if ce == sb.INCOMPARABLE or cf == sb.INCOMPARABLE:
-        return sb.INCOMPARABLE
-    if ce == sb.EQUAL:
-        return cf
-    if cf == sb.EQUAL:
-        return ce
-    return ce if ce == cf else sb.INCOMPARABLE
-
-
 def _above_masks(sums: Sequence[Tuple[int, ...]]) -> List[int]:
     """Bit j of the i-th mask is set when every entry of sums[j] is at
     least the matching entry of sums[i] and sums[j] != sums[i]."""
@@ -418,7 +400,8 @@ def _above_masks(sums: Sequence[Tuple[int, ...]]) -> List[int]:
 def hasse(records: Sequence[StratumRecord]) -> Tuple[List[Tuple[str, str]], str]:
     """Transitive reduction of the pair order, plus DOT text.
 
-    Record i lies strictly below record j in `pair_order` exactly when
+    The pair order is the product of the dominance orders on e and on f.
+    Record i lies strictly below record j in it exactly when
     each prefix sum of e and of f of i is at most the matching sum of j
     and the sums are not all equal. The concatenated prefix sums are
     computed once per record. up[i] is a Python-int bitmask with bit j
@@ -430,9 +413,9 @@ def hasse(records: Sequence[StratumRecord]) -> Tuple[List[Tuple[str, str]], str]
     increasing i, then increasing j.
 
     The masks take O(n log n) integer operations per prefix-sum position
-    and the edge scan n^2 bit tests, so the cost is O(n^2), where one
-    `pair_order` call per ordered pair and a scan over every middle
-    record for each comparable pair cost O(n^3).
+    and the edge scan n^2 bit tests, so the cost is O(n^2), where a
+    comparison of every ordered pair and a scan over every middle record
+    for each comparable pair cost O(n^3).
     """
     n = len(records)
     for r in records:

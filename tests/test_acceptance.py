@@ -370,9 +370,11 @@ def test_criterion_10_property_suites():
     edges, _ = strata.hasse(records)
     ids = [r.node_id() for r in records]
     nrec = len(records)
-    below = [[strata.pair_order(records[i], records[j]) == sb.LESS_EQUAL
-              and records[i].key() != records[j].key()
-              for j in range(nrec)] for i in range(nrec)]
+    # the product of the dominance orders on e and on f, strictly
+    below = [[records[i].key() != records[j].key() and all(
+        sb.dominates(getattr(records[i], axis), getattr(records[j], axis))
+        in (sb.LESS_EQUAL, sb.EQUAL) for axis in "ef")
+        for j in range(nrec)] for i in range(nrec)]
     reach = [row[:] for row in below]
     for kk in range(nrec):
         for i in range(nrec):

@@ -224,6 +224,31 @@ class TestMain:
         assert target.read_text() == "4\n"
         assert capsys.readouterr().out == ""
 
+    def test_out_to_missing_directory_exit2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x"
+        assert cli.main(["eval", "h0(O(1))", "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert str(target) in captured.err
+
+    @staticmethod
+    def dual_chain(depth):
+        return "h0(" + "Dual(" * depth + "O(1)" + ")" * depth + ")"
+
+    def test_eval_nesting_past_the_limit_is_a_parse_error(self, capsys):
+        assert cli.main(["eval", self.dual_chain(1000)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        # the first node past the limit starts after "h0(" and 256 "Dual("
+        assert captured.err.startswith(
+            "parse error at byte %d" % (3 + 5 * cli.MAX_DEPTH))
+
+    def test_eval_nesting_at_the_limit(self, capsys):
+        assert cli.main(["eval", self.dual_chain(cli.MAX_DEPTH)]) == 0
+        assert capsys.readouterr().out == "2\n"
+
     @pytest.mark.parametrize("module", ["splitloci", "splitloci.cli"])
     def test_python_dash_m_runs_cli(self, module):
         # stderr stays empty: no runpy warning about a preloaded module

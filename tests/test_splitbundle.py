@@ -123,6 +123,12 @@ class TestCohomology:
         assert sb.expected_codim(SplittingType([2, 3, 3, 5])) == 4
         assert sb.expected_codim(SplittingType([2, 3, 4, 4])) == 2
 
+    @given(parts_strategy)
+    def test_expected_codim_is_h1_of_end(self, parts):
+        e = SplittingType(parts)
+        assert sb.expected_codim(e) == sb.h1(sb.end(e))
+        assert sb.expected_codim(parts) == sb.h1(sb.end(e))
+
     def test_balanced_has_expected_codim_zero(self):
         assert sb.expected_codim(SplittingType([3, 3, 4])) == 0
 
