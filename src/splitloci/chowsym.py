@@ -14,14 +14,13 @@ the resolution bundles, and the Sym^2 Chern-class identity.
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import strata
-from .linalg import echelon, rank
+from .linalg import echelon
 from .polynomial import Poly
 
 # codimension grading of the generator symbols; parameter symbols
@@ -197,18 +196,33 @@ def chern_total(bundle: FilteredBundle) -> List[GradedElt]:
 # determinants
 
 def det_cofactor(rows: Sequence[Sequence[Poly]]) -> Poly:
+    """Laplace expansion along the rows, each minor computed once.
+
+    Working up from the last row, minors[S] is the minor on the trailing
+    rows and the column set S (a bitmask), expanded along its first row;
+    an n x n matrix takes n * 2^(n-1) products instead of n!. Only
+    multiplication and addition are used, never a division or a pivot
+    choice, so it shares no step with `det_bareiss` and stays an
+    independent check of it.
+    """
     n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = Poly()
-    for j in range(n):
-        entry = rows[0][j]
-        if entry.is_zero():
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in rows[1:]]
-        term = entry * det_cofactor(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
+    minors: Dict[int, Poly] = {1 << j: entry for j, entry in enumerate(rows[-1])
+                               if not entry.is_zero()}
+    for i in range(n - 2, -1, -1):
+        expanded: Dict[int, Poly] = {}
+        for cols, minor in minors.items():
+            for j, entry in enumerate(rows[i]):
+                bit = 1 << j
+                if cols & bit or entry.is_zero():
+                    continue
+                # j's position in the enlarged column set fixes the sign
+                term = entry * minor
+                if (cols & (bit - 1)).bit_count() % 2:
+                    term = -term
+                key = cols | bit
+                expanded[key] = expanded[key] + term if key in expanded else term
+        minors = {cols: m for cols, m in expanded.items() if not m.is_zero()}
+    return minors.get((1 << n) - 1, Poly())
 
 
 def det_bareiss(rows: Sequence[Sequence[Poly]]) -> Poly:
@@ -675,16 +689,39 @@ def _matrix_at(rows, values) -> List[List[Fraction]]:
     return [[entry.evaluate(values) for entry in row] for row in rows]
 
 
-def _rowspaces_agree(rows_a, rows_b, params, trials: int = 5) -> bool:
-    """Compare row spaces at several random integer parameter points."""
-    rng = random.Random(20240817)
-    for _ in range(trials):
-        values = {p: rng.randint(-20, 20) for p in params}
-        a = _matrix_at(rows_a, values)
-        b = _matrix_at(rows_b, values)
-        if not (rank(a) == rank(b) == rank(a + b)):
-            return False
-    return True
+def _poly_rank(rows: Sequence[Sequence[Poly]]) -> int:
+    """Rank over Q(parameters) by fraction-free elimination (Bareiss 1968).
+
+    Each entry below the pivots is, after step k, a (k+1)-minor of the
+    matrix, so dividing by the previous pivot is exact even where a
+    column without a pivot is skipped.
+    """
+    m = [list(row) for row in rows]
+    ncols = len(m[0]) if m else 0
+    r = 0
+    prev = Poly.const(1)
+    for c in range(ncols):
+        k = next((i for i in range(r, len(m)) if not m[i][c].is_zero()), None)
+        if k is None:
+            continue
+        m[r], m[k] = m[k], m[r]
+        pivot_row = m[r]
+        for i in range(r + 1, len(m)):
+            row = m[i]
+            for j in range(c + 1, ncols):
+                row[j] = (pivot_row[c] * row[j]
+                          - row[c] * pivot_row[j]).divide_exact(prev)
+            row[c] = Poly()
+        prev = pivot_row[c]
+        r += 1
+    return r
+
+
+def _rowspaces_agree(rows_a, rows_b) -> bool:
+    """Whether two polynomial matrices have the same row space over
+    Q(parameters): equal ranks, and stacking them adds nothing."""
+    rank_a = _poly_rank(rows_a)
+    return rank_a == _poly_rank(rows_b) == _poly_rank(list(rows_a) + list(rows_b))
 
 
 @dataclass
@@ -732,14 +769,21 @@ class LemmaReport:
 EVAL_GENUS_RANGE = {4: range(5, 13), 5: range(7, 10)}
 
 
-def _applicable_strata(spec: LemmaSpec):
+def _applicable_strata(spec: LemmaSpec, enumerated: Dict[Tuple[int, int], list]):
+    """Strata meeting the lemma's hypotheses; `enumerated` holds each
+    (degree, genus) enumeration so that it is made once."""
     for g in EVAL_GENUS_RANGE[spec.degree]:
-        for rec in strata.enumerate_strata(spec.degree, g):
+        key = (spec.degree, g)
+        if key not in enumerated:
+            enumerated[key] = strata.enumerate_strata(*key)
+        for rec in enumerated[key]:
             if spec.hypotheses(g, rec.e.parts, rec.f.parts):
                 yield g, rec
 
 
-def verify_lemma(lemma_id: str) -> LemmaReport:
+def verify_lemma(lemma_id: str, _enumerated: Optional[dict] = None) -> LemmaReport:
+    """Verify one registered lemma. `verify_all_lemmas` passes
+    `_enumerated` so that its calls share each strata enumeration."""
     spec = LEMMAS[lemma_id]
     subs = spec.substitutions
     rows = [[entry.rewrite(subs) for entry in row] for row in spec.rows]
@@ -755,7 +799,8 @@ def verify_lemma(lemma_id: str) -> LemmaReport:
         verdict = "mismatch(%s)" % (det_computed - claimed_sub)
 
     evaluations: List[dict] = []
-    for g, rec in _applicable_strata(spec):
+    for g, rec in _applicable_strata(
+            spec, {} if _enumerated is None else _enumerated):
         values = _stratum_values(g, rec.e.parts, rec.f.parts)
         value_computed = det_computed.evaluate(values)
         value_claimed = (None if claimed_sub is None
@@ -780,16 +825,12 @@ def verify_lemma(lemma_id: str) -> LemmaReport:
         recon_rows = [[entry.rewrite(subs) for entry in row]
                       for row in spec.reconstructed_rows]
         det_recon = det(recon_rows)
-        params = sorted({v for row in spec.rows for entry in row
-                         for v in entry.variables()}
-                        | {v for row in spec.reconstructed_rows for entry in row
-                           for v in entry.variables()})
         reconstructed = {
             "matrix": [[str(x) for x in row] for row in spec.reconstructed_rows],
             "det_computed": str(det_recon),
             "matches_claimed": det_recon == claimed_sub,
             "rowspace_same_as_printed": _rowspaces_agree(
-                spec.rows, spec.reconstructed_rows, params),
+                spec.rows, spec.reconstructed_rows),
             "row_differences": [
                 [str(a - b) for a, b in zip(row_p, row_r)]
                 for row_p, row_r in zip(spec.rows, spec.reconstructed_rows)
@@ -837,4 +878,5 @@ def _engineered_zero_evaluation(spec: LemmaSpec) -> dict:
 
 
 def verify_all_lemmas() -> List[LemmaReport]:
-    return [verify_lemma(lemma_id) for lemma_id in LEMMAS]
+    enumerated: Dict[Tuple[int, int], list] = {}
+    return [verify_lemma(lemma_id, enumerated) for lemma_id in LEMMAS]

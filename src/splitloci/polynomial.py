@@ -1,13 +1,19 @@
 """Exact multivariate polynomial arithmetic with rational coefficients.
 
-Monomials are stored as sorted tuples of (variable, exponent) pairs and
-coefficients as fractions, so every computation in the package stays exact.
+A monomial is a tuple of (variable, exponent) pairs, sorted by variable,
+with each variable once and every exponent nonzero; `Poly` brings the
+monomials it is given into that form, so equal polynomials have equal
+term dicts. A coefficient is an `int` when it is integral and a
+`Fraction` otherwise: every operation demotes an integral result to
+`int`. The common all-integer case so runs on plain int arithmetic,
+without the gcd that each Fraction operation pays, and every
+computation stays exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 Monomial = Tuple[Tuple[str, int], ...]
 Scalar = Union[int, Fraction]
@@ -23,25 +29,51 @@ def _normalize_mono(pairs: Iterable[Tuple[str, int]]) -> Monomial:
     return tuple(sorted((v, e) for v, e in merged.items() if e))
 
 
+def _quotient(a: Scalar, b: Scalar) -> Scalar:
+    """The exact quotient a / b, demoted to int when integral."""
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
+
+
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    """Product of two canonical monomials, by merging the sorted pairs."""
     if not a:
         return b
     if not b:
         return a
-    return _normalize_mono(list(a) + list(b))
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        va, ea = a[i]
+        vb, eb = b[j]
+        if va == vb:
+            if ea + eb:
+                out.append((va, ea + eb))
+            i += 1
+            j += 1
+        elif va < vb:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
 
 
-def _mono_divides(a: Monomial, b: Monomial) -> bool:
-    # does a divide b
-    exps = dict(b)
-    return all(exps.get(v, 0) >= e for v, e in a)
-
-
-def _mono_div(b: Monomial, a: Monomial) -> Monomial:
+def _mono_div(b: Monomial, a: Monomial) -> Optional[Monomial]:
+    """b / a for canonical monomials, or None if a does not divide b."""
     exps = dict(b)
     for v, e in a:
-        exps[v] = exps.get(v, 0) - e
-    return tuple(sorted((v, e) for v, e in exps.items() if e))
+        left = exps.get(v, 0) - e
+        if left < 0:
+            return None
+        exps[v] = left
+    return tuple((v, exps[v]) for v, _ in b if exps[v])
 
 
 def _mono_key(m: Monomial, varorder: Tuple[str, ...]) -> Tuple:
@@ -50,27 +82,39 @@ def _mono_key(m: Monomial, varorder: Tuple[str, ...]) -> Tuple:
     return (total,) + tuple(exps.get(v, 0) for v in varorder)
 
 
+def _demoted(terms: Dict[Monomial, Scalar]) -> Dict[Monomial, Scalar]:
+    """terms without its zero coefficients, the integral ones as int."""
+    return {m: c if type(c) is int or c.denominator != 1 else c.numerator
+            for m, c in terms.items() if c}
+
+
+def _wrap(terms: Dict[Monomial, Scalar]) -> "Poly":
+    """A Poly around terms that are already canonical, nonzero and demoted."""
+    out = Poly.__new__(Poly)
+    out.terms = terms
+    return out
+
+
 class Poly:
-    """Polynomial with Fraction coefficients over named variables."""
+    """Polynomial with int or Fraction coefficients over named variables."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        clean: Dict[Monomial, Fraction] = {}
+        clean: Dict[Monomial, Scalar] = {}
         if terms:
             for mono, coeff in terms.items():
-                c = Fraction(coeff)
-                if c:
-                    clean[mono] = c
-        self.terms = clean
+                mono = _normalize_mono(mono)
+                clean[mono] = clean.get(mono, 0) + Fraction(coeff)
+        self.terms = _demoted(clean)
 
     @classmethod
     def const(cls, value: Scalar) -> "Poly":
-        return cls({ONE_MONO: Fraction(value)})
+        return cls({ONE_MONO: value})
 
     @classmethod
     def var(cls, name: str, exp: int = 1, coeff: Scalar = 1) -> "Poly":
-        return cls({((name, exp),): Fraction(coeff)})
+        return cls({((name, exp),): coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -95,21 +139,19 @@ class Poly:
             return NotImplemented
         terms = dict(self.terms)
         for mono, coeff in other.terms.items():
-            c = terms.get(mono, Fraction(0)) + coeff
-            if c:
+            c = terms.get(mono, 0) + coeff
+            if not c:
+                del terms[mono]
+            elif type(c) is int or c.denominator != 1:
                 terms[mono] = c
             else:
-                terms.pop(mono, None)
-        out = Poly.__new__(Poly)
-        out.terms = terms
-        return out
+                terms[mono] = c.numerator
+        return _wrap(terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        out = Poly.__new__(Poly)
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return _wrap({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         other = self._coerce(other)
@@ -124,18 +166,13 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms: Dict[Monomial, Fraction] = {}
+        terms: Dict[Monomial, Scalar] = {}
+        get = terms.get
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono = _mono_mul(m1, m2)
-                c = terms.get(mono, Fraction(0)) + c1 * c2
-                if c:
-                    terms[mono] = c
-                else:
-                    terms.pop(mono, None)
-        out = Poly.__new__(Poly)
-        out.terms = terms
-        return out
+                terms[mono] = get(mono, 0) + c1 * c2
+        return _wrap(_demoted(terms))
 
     __rmul__ = __mul__
 
@@ -202,11 +239,11 @@ class Poly:
         return best
 
     def homogeneous_parts(self, weights: Mapping[str, int] | None = None) -> Dict[int, "Poly"]:
-        parts: Dict[int, Dict[Monomial, Fraction]] = {}
+        parts: Dict[int, Dict[Monomial, Scalar]] = {}
         for mono, coeff in self.terms.items():
             d = sum(exp * (weights[var] if weights else 1) for var, exp in mono)
             parts.setdefault(d, {})[mono] = coeff
-        return {d: Poly(t) for d, t in sorted(parts.items())}
+        return {d: _wrap(t) for d, t in sorted(parts.items())}
 
     def is_homogeneous(self, weights: Mapping[str, int] | None = None) -> bool:
         return len(self.homogeneous_parts(weights)) <= 1
@@ -218,20 +255,35 @@ class Poly:
         if self.is_zero():
             return Poly()
         varorder = tuple(sorted(self.variables() | divisor.variables()))
-        div_lead = max(divisor.terms, key=lambda m: _mono_key(m, varorder))
+        keys: Dict[Monomial, Tuple] = {}
+
+        def key(m: Monomial) -> Tuple:
+            k = keys.get(m)
+            if k is None:
+                k = keys[m] = _mono_key(m, varorder)
+            return k
+
+        div_lead = max(divisor.terms, key=key)
         div_lead_coeff = divisor.terms[div_lead]
-        remainder = self
-        quotient = Poly()
-        while not remainder.is_zero():
-            lead = max(remainder.terms, key=lambda m: _mono_key(m, varorder))
-            if not _mono_divides(div_lead, lead):
-                raise ValueError("inexact polynomial division")
+        div_rest = [(m, c) for m, c in divisor.terms.items() if m != div_lead]
+        remainder = dict(self.terms)
+        quotient: Dict[Monomial, Scalar] = {}
+        while remainder:
+            lead = max(remainder, key=key)
             mono = _mono_div(lead, div_lead)
-            coeff = remainder.terms[lead] / div_lead_coeff
-            term = Poly({mono: coeff})
-            quotient = quotient + term
-            remainder = remainder - term * divisor
-        return quotient
+            if mono is None:
+                raise ValueError("inexact polynomial division")
+            coeff = _quotient(remainder.pop(lead), div_lead_coeff)
+            quotient[mono] = coeff
+            # subtract coeff * mono * divisor; its lead term cancels exactly
+            for m, c in div_rest:
+                prod = _mono_mul(m, mono)
+                left = remainder.get(prod, 0) - c * coeff
+                if left:
+                    remainder[prod] = left
+                else:
+                    remainder.pop(prod, None)
+        return _wrap(quotient)
 
     def __str__(self) -> str:
         if not self.terms:

@@ -19,6 +19,7 @@ def V(name):
 
 E1, E2, E3, E4 = V("e1"), V("e2"), V("e3"), V("e4")
 F1, F2, F3, F4, F5 = V("f1"), V("f2"), V("f3"), V("f4"), V("f5")
+_0, _1 = Poly(), Poly.const(1)
 
 
 class TestGradedElt:
@@ -388,3 +389,40 @@ class TestLemmaReports:
         for r in reports:
             data = r.to_dict()
             assert data["lemma"] == r.lemma
+
+    def test_verify_all_enumerates_each_pair_once(self, monkeypatch):
+        calls = []
+        enumerate_strata = cs.strata.enumerate_strata
+
+        def counting(degree, genus):
+            calls.append((degree, genus))
+            return enumerate_strata(degree, genus)
+
+        monkeypatch.setattr(cs.strata, "enumerate_strata", counting)
+        cs.verify_all_lemmas()
+        assert sorted(calls) == sorted(set(calls))
+        assert len(calls) == sum(len(r) for r in cs.EVAL_GENUS_RANGE.values())
+
+
+class TestExactRowSpaces:
+    def test_rank_over_parameters(self):
+        assert cs._poly_rank([[E1, E2], [E1 * E2, E2 * E2]]) == 1
+        assert cs._poly_rank([[E1, E2], [E2, E1]]) == 2
+        # a column without a pivot is skipped, and the division stays exact
+        assert cs._poly_rank([[_0, E1, _1], [_0, E2, E1]]) == 2
+        assert cs._poly_rank([[_0, E1, _1], [_0, E1 * E2, E2]]) == 1
+        assert cs._poly_rank([[_0, _0]]) == 0
+
+    def test_rank_is_generic_not_pointwise(self):
+        # singular at e1 = e2 only, so full rank over Q(e1, e2)
+        assert cs._poly_rank([[_1, E1], [_1, E2]]) == 2
+
+    def test_rowspaces(self):
+        assert cs._rowspaces_agree([[_1, E1]], [[E2, E1 * E2]])
+        assert not cs._rowspaces_agree([[_1, E1]], [[_1, E2]])
+        assert not cs._rowspaces_agree([[_1, E1]], [[_1, E1], [_0, _1]])
+
+    def test_printed_and_reconstructed_rows_agree(self):
+        for spec in cs.LEMMAS.values():
+            if spec.reconstructed_rows is not None:
+                assert cs._rowspaces_agree(spec.rows, spec.reconstructed_rows)
