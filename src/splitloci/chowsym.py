@@ -30,9 +30,6 @@ GEN_WEIGHTS = {
     "r2": 2, "m2": 2, "n2": 2, "c2": 2,
 }
 
-PARAMS = ("e1", "e2", "e3", "e4", "f1", "f2", "f3", "f4", "f5", "g")
-
-
 def _to_poly(x) -> Poly:
     if isinstance(x, Poly):
         return x
@@ -225,28 +222,47 @@ def det_cofactor(rows: Sequence[Sequence[Poly]]) -> Poly:
     return minors.get((1 << n) - 1, Poly())
 
 
-def det_bareiss(rows: Sequence[Sequence[Poly]]) -> Poly:
-    """Fraction-free elimination; every division is exact."""
-    n = len(rows)
+def _bareiss(rows: Sequence[Sequence[Poly]]) -> Tuple[int, Poly]:
+    """Fraction-free elimination over Q(parameters) (Bareiss 1968).
+
+    Returns the rank and the last pivot, negated once per row swap; for
+    a square matrix of full rank that is its determinant. Each entry
+    below the pivots is, after step k, a (k+1)-minor of the matrix, so
+    dividing by the previous pivot is exact even where a column without
+    a pivot is skipped.
+    """
     m = [[_to_poly(x) for x in row] for row in rows]
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix is not square")
+    ncols = len(m[0]) if m else 0
+    rank = 0
     sign = 1
     prev = Poly.const(1)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
-            if pivot is None:
-                return Poly()
-            m[k], m[pivot] = m[pivot], m[k]
+    for c in range(ncols):
+        k = next((i for i in range(rank, len(m)) if not m[i][c].is_zero()),
+                 None)
+        if k is None:
+            continue
+        if k != rank:
+            m[rank], m[k] = m[k], m[rank]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]).divide_exact(prev)
-            m[i][k] = Poly()
-        prev = m[k][k]
-    out = m[n - 1][n - 1]
-    return out if sign > 0 else -out
+        pivot_row = m[rank]
+        for row in m[rank + 1:]:
+            for j in range(c + 1, ncols):
+                row[j] = (pivot_row[c] * row[j]
+                          - row[c] * pivot_row[j]).divide_exact(prev)
+            row[c] = Poly()
+        prev = pivot_row[c]
+        rank += 1
+    return rank, prev if sign > 0 else -prev
+
+
+def det_bareiss(rows: Sequence[Sequence[Poly]]) -> Poly:
+    """Fraction-free elimination; every division is exact. A matrix of
+    rank below n has determinant 0."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix is not square")
+    rank, pivot = _bareiss(rows)
+    return pivot if rank == n else Poly()
 
 
 def det(rows: Sequence[Sequence[Poly]]) -> Poly:
@@ -689,39 +705,12 @@ def _matrix_at(rows, values) -> List[List[Fraction]]:
     return [[entry.evaluate(values) for entry in row] for row in rows]
 
 
-def _poly_rank(rows: Sequence[Sequence[Poly]]) -> int:
-    """Rank over Q(parameters) by fraction-free elimination (Bareiss 1968).
-
-    Each entry below the pivots is, after step k, a (k+1)-minor of the
-    matrix, so dividing by the previous pivot is exact even where a
-    column without a pivot is skipped.
-    """
-    m = [list(row) for row in rows]
-    ncols = len(m[0]) if m else 0
-    r = 0
-    prev = Poly.const(1)
-    for c in range(ncols):
-        k = next((i for i in range(r, len(m)) if not m[i][c].is_zero()), None)
-        if k is None:
-            continue
-        m[r], m[k] = m[k], m[r]
-        pivot_row = m[r]
-        for i in range(r + 1, len(m)):
-            row = m[i]
-            for j in range(c + 1, ncols):
-                row[j] = (pivot_row[c] * row[j]
-                          - row[c] * pivot_row[j]).divide_exact(prev)
-            row[c] = Poly()
-        prev = pivot_row[c]
-        r += 1
-    return r
-
-
 def _rowspaces_agree(rows_a, rows_b) -> bool:
     """Whether two polynomial matrices have the same row space over
     Q(parameters): equal ranks, and stacking them adds nothing."""
-    rank_a = _poly_rank(rows_a)
-    return rank_a == _poly_rank(rows_b) == _poly_rank(list(rows_a) + list(rows_b))
+    rank_a = _bareiss(rows_a)[0]
+    return (rank_a == _bareiss(rows_b)[0]
+            == _bareiss(list(rows_a) + list(rows_b))[0])
 
 
 @dataclass

@@ -111,11 +111,6 @@ PENT_LINEAR = (("L1", 0, 2, 3), ("L2", 0, 3, 2), ("L3", 1, 2, 2),
                ("L4", 1, 4, 0), ("L5", 2, 3, 0), ("L6", 0, 4, 1),
                ("L7", 1, 3, 1))
 
-# _PENT_FLOORS[b]: the (a, k) of the PENT_LINEAR entries that bound f[b]
-# below once f[a] is chosen, for the degree-5 f generator.
-_PENT_FLOORS = tuple(tuple((a, k) for _, a, slot, k in PENT_LINEAR
-                           if slot == b) for b in range(5))
-
 
 def pent_check(g: int, e, f) -> ConstraintVerdict:
     e = e if isinstance(e, SplittingType) else SplittingType(e)
@@ -253,33 +248,38 @@ GENUS5_PSI2_NOTE = (
 )
 
 
-def _weakly_increasing_tuples(length: int, total: int, hi: int, floor):
-    """All weakly increasing integer tuples with the given sum and entries
-    at most hi, where each tuple t has t[slot] >= floor(t[:n], slot)
-    for every n <= slot.
+def _weakly_increasing_tuples(length: int, total: int, lo: int, hi: int,
+                              pairs: Sequence[Tuple[int, int, int]] = ()):
+    """All weakly increasing integer tuples t of the given length (at
+    least 1) and sum, with lo <= t[i] <= hi, and t[a] + t[b] >= c for
+    each (a, b, c) in pairs, where a < b; in lexicographic order.
 
-    floor(prefix, slot) bounds the entry in any slot from len(prefix) on
-    from below, using only the entries in prefix. Since the entries
-    increase, each later entry is at least the running max of the last
-    entry and the floors of the slots up to its own, so a value is
-    skipped when the rest of the sum cannot cover those least entries;
-    no admissible tuple is lost."""
-    def rec(prefix, remaining):
+    The recursion carries a floor for each slot, lo to start with;
+    placing t[a] raises the floor of each paired slot b to c - t[a].
+    Since the entries increase, each later entry is at least the running
+    max of the last entry and the floors of the slots up to its own, so
+    a value is skipped when the rest of the sum cannot cover those least
+    entries; no admissible tuple is lost."""
+    raises: List[List[Tuple[int, int]]] = [[] for _ in range(length)]
+    for a, b, c in pairs:
+        raises[a].append((b, c))
+
+    def rec(prefix, floors, remaining):
         slot = len(prefix)
         if slot == length:
             yield tuple(prefix)
             return
-        later = range(slot + 1, length)
+        later = length - slot - 1
         # the later entries lie in [value, hi], which bounds value
-        lo = max(prefix[-1:] + [floor(prefix, slot),
-                                remaining - hi * len(later)])
-        for value in range(lo, min(hi, remaining // (len(later) + 1)) + 1):
-            extended = prefix + [value]
-            least = accumulate((floor(extended, s) for s in later), max,
-                               initial=value)
-            if remaining - value >= sum(least) - value:
-                yield from rec(extended, remaining - value)
-    yield from rec([], total)
+        start = max(prefix[-1:] + [floors[slot], remaining - hi * later])
+        for value in range(start, min(hi, remaining // (later + 1)) + 1):
+            raised = list(floors)
+            for b, c in raises[slot]:
+                raised[b] = max(raised[b], c - value)
+            if remaining >= sum(accumulate(raised[slot + 1:], max,
+                                           initial=value)):
+                yield from rec(prefix + [value], raised, remaining - value)
+    yield from rec([], [lo] * length, total)
 
 
 def _make_record(g: int, cover_degree: int, e: SplittingType,
@@ -319,9 +319,8 @@ def enumerate_strata(cover_degree: int, g: int) -> List[StratumRecord]:
     records: List[StratumRecord] = []
     if cover_degree == 4:
         total = g + 3
-        # E3MAX caps e3, hence every entry of e, at (g + 3) // 2.
-        for e_parts in _weakly_increasing_tuples(3, total, total // 2,
-                                                 lambda prefix, slot: 1):
+        # E1MIN and E3MAX bound every entry of e to [1, (g + 3) // 2].
+        for e_parts in _weakly_increasing_tuples(3, total, 1, total // 2):
             e = SplittingType(e_parts)
             # Q12VAN bounds f2 above, which bounds f1 below; f1 <= f2
             # caps f1 at total // 2.
@@ -331,28 +330,21 @@ def enumerate_strata(cover_degree: int, g: int) -> List[StratumRecord]:
                 if tet_check(g, e, f).allowed:
                     records.append(_make_record(g, 4, e, f))
     else:
-        etotal = g + 4
         ftotal = 2 * g + 8
-        e1_lo = -((-(g + 4)) // 10)
-        e1_hi = (g + 4) // 4
-        for e1 in range(e1_lo, e1_hi + 1):
-            for rest in _weakly_increasing_tuples(3, etotal - e1,
-                                                  (2 * g + 8) // 5,
-                                                  lambda prefix, slot: e1):
-                e = SplittingType((e1,) + rest)
-                e4 = e.parts[3]
-                f_lo = ftotal - 8 * e4
-
-                def floor(prefix, slot):
-                    return max([f_lo] + [g + 4 - e.parts[k] - prefix[a]
-                                         for a, k in _PENT_FLOORS[slot]
-                                         if a < len(prefix)])
-
-                for f_parts in _weakly_increasing_tuples(5, ftotal, 2 * e4,
-                                                         floor):
-                    f = SplittingType(f_parts)
-                    if pent_check(g, e, f).allowed:
-                        records.append(_make_record(g, 5, e, f))
+        # E1RANGE's lower end and E4MAX bound every entry of e; its upper
+        # end 4 * e1 <= g + 4 holds for any sorted e of sum g + 4.
+        for e_parts in _weakly_increasing_tuples(4, g + 4, -(-(g + 4) // 10),
+                                                 ftotal // 5):
+            e = SplittingType(e_parts)
+            e4 = e_parts[3]
+            # TOPF caps every entry of f at 2 * e4, so the sum puts each
+            # at least ftotal - 8 * e4; L1..L7 are the pair bounds.
+            linear = [(a, b, g + 4 - e_parts[k]) for _, a, b, k in PENT_LINEAR]
+            for f_parts in _weakly_increasing_tuples(
+                    5, ftotal, ftotal - 8 * e4, 2 * e4, linear):
+                f = SplittingType(f_parts)
+                if pent_check(g, e, f).allowed:
+                    records.append(_make_record(g, 5, e, f))
     return records
 
 
@@ -474,6 +466,14 @@ def single_locus_coincidence(record: StratumRecord,
     expected codimension of that splitting type, and every surviving
     stratum strictly below it in the dominance order itself passes the
     test (the loci below must already be handled).
+
+    The orders on e and on f can disagree, so the recursion can return
+    to a record whose check is in progress: in degree 4, genus 5, the
+    pair (2,2,4),(4,4) lies strictly below Psi1 = (2,3,3),(3,5) in e and
+    strictly above it in f. Such a record reads as not passing. On
+    degree 4 (genus 5-12) and degree 5 (genus 7-12) the tests find the
+    result equal to the least fixpoint of the rule, iterated from all
+    records failing, so there it does not depend on the search order.
     """
     surviving = [r for r in records if not r.lower_gonality]
     cache: Dict[Tuple, dict] = {}
@@ -482,7 +482,7 @@ def single_locus_coincidence(record: StratumRecord,
         key = rec.key()
         if key in cache:
             return cache[key]
-        # seed to break any accidental cycles; dominance is acyclic
+        # a record whose check is in progress reads as not passing
         cache[key] = {"holds": False}
         result = {}
         for axis in ("e", "f"):

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import json
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -306,6 +307,34 @@ def random_admissible_pair(rng, degree, g):
     raise AssertionError("no admissible pair drawn")
 
 
+@st.composite
+def tuple_bounds(draw):
+    """Arguments for `_weakly_increasing_tuples`: a length, a sum, entry
+    bounds and pair bounds (a, b, c) with a < b, some of which bind."""
+    length = draw(st.integers(1, 5))
+    lo = draw(st.integers(-2, 4))
+    hi = draw(st.integers(lo - 1, lo + 5))
+    total = draw(st.integers(length * (lo - 1), length * (hi + 1)))
+    pairs = []
+    for _ in range(draw(st.integers(0, 4 if length > 1 else 0))):
+        a = draw(st.integers(0, length - 2))
+        b = draw(st.integers(a + 1, length - 1))
+        pairs.append((a, b, draw(st.integers(2 * lo - 2, 2 * hi + 2))))
+    return length, total, lo, hi, pairs
+
+
+class TestTupleGenerator:
+    @settings(max_examples=300, deadline=None)
+    @given(args=tuple_bounds())
+    def test_matches_a_filter_in_order(self, args):
+        length, total, lo, hi, pairs = args
+        expected = [t for t in combinations_with_replacement(
+                        range(lo, hi + 1), length)
+                    if sum(t) == total
+                    and all(t[a] + t[b] >= c for a, b, c in pairs)]
+        assert list(strata._weakly_increasing_tuples(*args)) == expected
+
+
 class TestClosedForms:
     @pytest.mark.parametrize("degree,genus", STRATA_WINDOWS)
     def test_records_match_the_constructive_bundles(self, degree, genus):
@@ -360,6 +389,34 @@ class TestStarUnion:
         assert result["all_match"]
 
 
+def least_fixpoint_coincidence(records):
+    """holds for each record by iterating the single-locus rule from
+    all-False until nothing changes; the rule is monotone in the values
+    of the records below, so this is its least fixpoint."""
+    surviving = [r for r in records if not r.lower_gonality]
+    holds = {r.key(): False for r in records}
+
+    def rule(rec, axis):
+        own = getattr(rec, axis)
+        expected = rec.expected_e if axis == "e" else rec.expected_f
+        others = [r for r in surviving if r.key() != rec.key()]
+        return (all(getattr(r, axis) != own for r in others)
+                and rec.codim == expected
+                and all(holds[r.key()] for r in others
+                        if sb.dominates(getattr(r, axis), own)
+                        == sb.LESS_EQUAL))
+
+    changed = True
+    while changed:
+        changed = False
+        for rec in records:
+            value = rule(rec, "e") or rule(rec, "f")
+            if value != holds[rec.key()]:
+                holds[rec.key()] = value
+                changed = True
+    return holds
+
+
 class TestSingleLocusCoincidence:
     def get(self, degree, genus, label):
         records = strata.enumerate_strata(degree, genus)
@@ -387,3 +444,24 @@ class TestSingleLocusCoincidence:
         assert not result["holds"]
         assert not result["e"]["codim_matches_expected"]
         assert not result["f"]["codim_matches_expected"]
+
+    def test_pair_order_cycles_across_axes(self):
+        # (2,2,4),(4,4) lies strictly below Psi1 in e and strictly above
+        # it in f, and both survive, so the recursion may return to a
+        # record whose check is in progress
+        records = strata.enumerate_strata(4, 5)
+        low = next(r for r in records if r.key() == ((2, 2, 4), (4, 4)))
+        psi1 = by_label(records)["Psi1"]
+        assert psi1.key() == ((2, 3, 3), (3, 5))
+        assert not low.lower_gonality and not psi1.lower_gonality
+        assert sb.dominates(low.e, psi1.e) == sb.LESS_EQUAL
+        assert sb.dominates(psi1.f, low.f) == sb.LESS_EQUAL
+
+    @pytest.mark.parametrize("degree,genus", [(4, g) for g in range(5, 13)]
+                             + [(5, g) for g in range(7, 13)])
+    def test_equals_the_least_fixpoint(self, degree, genus):
+        records = strata.enumerate_strata(degree, genus)
+        holds = least_fixpoint_coincidence(records)
+        for rec in records:
+            assert (strata.single_locus_coincidence(rec, records)["holds"]
+                    == holds[rec.key()])
