@@ -1,14 +1,14 @@
 """Symbolic Chow-ring calculus on a P^1-bundle over a classifying base.
 
-Elements live in a ring generated by first/second Chern classes of
-filtration subquotients together with a hyperplane-type class z subject
-to z^2 = -c2; a class c = a + a'z carries its components as
-(c.a, c.b) = (a, a'). The module computes total Chern classes of
-filtered bundles by the splitting principle, holds the relation matrices
-that express those components in the filtration generators, and
-verifies their determinants against closed forms. It also houses the
-Pfaffian structure equations of a 5x5 skew matrix, rank formulas for
-the resolution bundles, and the Sym^2 Chern-class identity.
+Classes are `Poly`s in the first/second Chern classes of filtration
+subquotients and a hyperplane-type class z subject to z^2 = -c2; reduced
+by that rule, a class is linear in z, c = a + a'z, and is returned with
+its components as (c.a, c.b) = (a, a'). The module computes total Chern
+classes of filtered bundles by the splitting principle, holds the
+relation matrices that express those components in the filtration
+generators, and verifies their determinants against closed forms. It
+also houses the Pfaffian structure equations of a 5x5 skew matrix, rank
+formulas for the resolution bundles, and the Sym^2 Chern-class identity.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import strata
 from .linalg import echelon
@@ -38,107 +38,25 @@ def _to_poly(x) -> Poly:
     return Poly.const(x)
 
 
-def mono_weight(mono) -> int:
-    return sum(exp * GEN_WEIGHTS.get(var, 0) for var, exp in mono)
+_Z = Poly.var("z")
+_C2 = Poly.var("c2")
 
 
-class GradedElt:
-    """Element A + B*z with z^2 = -c2; A, B are polynomials."""
+class ZPair(NamedTuple):
+    """The class a + b*z, read off a polynomial reduced to degree 1 in z."""
 
-    __slots__ = ("a", "b")
+    a: Poly
+    b: Poly
 
-    def __init__(self, a=None, b=None):
-        self.a = _to_poly(a) if a is not None else Poly()
-        self.b = _to_poly(b) if b is not None else Poly()
 
-    @classmethod
-    def const(cls, value) -> "GradedElt":
-        return cls(Poly.const(value), Poly())
-
-    @classmethod
-    def gen(cls, name: str) -> "GradedElt":
-        return cls(Poly.var(name), Poly())
-
-    @classmethod
-    def z_class(cls) -> "GradedElt":
-        return cls(Poly(), Poly.const(1))
-
-    def _coerce(self, other):
-        if isinstance(other, GradedElt):
-            return other
-        if isinstance(other, (int, Fraction, Poly, str)):
-            return GradedElt(_to_poly(other), Poly())
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GradedElt(self.a + other.a, self.b + other.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GradedElt(-self.a, -self.b)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GradedElt(self.a - other.a, self.b - other.b)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        c2 = Poly.var("c2")
-        return GradedElt(self.a * other.a - self.b * other.b * c2,
-                         self.a * other.b + self.b * other.a)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        out = GradedElt.const(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    def graded_parts(self) -> Dict[int, "GradedElt"]:
-        """Split by codimension; a monomial in the z-part gains 1 from z."""
-        parts: Dict[int, GradedElt] = {}
-        for mono, coeff in self.a.terms.items():
-            w = mono_weight(mono)
-            parts.setdefault(w, GradedElt()).a.terms[mono] = coeff
-        for mono, coeff in self.b.terms.items():
-            w = mono_weight(mono) + 1
-            parts.setdefault(w, GradedElt()).b.terms[mono] = coeff
-        return dict(sorted(parts.items()))
-
-    def __str__(self):
-        if self.b.is_zero():
-            return str(self.a)
-        return "(%s) + (%s)*z" % (self.a, self.b)
-
-    def __repr__(self):
-        return "GradedElt(%s)" % self
+def _reduce_z(p: Poly) -> Poly:
+    """p with each z^2 replaced by -c2, so that z occurs at most linearly."""
+    out = Poly()
+    for mono, coeff in p.terms.items():
+        k = dict(mono).get("z", 0)
+        rest = tuple(pair for pair in mono if pair[0] != "z")
+        out = out + Poly({rest + (("z", k % 2),): coeff}) * (-_C2) ** (k // 2)
+    return out
 
 
 @dataclass(frozen=True)
@@ -149,17 +67,14 @@ class Piece:
     classes: Tuple[str, ...]  # (x,) or (x1, x2)
     twist: Poly
 
-    def total_chern(self) -> GradedElt:
+    def total_chern(self) -> Poly:
+        """1 + x + d*z for rank 1, and for rank 2
+        1 + x1 + x2 + 2d*z + d*x1*z + d^2*z^2."""
         d = self.twist
         if self.rank == 1:
-            x = Poly.var(self.classes[0])
-            return GradedElt(Poly.const(1) + x, d)
-        x1 = Poly.var(self.classes[0])
-        x2 = Poly.var(self.classes[1])
-        c2 = Poly.var("c2")
-        a = Poly.const(1) + x1 + x2 - d * d * c2
-        b = 2 * d + d * x1
-        return GradedElt(a, b)
+            return 1 + Poly.var(self.classes[0]) + d * _Z
+        x1, x2 = (Poly.var(x) for x in self.classes)
+        return 1 + x1 + x2 + 2 * d * _Z + d * x1 * _Z + d * d * _Z * _Z
 
 
 class FilteredBundle:
@@ -180,13 +95,25 @@ class FilteredBundle:
         return sum(p.rank for p in self.pieces)
 
 
-def chern_total(bundle: FilteredBundle) -> List[GradedElt]:
-    """Chern classes c_1..c_rank via the splitting principle."""
-    total = GradedElt.const(1)
+def chern_total(bundle: FilteredBundle) -> List[ZPair]:
+    """Chern classes c_1..c_rank via the splitting principle.
+
+    The product of the pieces' total Chern classes is a polynomial in z,
+    reduced by z^2 = -c2 after each factor. Its part of codimension i,
+    with the generators at their GEN_WEIGHTS, z at 1 and the parameters
+    at 0, is c_i = a + b*z, returned as ZPair(a, b).
+    """
+    total = Poly.const(1)
     for piece in bundle.pieces:
-        total = total * piece.total_chern()
-    parts = total.graded_parts()
-    return [parts.get(i, GradedElt()) for i in range(1, bundle.rank() + 1)]
+        total = _reduce_z(total * piece.total_chern())
+    parts = total.homogeneous_parts(
+        dict.fromkeys(total.variables(), 0) | GEN_WEIGHTS | {"z": 1})
+    out = []
+    for i in range(1, bundle.rank() + 1):
+        part = parts.get(i, Poly())
+        a = part.substitute({"z": 0})
+        out.append(ZPair(a, part.substitute({"z": 1}) - a))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -302,22 +229,13 @@ def principal_minor(mat, drop: int):
     return [[_to_poly(mat[i][j]) for j in keep] for i in keep]
 
 
-def pfaffians(mat) -> Tuple[Poly, Poly, Poly, Poly, Poly]:
-    """The five quadric coefficients of a 5x5 skew matrix.
-
-    Q_i is, up to the listed sign, the Pfaffian of the principal 4x4
-    minor omitting row and column i.
-    """
+def pfaffians(mat) -> Tuple[Poly, ...]:
+    """The five quadric coefficients of a 5x5 skew matrix: Q_i is the
+    Pfaffian of the principal 4x4 minor omitting row and column i."""
     _check_skew(mat)
     if len(mat) != 5:
         raise ValueError("expected a 5x5 matrix")
-    L = [[_to_poly(x) for x in row] for row in mat]
-    q1 = L[1][4] * L[2][3] - L[1][3] * L[2][4] + L[1][2] * L[3][4]
-    q2 = L[0][4] * L[2][3] - L[0][3] * L[2][4] + L[0][2] * L[3][4]
-    q3 = L[0][4] * L[1][3] - L[0][3] * L[1][4] + L[0][1] * L[3][4]
-    q4 = L[0][4] * L[1][2] - L[0][2] * L[1][4] + L[0][1] * L[2][4]
-    q5 = L[0][3] * L[1][2] - L[0][2] * L[1][3] + L[0][1] * L[2][3]
-    return (q1, q2, q3, q4, q5)
+    return tuple(pfaffian4(principal_minor(mat, i)) for i in range(5))
 
 
 def generic_skew5(prefix: str = "L") -> List[List[Poly]]:
@@ -436,6 +354,10 @@ class LemmaSpec:
     hypotheses: Callable[[int, Tuple[int, ...], Tuple[int, ...]], bool]
     annotations: Tuple[str, ...] = ()
     reconstructed_rows: Optional[Tuple[Tuple[Poly, ...], ...]] = None
+    # (genus, e, f) of a stratum where the closed form is engineered to
+    # vanish; verify_lemma certifies the printed matrix singular there
+    engineered_zero: Optional[
+        Tuple[int, Tuple[int, ...], Tuple[int, ...]]] = None
 
 
 def _hyp_twoequalparts(g, e, f):
@@ -619,6 +541,8 @@ _register(LemmaSpec(
         _BIGMAT_RECON_ROW4,
         _BIGMAT_RECON_ROW5,
     ),
+    # the one admissible stratum of this shape with g = 9 - f1
+    engineered_zero=(6, (2, 3, 4), (3, 6)),
 ))
 
 _register(LemmaSpec(
@@ -674,11 +598,6 @@ _register(LemmaSpec(
     hypotheses=_hyp_forsigma3,
 ))
 
-# the one admissible stratum with the distinctparts-3 shape where the
-# closed form -12(f1 + g - 9)(e3 - e1) is engineered to vanish
-ENGINEERED_ZERO = {"genus": 6, "e": (2, 3, 4), "f": (3, 6)}
-
-
 def _stratum_values(g: int, e, f) -> Dict[str, int]:
     values = {"g": g}
     for i, p in enumerate(e):
@@ -699,10 +618,6 @@ def _null_vector(rows: List[List[Fraction]]) -> Optional[List[Fraction]]:
     for row, c in zip(reduced, pivots):
         vec[c] = Fraction(-row[free], row[c])
     return vec
-
-
-def _matrix_at(rows, values) -> List[List[Fraction]]:
-    return [[entry.evaluate(values) for entry in row] for row in rows]
 
 
 def _rowspaces_agree(rows_a, rows_b) -> bool:
@@ -745,13 +660,17 @@ class LemmaReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=False)
 
     @property
+    def nonvanishing(self) -> bool:
+        """Whether every evaluation is nonvanishing or an engineered zero."""
+        return all(ev["nonvanishing"] or ev.get("engineered_zero")
+                   for ev in self.evaluations)
+
+    @property
     def is_failure(self) -> bool:
         """True for a mismatch that is not a documented discrepancy, or
         a vanishing determinant at a stratum where it must not vanish."""
-        if self.verdict.startswith("mismatch") and not self.annotations:
-            return True
-        return any(not ev["nonvanishing"] and not ev.get("engineered_zero")
-                   for ev in self.evaluations)
+        return ((self.verdict.startswith("mismatch") and not self.annotations)
+                or not self.nonvanishing)
 
 
 # genus windows in which strata are enumerated for lemma evaluations
@@ -806,7 +725,7 @@ def verify_lemma(lemma_id: str, _enumerated: Optional[dict] = None) -> LemmaRepo
             "nonvanishing": value_computed != 0,
         })
 
-    if lemma_id == "distinctparts-3ii":
+    if spec.engineered_zero is not None:
         evaluations.append(_engineered_zero_evaluation(spec))
 
     reconstructed = None
@@ -840,14 +759,13 @@ def verify_lemma(lemma_id: str, _enumerated: Optional[dict] = None) -> LemmaRepo
 
 
 def _engineered_zero_evaluation(spec: LemmaSpec) -> dict:
-    """The closed form -12(f1+g-9)(e3-e1) vanishes when g = 9 - f1; the
-    one admissible stratum of that shape has the printed matrix singular
-    there, which we certify with an explicit rational null vector."""
-    g = ENGINEERED_ZERO["genus"]
-    e = ENGINEERED_ZERO["e"]
-    f = ENGINEERED_ZERO["f"]
+    """The closed form vanishes at the stratum `spec.engineered_zero`
+    (for distinctparts-3ii, -12(f1+g-9)(e3-e1) at g = 9 - f1); the printed
+    matrix is singular there, which we certify with an explicit rational
+    null vector."""
+    g, e, f = spec.engineered_zero
     values = _stratum_values(g, e, f)
-    numeric = _matrix_at(spec.rows, values)
+    numeric = [[entry.evaluate(values) for entry in row] for row in spec.rows]
     vec = _null_vector(numeric)
     singular = vec is not None
     if singular:

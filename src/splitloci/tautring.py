@@ -391,11 +391,10 @@ class QuotientReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def quotient_report(g: int, interpretation: Optional[str] = None,
-                    d_max: Optional[int] = None) -> QuotientReport:
+def quotient_report(g: int,
+                    interpretation: Optional[str] = None) -> QuotientReport:
     ideal = builtin_ideal(g, interpretation)
-    if d_max is None:
-        d_max = g + 6
+    d_max = g + 6
     quotient = GradedQuotient(ideal)
     gor = gorenstein_check(quotient, g, d_max)
     degrees, dims = gor["socle_degrees"], gor["socle_dims"]

@@ -1,13 +1,15 @@
 """Tests for graded Chow-class algebra, determinants, Pfaffians, and the
 relation-matrix verification reports."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from splitloci import chowsym as cs
-from splitloci.chowsym import FilteredBundle, GradedElt
+from splitloci.chowsym import FilteredBundle
 from splitloci.polynomial import Poly
 
 C2 = Poly.var("c2")
@@ -22,38 +24,108 @@ F1, F2, F3, F4, F5 = V("f1"), V("f2"), V("f3"), V("f4"), V("f5")
 _0, _1 = Poly(), Poly.const(1)
 
 
-class TestGradedElt:
-    def test_z_squared_is_minus_c2(self):
-        z = GradedElt.z_class()
-        assert z * z == GradedElt(-C2, Poly())
+Z = Poly.var("z")
 
-    def test_ring_axioms_on_samples(self):
-        l, m = GradedElt.gen("l"), GradedElt.gen("m")
-        z = GradedElt.z_class()
-        a = GradedElt.const(2) + l + z
-        b = m - 3 * z if hasattr(GradedElt, "__rmul__") else m
-        b = m + z * GradedElt.const(-3)
-        c = l * m + GradedElt.const(1)
-        assert a * (b + c) == a * b + a * c
-        assert a * b == b * a
-        assert (a - a) == GradedElt()
+
+class TestZReduction:
+    """Classes are polynomials in z, reduced by z^2 = -c2."""
+
+    def test_z_squared_is_minus_c2(self):
+        assert cs._reduce_z(Z * Z) == -C2
 
     def test_pow(self):
-        z = GradedElt.z_class()
-        assert z ** 4 == GradedElt(C2 * C2, Poly())
+        assert cs._reduce_z(Z ** 4) == C2 * C2
+        assert cs._reduce_z(Z ** 3) == -C2 * Z
 
-    def test_graded_parts_weights(self):
-        # l has weight 1, c2 weight 2; the z coefficient adds one to the
-        # weight of whatever multiplies it
-        x = GradedElt.gen("l") + GradedElt(Poly.var("c2"), Poly.const(3))
-        parts = x.graded_parts()
-        assert parts[1] == GradedElt(Poly.var("l"), Poly.const(3))
-        assert parts[2] == GradedElt(Poly.var("c2"), Poly())
-        assert sorted(parts) == [1, 2]
+    def test_reduction_respects_products(self):
+        a = 2 + V("l") + Z
+        b = V("m") - 3 * Z + Z ** 2
+        c = V("l") * V("m") + 1
+        reduce = cs._reduce_z
+        assert reduce(a * (b + c)) == reduce(reduce(a) * reduce(b) + a * c)
+        assert reduce(a * b) == reduce(reduce(a) * reduce(b))
+
+    def test_z_adds_one_to_the_codimension(self):
+        # a rank-2 piece twisted by 3 has c = 1 + r1 + r2 + 6z + 3*r1*z
+        # + 9z^2: r1*z lands in c2 beside r2, and 6z in c1 beside r1
+        c1, c2 = cs.chern_total(
+            FilteredBundle([FilteredBundle.rank2("r1", "r2", 3)]))
+        assert (c1.a, c1.b) == (V("r1"), Poly.const(6))
+        assert (c2.a, c2.b) == (V("r2") - 9 * C2, 3 * V("r1"))
+        # the weight-0 twist alone, times z, is a codimension-1 class
+        (c1,) = cs.chern_total(FilteredBundle([FilteredBundle.rank1("l", F1)]))
+        assert (c1.a, c1.b) == (V("l"), F1)
 
     def test_ce_extract(self):
-        c = GradedElt(Poly.var("l"), Poly.var("f1"))
-        assert (c.a, c.b) == (Poly.var("l"), Poly.var("f1"))
+        c = cs.ZPair(V("l"), V("f1"))
+        assert (c.a, c.b) == (V("l"), V("f1"))
+
+
+# distinct first classes of weight 1 for rank-1 pieces; (weight-1,
+# weight-2) class pairs for rank-2 pieces
+RANK1_CLASSES = ("l", "s", "t", "m", "n")
+RANK2_CLASSES = (("r1", "r2"), ("m1", "m2"), ("n1", "n2"))
+TWISTS = st.one_of(st.integers(-5, 5).map(Poly.const),
+                   st.sampled_from((E1, E2, F1, F2)))
+
+
+@st.composite
+def filtered_bundles(draw, rank2=True):
+    """(pieces as (rank, classes, twist), FilteredBundle) with distinct
+    classes across pieces."""
+    ones = draw(st.lists(st.sampled_from(RANK1_CLASSES), unique=True,
+                         min_size=0 if rank2 else 1, max_size=4))
+    twos = draw(st.lists(st.sampled_from(RANK2_CLASSES), unique=True,
+                         min_size=0 if ones else 1, max_size=2 if rank2 else 0))
+    pieces = ([(1, (x,), draw(TWISTS)) for x in ones]
+              + [(2, xs, draw(TWISTS)) for xs in twos])
+    pieces = draw(st.permutations(pieces))
+    bundle = FilteredBundle([FilteredBundle.rank1(cls[0], d) if rank == 1
+                             else FilteredBundle.rank2(*cls, d)
+                             for rank, cls, d in pieces])
+    return pieces, bundle
+
+
+def pair_mul(p, q):
+    """(a, b)(a', b') = (aa' - bb'c2, ab' + ba'): the product of a + bz
+    and a' + b'z under z^2 = -c2."""
+    (a, b), (a2, b2) = p, q
+    return (a * a2 - b * b2 * C2, a * b2 + b * a2)
+
+
+def pair_elementary(roots, k):
+    """The k-th elementary symmetric function of pairs (x_i, d_i), the
+    Chern roots x_i + d_i z of a sum of line bundles."""
+    total = (Poly(), Poly())
+    for subset in itertools.combinations(roots, k):
+        term = (Poly.const(1), Poly())
+        for root in subset:
+            term = pair_mul(term, root)
+        total = (total[0] + term[0], total[1] + term[1])
+    return total
+
+
+class TestChernTotalProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(filtered_bundles())
+    def test_first_chern_class(self, drawn):
+        pieces, bundle = drawn
+        classes = cs.chern_total(bundle)
+        assert len(classes) == sum(rank for rank, _, _ in pieces)
+        c1 = classes[0]
+        assert (c1.a, c1.b) == (
+            sum((V(cls[0]) for _, cls, _ in pieces), Poly()),
+            sum((rank * d for rank, _, d in pieces), Poly()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(filtered_bundles(rank2=False))
+    def test_line_bundle_sums_match_pair_expansion(self, drawn):
+        pieces, bundle = drawn
+        roots = [(V(cls[0]), d) for _, cls, d in pieces]
+        classes = cs.chern_total(bundle)
+        assert len(classes) == len(roots)
+        for k, c in enumerate(classes, start=1):
+            assert (c.a, c.b) == pair_elementary(roots, k)
 
 
 class TestSplittingPrincipleDisplays:
@@ -381,6 +453,9 @@ class TestLemmaReports:
         engineered = dict(base, verdict="match", evaluations=[
             {"nonvanishing": False, "engineered_zero": True}])
         assert not cs.LemmaReport(**engineered).is_failure
+        assert cs.LemmaReport(**engineered).nonvanishing
+        assert not cs.LemmaReport(**vanishing).nonvanishing
+        assert cs.LemmaReport(**base).nonvanishing
 
     def test_verify_all(self):
         reports = cs.verify_all_lemmas()

@@ -8,9 +8,12 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import splitloci
 from splitloci import cli
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -42,12 +45,27 @@ def _strata_digests():
 STRATA_DIGESTS = _strata_digests()
 
 
-def _run(argv):
+def _run_with_stderr(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    assert err.getvalue() == ""
-    return code, out.getvalue().encode("utf-8")
+    return code, out.getvalue().encode("utf-8"), err.getvalue().encode("utf-8")
+
+
+def _run(argv):
+    code, out, err = _run_with_stderr(argv)
+    assert err == b""
+    return code, out
+
+
+def _run_fresh(argv):
+    """The CLI's exit code, stdout and stderr in a new interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(splitloci.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "splitloci", *argv],
+                          capture_output=True, env=env, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 @pytest.mark.parametrize("name,argv,code", CASES, ids=[c[0] for c in CASES])
@@ -66,3 +84,23 @@ def test_strata_output_matches_recorded_digest(cmd, digest):
     code, out = _run(cmd.split())
     assert (code, len(out), hashlib.sha256(out).hexdigest()) == (
         digest["exit"], digest["bytes"], digest["sha256"])
+
+
+def test_one_process_serves_errors_help_and_every_subcommand():
+    # main shares one parser across calls: a usage error and --help must
+    # leave it fit for the reports that follow
+    for argv, code in ((["strata", "--degree", "6", "--genus", "9"], 2),
+                       (["--help"], 0)):
+        result = _run_with_stderr(argv)
+        assert result[0] == code
+        assert result == _run_fresh(argv)
+    assert _run(["eval", "h1(End(O(2,3,5)))"]) == (0, b"3\n")
+    with open(BENCH_EXPECTED, encoding="utf-8") as fh:
+        digests = json.load(fh)["requests"]
+    for cmd in ("strata --degree 5 --genus 9 --format dot",
+                "lemma verify shape1"):
+        code, out = _run(cmd.split())
+        assert (code, len(out), hashlib.sha256(out).hexdigest()) == (
+            digests[cmd]["exit"], digests[cmd]["bytes"], digests[cmd]["sha256"])
+    with open(os.path.join(GOLDEN_DIR, "taut_g9_default.txt"), "rb") as fh:
+        assert _run(["taut", "--genus", "9"]) == (1, fh.read())
