@@ -67,6 +67,12 @@ class Piece:
     classes: Tuple[str, ...]  # (x,) or (x1, x2)
     twist: Poly
 
+    def __post_init__(self):
+        # a class outside GEN_WEIGHTS would land in codimension 0
+        if tuple(GEN_WEIGHTS.get(x) for x in self.classes) != (1, 2)[:self.rank]:
+            raise ValueError("rank-%d classes %r need codimensions %r"
+                             % (self.rank, self.classes, (1, 2)[:self.rank]))
+
     def total_chern(self) -> Poly:
         """1 + x + d*z for rank 1, and for rank 2
         1 + x1 + x2 + 2d*z + d*x1*z + d^2*z^2."""
@@ -307,11 +313,6 @@ def sym2_chern_check() -> dict:
     deg4_ok = by_degree.get(4, Poly()) == 22 * c2 * c2 + 14 * c4
     deg6_ok = by_degree.get(6, Poly()) == 28 * c2 ** 3 + 54 * c2 * c4 + 38 * c6
 
-    point = {"x1": 1, "x2": 2, "x3": 3}
-    numeric_ok = (
-        by_degree.get(6, Poly()).evaluate(point)
-        == (28 * c2 ** 3 + 54 * c2 * c4 + 38 * c6).evaluate(point))
-
     return {
         "odd_classes_vanish": odd_vanish,
         "degree1_coefficients": [8],
@@ -320,8 +321,7 @@ def sym2_chern_check() -> dict:
         "degree2_ok": deg4_ok,
         "degree3_coefficients": [28, 54, 38],
         "degree3_ok": deg6_ok,
-        "numeric_spot_check_ok": numeric_ok,
-        "ok": odd_vanish and deg2_ok and deg4_ok and deg6_ok and numeric_ok,
+        "ok": odd_vanish and deg2_ok and deg4_ok and deg6_ok,
     }
 
 

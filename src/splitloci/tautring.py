@@ -6,8 +6,9 @@ Hilbert function, socle degrees and dimensions, the Gorenstein pairing
 test, the Artinian vanishing window, and minimal-generator counts.
 
 Each public call builds one GradedQuotient and drops it on return. It
-echelons the ideal's rows of each degree once, by the fraction-free
-integer elimination of `linalg.echelon`, and stops at the first
+echelons each degree once, in increasing order, by the fraction-free
+integer elimination of `linalg.echelon`: I_d = sum_i k_i * I_{d-w_i},
+which is (m.I)_d, plus the generators of degree d. It stops at the first
 max(weight) consecutive degrees where the quotient vanishes: a monomial
 of higher degree sheds one variable at a time, losing at most max(weight)
 each step, so it has a divisor in that window, which lies in the ideal.
@@ -49,21 +50,6 @@ def monomials(d: int, weights: Sequence[int]) -> List[Exponents]:
     return out
 
 
-def _mono_exponents(mono, nvars: int) -> Exponents:
-    exps = dict(mono)
-    return tuple(exps.get(_var(i), 0) for i in range(nvars))
-
-
-def weighted_degree(p: Poly, weights: Sequence[int]) -> int:
-    wmap = {_var(i): w for i, w in enumerate(weights)}
-    return p.weighted_degree(wmap)
-
-
-def is_homogeneous(p: Poly, weights: Sequence[int]) -> bool:
-    wmap = {_var(i): w for i, w in enumerate(weights)}
-    return p.is_homogeneous(wmap)
-
-
 class WeightedIdeal:
     """Generator list over Q[k1..kw] with kappa_i of the given weight."""
 
@@ -72,40 +58,17 @@ class WeightedIdeal:
         self.generators = [g for g in generators]
         if any(g.is_zero() for g in self.generators):
             raise ValueError("zero generator")
-        self.homogeneous = [is_homogeneous(g, self.weights)
-                            for g in self.generators]
+        wmap = {_var(i): w for i, w in enumerate(self.weights)}
+        parts = [g.homogeneous_parts(wmap) for g in self.generators]
+        self.degrees = [max(p) for p in parts]
+        self.homogeneous = all(len(p) == 1 for p in parts)
 
     @property
     def nvars(self) -> int:
         return len(self.weights)
 
     def generator_degrees(self) -> List[int]:
-        return [weighted_degree(g, self.weights) for g in self.generators]
-
-
-def _ideal_rows(ideal: WeightedIdeal, d: int, index: Dict[Exponents, int],
-                min_cofactor_degree: int = 0) -> List[List[Fraction]]:
-    """Coefficient vectors of m*g_j spanning I_d (or (m.I)_d with
-    min_cofactor_degree = 1), over the columns `index` gives the
-    monomials of degree d."""
-    weights = ideal.weights
-    rows: List[List[Fraction]] = []
-    for g, hom in zip(ideal.generators, ideal.homogeneous):
-        if not hom:
-            raise ValueError("homogenize first")
-        dg = weighted_degree(g, weights)
-        if d < dg:
-            continue
-        terms = [(_mono_exponents(mono, ideal.nvars), c)
-                 for mono, c in g.terms.items()]
-        for exps in monomials(d - dg, weights):
-            if min_cofactor_degree and sum(exps) < min_cofactor_degree:
-                continue
-            row = [0] * len(index)
-            for t, c in terms:
-                row[index[_mul(exps, t)]] = c
-            rows.append(row)
-    return rows
+        return list(self.degrees)
 
 
 def _mul(a: Exponents, b: Exponents) -> Exponents:
@@ -117,15 +80,41 @@ def _times(mono: Exponents, var_index: int) -> Exponents:
 
 
 class _Degree:
-    """I_d in echelon form over the monomials of degree d. The monomials
-    of the non-pivot columns, `free`, are a basis of the quotient R_d."""
+    """I_d in echelon form over the monomials of degree d, built from the
+    degrees below: the rows k_i * I_{d-w_i} span (m.I)_d, and the rank the
+    generators of degree d add to them, `new_generators`, is
+    dim I_d/(m.I)_d. The monomials of the non-pivot columns, `free`, are
+    a basis of the quotient R_d."""
 
-    def __init__(self, ideal: WeightedIdeal, d: int):
+    def __init__(self, ideal: WeightedIdeal, d: int, below: Sequence["_Degree"]):
+        if not ideal.homogeneous:
+            raise ValueError("homogenize first")
         self.basis = monomials(d, ideal.weights)
         self.index = {m: i for i, m in enumerate(self.basis)}
-        self.rows, pivots = echelon(_ideal_rows(ideal, d, self.index))
+        rows: List[List[int]] = []
+        for i, w in enumerate(ideal.weights):
+            if d >= w:
+                lower = below[d - w]
+                cols = [self.index[_times(m, i)] for m in lower.basis]
+                for lower_row in lower.rows:
+                    row = [0] * len(self.basis)
+                    for c, x in zip(cols, lower_row):
+                        row[c] = x
+                    rows.append(row)
+        m_rows, m_pivots = echelon(rows)
+        gens = [self._row(g, ideal.nvars)
+                for g, dg in zip(ideal.generators, ideal.degrees) if dg == d]
+        self.rows, pivots = echelon(m_rows + gens) if gens else (m_rows, m_pivots)
+        self.new_generators = len(pivots) - len(m_pivots)
         self.pivot_row = {c: k for k, c in enumerate(pivots)}
         self.free = [c for c in range(len(self.basis)) if c not in self.pivot_row]
+
+    def _row(self, g: Poly, nvars: int) -> List[Fraction]:
+        row: List[Fraction] = [0] * len(self.basis)
+        for mono, c in g.terms.items():
+            exps = dict(mono)
+            row[self.index[tuple(exps.get(_var(i), 0) for i in range(nvars))]] = c
+        return row
 
     def normal_form(self, mono: Exponents) -> List[Fraction]:
         """Coordinates of a monomial modulo I_d over the basis `free`."""
@@ -154,7 +143,8 @@ class GradedQuotient:
         """The echelon form of I_d, or None where R_d = 0 past the
         vanishing window."""
         while len(self._degrees) <= d and not self._vanished():
-            self._degrees.append(_Degree(self.ideal, len(self._degrees)))
+            self._degrees.append(
+                _Degree(self.ideal, len(self._degrees), self._degrees))
         return self._degrees[d] if d < len(self._degrees) else None
 
     def ideal_rank(self, d: int) -> int:
@@ -264,22 +254,24 @@ def gorenstein_check(ideal: IdealOrQuotient, g: int,
 def minimal_generators(ideal: IdealOrQuotient,
                        d_max: Optional[int] = None) -> Dict[int, int]:
     """dim I_d / (m . I)_d per degree; nonzero entries count a minimal
-    generating set."""
+    generating set. Past the vanishing window there are none: every
+    monomial there has a proper divisor in the ideal."""
     q = _quotient(ideal)
     if d_max is None:
-        d_max = max(q.ideal.generator_degrees())
+        d_max = max(q.ideal.degrees)
     out: Dict[int, int] = {}
     for d in range(d_max + 1):
-        index = {m: i for i, m in enumerate(monomials(d, q.ideal.weights))}
-        count = q.ideal_rank(d) - rank(
-            _ideal_rows(q.ideal, d, index, min_cofactor_degree=1))
-        if count:
-            out[d] = count
+        deg = q.degree(d)
+        if deg is None:
+            break
+        if deg.new_generators:
+            out[d] = deg.new_generators
     return out
 
 
-def ci_verdict(ideal: WeightedIdeal) -> bool:
-    return sum(minimal_generators(ideal).values()) <= ideal.nvars
+def ci_verdict(ideal: IdealOrQuotient) -> bool:
+    q = _quotient(ideal)
+    return sum(minimal_generators(q).values()) <= q.ideal.nvars
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +411,6 @@ def quotient_report(g: int,
         artinian_window=None if window is None else list(window),
         minimal_generator_count=sum(mingens.values()),
         minimal_generators_by_degree=mingens,
-        ci_verdict=sum(mingens.values()) <= ideal.nvars,
+        ci_verdict=ci_verdict(quotient),
         notes=notes,
     )

@@ -56,6 +56,17 @@ class TestZReduction:
         (c1,) = cs.chern_total(FilteredBundle([FilteredBundle.rank1("l", F1)]))
         assert (c1.a, c1.b) == (V("l"), F1)
 
+    @pytest.mark.parametrize("make", [
+        lambda: FilteredBundle.rank1("x", 2),
+        lambda: FilteredBundle.rank2("x1", "x2", 1),
+        lambda: FilteredBundle.rank2("r2", "r1", 1),
+    ])
+    def test_classes_of_the_wrong_codimension_rejected(self, make):
+        # an unlisted name, or a swapped pair, would fall into the wrong
+        # codimension of chern_total
+        with pytest.raises(ValueError, match="need codimensions"):
+            make()
+
     def test_ce_extract(self):
         c = cs.ZPair(V("l"), V("f1"))
         assert (c.a, c.b) == (V("l"), V("f1"))

@@ -3,11 +3,13 @@ rings, with classical oracles for the machinery and the built-in
 kappa-class presentations."""
 
 import functools
+import itertools
 import json
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from splitloci import tautring as tr
 from splitloci.polynomial import Poly
@@ -98,11 +100,102 @@ class TestClassicalOracles:
         ideal = tr.WeightedIdeal((1, 1), [k(1, 2), k(1, 3), k(2, 4)])
         assert tr.minimal_generators(ideal) == {2: 1, 4: 1}
 
+    def test_redundant_generator_past_the_window(self):
+        # Q[k1]/(k1^2, k1^5): k1^5 lies in degree 5, past the vanishing
+        # window, and is a multiple of k1^2
+        ideal = tr.WeightedIdeal((1,), [k(1, 2), k(1, 5)])
+        assert tr.minimal_generators(ideal) == {2: 1}
+
     def test_non_artinian_detected(self):
         # Q[x,y]/(x^2) is not Artinian: powers of y survive
         ideal = tr.WeightedIdeal((1, 1), [k(1, 2)])
         artinian, window = tr.artinian_check(ideal, 4, d_max=12)
         assert not artinian and window is None
+
+
+# ---------------------------------------------------------------------------
+# I_d and (m.I)_d spanned directly by the products m*g_j and ranked by a
+# plain Fraction Gauss-Jordan, independent of the degree-by-degree
+# construction in tautring.
+
+def _exponents(d, weights):
+    return [e for e in itertools.product(*(range(d // w + 1) for w in weights))
+            if sum(x * w for x, w in zip(e, weights)) == d]
+
+
+def _fraction_rank(rows):
+    m = [[Fraction(x) for x in row] for row in rows]
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c] / m[r][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+def _reference_ranks(weights, gens, d):
+    """(dim I_d, dim (m.I)_d) for generators given as
+    (degree, {exponents: coefficient})."""
+    columns = {e: i for i, e in enumerate(_exponents(d, weights))}
+    all_rows, m_rows = [], []
+    for dg, terms in gens:
+        if dg > d:
+            continue
+        for cofactor in _exponents(d - dg, weights):
+            row = [0] * len(columns)
+            for e, c in terms.items():
+                row[columns[tuple(a + b for a, b in zip(cofactor, e))]] = c
+            all_rows.append(row)
+            if any(cofactor):
+                m_rows.append(row)
+    return _fraction_rank(all_rows), _fraction_rank(m_rows)
+
+
+@st.composite
+def homogeneous_ideals(draw):
+    """(weights, [(degree, {exponents: coefficient})]) with redundant
+    multiples and non-Artinian quotients among them."""
+    weights = draw(st.sampled_from([(1,), (1, 1), (1, 2), (1, 1, 2),
+                                    (1, 2, 3), (2, 3), (1, 3)]))
+    coeffs = st.one_of(st.integers(-4, 4).filter(bool),
+                       st.builds(Fraction, st.integers(1, 9), st.integers(2, 5)))
+    degrees = [d for d in range(1, 7) if _exponents(d, weights)]
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        dg = draw(st.sampled_from(degrees))
+        chosen = draw(st.lists(st.sampled_from(_exponents(dg, weights)),
+                               min_size=1, max_size=3, unique=True))
+        gens.append((dg, {e: draw(coeffs) for e in chosen}))
+    if draw(st.booleans()):
+        # a redundant multiple k_i * g of a drawn generator
+        dg, terms = draw(st.sampled_from(gens))
+        i = draw(st.integers(0, len(weights) - 1))
+        gens.append((dg + weights[i], {e[:i] + (e[i] + 1,) + e[i + 1:]: c
+                                       for e, c in terms.items()}))
+    return weights, gens
+
+
+@settings(max_examples=80, deadline=None)
+@given(homogeneous_ideals())
+def test_ranks_and_minimal_generators_match_direct_span(drawn):
+    weights, gens = drawn
+    polys = [Poly({tuple(("k%d" % (i + 1), x) for i, x in enumerate(e) if x): c
+                   for e, c in terms.items()}) for _, terms in gens]
+    ideal = tr.WeightedIdeal(weights, polys)
+    d_max = max(dg for dg, _ in gens) + max(weights)
+    expected = {}
+    for d in range(d_max + 1):
+        full, products = _reference_ranks(weights, gens, d)
+        assert tr.graded_ideal_rank(ideal, d) == full
+        if full > products:
+            expected[d] = full - products
+    assert tr.minimal_generators(ideal, d_max) == expected
 
 
 class TestBuiltinIdeals:
