@@ -325,13 +325,6 @@ def sym2_chern_check() -> dict:
     }
 
 
-def c2_kappa2_constant() -> Poly:
-    """Opaque fixture: the kappa_2 coefficient -24(2g^3 - 32g^2 + 138g - 12)
-    in the expression of c2 by products of codimension-1 classes."""
-    g = Poly.var("g")
-    return -24 * (2 * g ** 3 - 32 * g ** 2 + 138 * g - 12)
-
-
 # ---------------------------------------------------------------------------
 # relation matrices
 

@@ -1,19 +1,24 @@
 """Exact multivariate polynomial arithmetic with rational coefficients.
 
 A monomial is a tuple of (variable, exponent) pairs, sorted by variable,
-with each variable once and every exponent nonzero; `Poly` brings the
+with each variable once and every exponent positive; `Poly` brings the
 monomials it is given into that form, so equal polynomials have equal
-term dicts. A coefficient is an `int` when it is integral and a
-`Fraction` otherwise: every operation demotes an integral result to
-`int`. The common all-integer case so runs on plain int arithmetic,
-without the gcd that each Fraction operation pays, and every
-computation stays exact.
+term dicts, and rejects a negative exponent. A coefficient is an `int`
+when it is integral and a `Fraction` otherwise: every operation demotes
+an integral result to `int`. The common all-integer case so runs on
+plain int arithmetic, without the gcd that each Fraction operation
+pays, and every computation stays exact.
+
+A product of two polynomials of several terms each, and each exact
+division, packs its operands' monomials into ints for that one call:
+a monomial product is then one int addition, and graded order is int
+order. Each distinct result monomial is unpacked once to the tuple form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
 Monomial = Tuple[Tuple[str, int], ...]
 Scalar = Union[int, Fraction]
@@ -24,6 +29,8 @@ ONE_MONO: Monomial = ()
 def _normalize_mono(pairs: Iterable[Tuple[str, int]]) -> Monomial:
     merged: Dict[str, int] = {}
     for var, exp in pairs:
+        if exp < 0:
+            raise ValueError("negative exponent %d of %r" % (exp, var))
         if exp:
             merged[var] = merged.get(var, 0) + exp
     return tuple(sorted((v, e) for v, e in merged.items() if e))
@@ -50,8 +57,7 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
         va, ea = a[i]
         vb, eb = b[j]
         if va == vb:
-            if ea + eb:
-                out.append((va, ea + eb))
+            out.append((va, ea + eb))
             i += 1
             j += 1
         elif va < vb:
@@ -65,15 +71,61 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(out)
 
 
-def _mono_div(b: Monomial, a: Monomial) -> Optional[Monomial]:
-    """b / a for canonical monomials, or None if a does not divide b."""
-    exps = dict(b)
-    for v, e in a:
-        left = exps.get(v, 0) - e
-        if left < 0:
-            return None
-        exps[v] = left
-    return tuple((v, exps[v]) for v, _ in b if exps[v])
+def _pack(operands: Sequence[Mapping[Monomial, Scalar]],
+          radices: Mapping[str, int], graded: bool = False):
+    """The operands' terms keyed by packed monomials, for one operation.
+
+    A monomial packs to a mixed-radix int with one digit per variable,
+    the first variable in sorted order the most significant. radices
+    maps each variable of the operands to a bound above every exponent
+    it reaches in the operation, so packed monomials multiply by int
+    addition with no carry between digits. With graded, the total degree
+    is one more digit above the others, and each radix must also exceed
+    every total degree reached, so that int order is graded order.
+    Returns ([packed terms of each operand], digits, top), where digits
+    lists (variable, place value) most significant first and top is the
+    place value of the total-degree digit.
+    """
+    digits = []
+    place = 1
+    for var in sorted(radices, reverse=True):
+        digits.append((var, place))
+        place *= radices[var]
+    digits.reverse()
+    # graded: each exponent also counts once in the total-degree digit
+    shift = place if graded else 0
+    places = {var: p + shift for var, p in digits}
+    packed = []
+    for terms in operands:
+        out = {}
+        for mono, coeff in terms.items():
+            key = 0
+            for var, exp in mono:
+                key += exp * places[var]
+            out[key] = coeff
+        packed.append(out)
+    return packed, digits, place
+
+
+def _unpacked(packed: Mapping[int, Scalar], digits: Sequence[Tuple[str, int]],
+              top: int) -> Dict[Monomial, Scalar]:
+    """Canonical, demoted terms of the nonzero packed terms, read with the
+    digits `_pack` returned; a total-degree digit is dropped."""
+    terms: Dict[Monomial, Scalar] = {}
+    for key, coeff in packed.items():
+        if not coeff:
+            continue
+        key %= top
+        mono = []
+        for var, place in digits:
+            if key >= place:
+                mono.append((var, key // place))
+                key %= place
+                if not key:
+                    break
+        terms[tuple(mono)] = (coeff if type(coeff) is int or coeff.denominator != 1
+                              else coeff.numerator)
+    return terms
 
 
 def _mono_key(m: Monomial, varorder: Tuple[str, ...]) -> Tuple:
@@ -166,13 +218,31 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms: Dict[Monomial, Scalar] = {}
-        get = terms.get
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _mono_mul(m1, m2)
-                terms[mono] = get(mono, 0) + c1 * c2
-        return _wrap(_demoted(terms))
+        if len(self.terms) < 2 or len(other.terms) < 2:
+            # with one term on a side, packing costs more than the merges
+            # it saves, and no two products share a monomial
+            terms: Dict[Monomial, Scalar] = {}
+            for m1, c1 in self.terms.items():
+                for m2, c2 in other.terms.items():
+                    terms[_mono_mul(m1, m2)] = c1 * c2
+            return _wrap(_demoted(terms))
+        radices: Dict[str, int] = {}
+        for operand in (self.terms, other.terms):
+            high: Dict[str, int] = {}
+            for mono in operand:
+                for var, exp in mono:
+                    if exp > high.get(var, 0):
+                        high[var] = exp
+            for var, exp in high.items():
+                radices[var] = radices.get(var, 1) + exp
+        (left, right), digits, top = _pack((self.terms, other.terms), radices)
+        acc: Dict[int, Scalar] = {}
+        get = acc.get
+        for k1, c1 in left.items():
+            for k2, c2 in right.items():
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
+        return _wrap(_unpacked(acc, digits, top))
 
     __rmul__ = __mul__
 
@@ -184,8 +254,9 @@ class Poly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:
@@ -195,6 +266,9 @@ class Poly:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a constant hashes like the scalar it equals
+        if self.terms.keys() <= {ONE_MONO}:
+            return hash(self.terms.get(ONE_MONO, 0))
         return hash(frozenset(self.terms.items()))
 
     def substitute(self, mapping: Mapping[str, "Poly | Scalar"]) -> "Poly":
@@ -254,36 +328,39 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero():
             return Poly()
-        varorder = tuple(sorted(self.variables() | divisor.variables()))
-        keys: Dict[Monomial, Tuple] = {}
-
-        def key(m: Monomial) -> Tuple:
-            k = keys.get(m)
-            if k is None:
-                k = keys[m] = _mono_key(m, varorder)
-            return k
-
-        div_lead = max(divisor.terms, key=key)
-        div_lead_coeff = divisor.terms[div_lead]
-        div_rest = [(m, c) for m, c in divisor.terms.items() if m != div_lead]
-        remainder = dict(self.terms)
-        quotient: Dict[Monomial, Scalar] = {}
+        # every monomial a remainder reaches has total degree at most
+        # the dividend's, so that degree + 1 bounds each digit
+        radix = self.weighted_degree() + 1
+        if divisor.weighted_degree() >= radix:
+            raise ValueError("inexact polynomial division")
+        (remainder, div), digits, top = _pack(
+            (self.terms, divisor.terms),
+            dict.fromkeys(self.variables() | divisor.variables(), radix),
+            graded=True)
+        div_lead = max(div)
+        div_lead_coeff = div.pop(div_lead)
+        # the divisor lead's nonzero digits, as (place value, digit)
+        lows = [(place, div_lead // place % radix) for _, place in digits
+                if div_lead // place % radix]
+        quotient: Dict[int, Scalar] = {}
         while remainder:
-            lead = max(remainder, key=key)
-            mono = _mono_div(lead, div_lead)
-            if mono is None:
-                raise ValueError("inexact polynomial division")
-            coeff = _quotient(remainder.pop(lead), div_lead_coeff)
-            quotient[mono] = coeff
+            lead = max(remainder)
+            # lead - div_lead borrows, and the lead is not divisible,
+            # iff a digit of the lead is below the divisor lead's
+            for place, low in lows:
+                if lead // place % radix < low:
+                    raise ValueError("inexact polynomial division")
+            mono = lead - div_lead
+            coeff = quotient[mono] = _quotient(remainder.pop(lead), div_lead_coeff)
             # subtract coeff * mono * divisor; its lead term cancels exactly
-            for m, c in div_rest:
-                prod = _mono_mul(m, mono)
+            for m, c in div.items():
+                prod = m + mono
                 left = remainder.get(prod, 0) - c * coeff
                 if left:
                     remainder[prod] = left
                 else:
                     remainder.pop(prod, None)
-        return _wrap(quotient)
+        return _wrap(_unpacked(quotient, digits, top))
 
     def __str__(self) -> str:
         if not self.terms:

@@ -356,11 +356,6 @@ class TestRankFormulas:
         assert result["degree2_coefficients"] == [22, 14]
         assert result["degree3_coefficients"] == [28, 54, 38]
 
-    def test_c2_kappa2_constant(self):
-        p = cs.c2_kappa2_constant()
-        assert p.evaluate({"g": 0}) == 288
-        assert p.evaluate({"g": 9}) == -24 * (2 * 729 - 32 * 81 + 138 * 9 - 12)
-
 
 class TestLemmaReports:
     def test_registry_contents(self):

@@ -1,19 +1,21 @@
-"""Tests for `Poly` arithmetic and the cofactor determinant against a
-reference kept here: polynomials in x, y, z as dicts from exponent
-tuples to Fractions, multiplied term by term, and determinants as
-Leibniz permutation sums."""
+"""Tests for `Poly` arithmetic and the determinants against a reference
+kept here: polynomials as dicts from exponent tuples to Fractions,
+multiplied term by term, and determinants as Leibniz permutation sums
+or as the product of U's diagonal for A = L.U."""
 
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from splitloci import chowsym as cs
 from splitloci.polynomial import Poly
 
 NAMES = ("x", "y", "z")
 ONE = (0, 0, 0)
+# five variables whose sorted order differs from their index order
+NAMES5 = ("x", "y", "z", "a2", "a10")
 
 
 # ---------------------------------------------------------------------------
@@ -58,20 +60,21 @@ def r_substitute(a, mapping):
     return total
 
 
-def to_poly(a):
+def to_poly(a, names=NAMES):
     """A Poly built from non-canonical monomials: variables in reverse
     order, zero exponents kept."""
-    return Poly({tuple((NAMES[i], m[i]) for i in reversed(range(len(m)))): c
+    return Poly({tuple((names[i], m[i]) for i in reversed(range(len(m)))): c
                  for m, c in a.items()})
 
 
-def from_poly(p):
-    """The reference form of p, after checking that p is canonical and
-    that every integral coefficient is an int."""
+def from_poly(p, names=NAMES):
+    """The reference form of p, after checking that p is canonical, uses
+    only the given variables, and has every integral coefficient an int."""
     out = {}
     for mono, c in p.terms.items():
-        names = [v for v, _ in mono]
-        assert names == sorted(set(names)), mono
+        used = [v for v, _ in mono]
+        assert used == sorted(set(used)), mono
+        assert set(used) <= set(names), mono
         assert all(e > 0 for _, e in mono), mono
         assert c != 0
         if Fraction(c).denominator == 1:
@@ -79,7 +82,7 @@ def from_poly(p):
         else:
             assert type(c) is Fraction, (mono, c)
         exps = dict(mono)
-        out[tuple(exps.get(v, 0) for v in NAMES)] = Fraction(c)
+        out[tuple(exps.get(v, 0) for v in names)] = Fraction(c)
     return out
 
 
@@ -124,13 +127,112 @@ class TestPolyAgainstReference:
         assert from_poly(product.divide_exact(to_poly(b))) == a
 
     def test_inexact_division_raises(self):
-        x = Poly.var("x")
-        with pytest.raises(ValueError, match="inexact"):
-            (x * x + 1).divide_exact(x + 1)
+        x, y = Poly.var("x"), Poly.var("y")
+        # the lead x^3 / y, x*y^2 / x^2 or x^3 / (x*y) would borrow a digit
+        # if packed monomials were subtracted without a check; a divisor
+        # of higher degree than the dividend cannot divide it; and x + y^2
+        # leads with y^2 in graded order, with x in lex order
+        for dividend, divisor in [(x * x + 1, x + 1), (x ** 3, y),
+                                  (x * y ** 2, x ** 2), (x ** 3 + y, x * y),
+                                  (x, x ** 2 + 1), (x * y + 1, y ** 3),
+                                  (x ** 2, x + y ** 2),
+                                  (x * y - y ** 2, 2 * y ** 2 + 2 * x)]:
+            with pytest.raises(ValueError, match="inexact"):
+                dividend.divide_exact(divisor)
 
     def test_division_by_zero_raises(self):
         with pytest.raises(ZeroDivisionError):
             Poly.var("x").divide_exact(Poly())
+
+
+# Operands over five variables, each on its own variable set, with
+# exponents up to 6: two maximal exponents of one variable sum to 12,
+# one below the radix a product packs that variable with.
+nonzero_coeffs = coeffs.filter(bool)
+
+
+@st.composite
+def polys5(draw, support=None):
+    if support is None:
+        support = draw(st.sets(st.integers(0, 4), min_size=1))
+    exps = [st.integers(0, 6) if i in support else st.just(0) for i in range(5)]
+    size = draw(st.sampled_from((1, 1, 2, 3, 4)))
+    return draw(st.dictionaries(st.tuples(*exps), nonzero_coeffs,
+                                min_size=1, max_size=size))
+
+
+X6Y6 = {(6, 0, 0, 0, 0): Fraction(1), (0, 6, 0, 0, 0): Fraction(-2, 3),
+        (0, 0, 0, 0, 0): Fraction(5)}
+
+
+class TestPacking:
+    @settings(max_examples=100)
+    @given(polys5(), polys5())
+    @example(X6Y6, X6Y6)
+    def test_mul_and_divide_on_overlapping_variables(self, a, b):
+        self.check(a, b)
+
+    @settings(max_examples=50)
+    @given(polys5(support={0, 1}), polys5(support={2, 3, 4}))
+    def test_mul_and_divide_on_disjoint_variables(self, a, b):
+        self.check(a, b)
+        self.check(b, a)
+
+    @settings(max_examples=100)
+    @given(polys5(), polys5())
+    def test_divide_is_exact_or_raises(self, a, b):
+        p, q = to_poly(a, NAMES5), to_poly(b, NAMES5)
+        try:
+            quotient = p.divide_exact(q)
+        except ValueError:
+            return
+        assert r_mul(from_poly(quotient, NAMES5), b) == a
+
+    @staticmethod
+    def check(a, b):
+        p, q = to_poly(a, NAMES5), to_poly(b, NAMES5)
+        product = r_mul(a, b)
+        assert from_poly(p * q, NAMES5) == product
+        assert from_poly(q * p, NAMES5) == product
+        assert from_poly(to_poly(product, NAMES5).divide_exact(q), NAMES5) == a
+
+
+class TestPowAndHash:
+    @pytest.mark.parametrize("n", range(9))
+    def test_pow_is_repeated_product(self, n, monkeypatch):
+        p = to_poly({(1, 0, 0): Fraction(2), (0, 1, 1): Fraction(-1, 2),
+                     ONE: Fraction(3)})
+        want = Poly.const(1)
+        for _ in range(n):
+            want = want * p
+        calls = []
+        mul = Poly.__mul__
+
+        def counting(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(Poly, "__mul__", counting)
+        assert p ** n == want
+        # one product per set bit, one squaring per bit below the top one
+        assert len(calls) == bin(n).count("1") + max(n.bit_length() - 1, 0)
+
+    @pytest.mark.parametrize("value", [0, 3, -7, Fraction(1, 2), Fraction(-4, 3)])
+    def test_constant_hashes_like_its_scalar(self, value):
+        const = Poly.const(value)
+        assert const == value
+        assert hash(const) == hash(value)
+        assert len({const, value}) == 1
+        assert {value: "v"}[const] == "v"
+        assert {const: "p"}[value] == "p"
+
+    def test_zero_hashes_like_zero(self):
+        assert hash(Poly()) == hash(0)
+        assert {Poly(), 0, Fraction(0)} == {0}
+
+    def test_equal_polys_hash_equal(self):
+        x, y = Poly.var("x"), Poly.var("y")
+        assert hash((x + y) * (x - y)) == hash(x ** 2 - y ** 2)
 
 
 class TestIntCoefficients:
@@ -160,6 +262,13 @@ class TestCanonicalMonomials:
         assert yx == xy
         assert yx * 1 == xy * 1
         assert yx == Poly.var("x") * Poly.var("y")
+
+    def test_negative_exponent_raises(self):
+        for terms in ({(("x", -1),): 1}, {(("x", 2), ("x", -1)): 1}):
+            with pytest.raises(ValueError, match="negative exponent"):
+                Poly(terms)
+        with pytest.raises(ValueError, match="negative exponent"):
+            Poly.var("x", -1)
 
     def test_repeats_merge_and_collisions_add(self):
         assert Poly({(("x", 1), ("x", 2)): 1}) == Poly.var("x", 3)
@@ -215,3 +324,40 @@ class TestCofactorAgainstLeibniz:
         x = {(1, 0, 0): Fraction(1)}
         mat = [[x, x, {}], [{}, {}, {}], [x, {}, x]]
         assert cs.det_cofactor([[to_poly(e) for e in row] for row in mat]).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# det on A = L.U against the product of U's diagonal
+
+NAMES4 = NAMES5[:4]
+affine4 = st.tuples(*(st.integers(-3, 3) for _ in range(5))).map(
+    lambda c: {m: Fraction(k) for m, k in zip(
+        [(0, 0, 0, 0)] + [tuple(int(i == j) for j in range(4)) for i in range(4)], c)
+        if k})
+
+
+@st.composite
+def lu_factors(draw, n=5):
+    one = {(0, 0, 0, 0): Fraction(1)}
+    lower = [[one if i == j else draw(affine4) if i > j else {} for j in range(n)]
+             for i in range(n)]
+    upper = [[draw(affine4) if i <= j else {} for j in range(n)] for i in range(n)]
+    return lower, upper
+
+
+class TestDetOnLU:
+    @settings(max_examples=4, deadline=None)
+    @given(lu_factors())
+    def test_det_is_product_of_u_diagonal(self, factors):
+        lower, upper = factors
+        n = len(lower)
+        a = [[{} for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    a[i][j] = r_add(a[i][j], r_mul(lower[i][k], upper[k][j]))
+        want = {(0, 0, 0, 0): Fraction(1)}
+        for i in range(n):
+            want = r_mul(want, upper[i][i])
+        rows = [[to_poly(e, NAMES4) for e in row] for row in a]
+        assert from_poly(cs.det(rows), NAMES4) == want
