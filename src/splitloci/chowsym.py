@@ -221,13 +221,17 @@ def _check_skew(mat) -> None:
                 raise ValueError("matrix is not skew-symmetric")
 
 
+def _pfaffian4(m) -> Poly:
+    """m01 m23 - m02 m13 + m03 m12 for a 4x4 matrix of Polys, unchecked."""
+    return m[0][1] * m[2][3] - m[0][2] * m[1][3] + m[0][3] * m[1][2]
+
+
 def pfaffian4(mat) -> Poly:
     """Pfaffian of a 4x4 skew matrix: m01 m23 - m02 m13 + m03 m12."""
     _check_skew(mat)
     if len(mat) != 4:
         raise ValueError("expected a 4x4 matrix")
-    m = [[_to_poly(x) for x in row] for row in mat]
-    return m[0][1] * m[2][3] - m[0][2] * m[1][3] + m[0][3] * m[1][2]
+    return _pfaffian4([[_to_poly(x) for x in row] for row in mat])
 
 
 def principal_minor(mat, drop: int):
@@ -237,11 +241,13 @@ def principal_minor(mat, drop: int):
 
 def pfaffians(mat) -> Tuple[Poly, ...]:
     """The five quadric coefficients of a 5x5 skew matrix: Q_i is the
-    Pfaffian of the principal 4x4 minor omitting row and column i."""
+    Pfaffian of the principal 4x4 minor omitting row and column i. A
+    principal minor of a skew matrix is skew, so the minors are not
+    checked again."""
     _check_skew(mat)
     if len(mat) != 5:
         raise ValueError("expected a 5x5 matrix")
-    return tuple(pfaffian4(principal_minor(mat, i)) for i in range(5))
+    return tuple(_pfaffian4(principal_minor(mat, i)) for i in range(5))
 
 
 def generic_skew5(prefix: str = "L") -> List[List[Poly]]:

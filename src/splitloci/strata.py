@@ -255,31 +255,71 @@ def _weakly_increasing_tuples(length: int, total: int, lo: int, hi: int,
     each (a, b, c) in pairs, where a < b; in lexicographic order.
 
     The recursion carries a floor for each slot, lo to start with;
-    placing t[a] raises the floor of each paired slot b to c - t[a].
-    Since the entries increase, each later entry is at least the running
-    max of the last entry and the floors of the slots up to its own, so
-    a value is skipped when the rest of the sum cannot cover those least
-    entries; no admissible tuple is lost."""
+    placing t[a] = v raises the floor of each paired slot b to c - v.
+    Since the entries increase, each later slot k is at least
+    max(v, floors of the slots after a up to k), so a value v for slot
+    a needs F(v) <= the remaining sum, where the least completion
+    F(v) = v + sum over k > a of max(v, max over a < j <= k of
+    max(floor_j, c_j - v)). F is a sum of maxima of affine functions of
+    v, so it is convex, and with sigma its right slope at v, F(v + d) >=
+    F(v) + sigma * d for every d >= 0. While F(v) exceeds the remaining
+    sum and sigma < 0, this tangent bound shows that each value before
+    v + ceil((F(v) - remaining) / -sigma) fails too, so v jumps there.
+    The values with F(v) <= remaining form an interval, so once F(v)
+    exceeds it with sigma >= 0 no later value passes, and the slot ends.
+    The last entry is the remaining sum itself. Every value that passes
+    the test is tried, so no admissible tuple is lost."""
     raises: List[List[Tuple[int, int]]] = [[] for _ in range(length)]
     for a, b, c in pairs:
         raises[a].append((b, c))
 
     def rec(prefix, floors, remaining):
         slot = len(prefix)
-        if slot == length:
-            yield tuple(prefix)
-            return
         later = length - slot - 1
+        if not later:
+            if max(prefix[-1:] + [floors[slot]]) <= remaining <= hi:
+                yield tuple(prefix) + (remaining,)
+            return
         # the later entries lie in [value, hi], which bounds value
-        start = max(prefix[-1:] + [floors[slot], remaining - hi * later])
-        for value in range(start, min(hi, remaining // (later + 1)) + 1):
-            raised = list(floors)
+        value = max(prefix[-1:] + [floors[slot], remaining - hi * later])
+        end = min(hi, remaining // (later + 1))
+        while value <= end:
+            raised, slopes = list(floors), [0] * length
             for b, c in raises[slot]:
-                raised[b] = max(raised[b], c - value)
-            if remaining >= sum(accumulate(raised[slot + 1:], max,
-                                           initial=value)):
+                if c - value > raised[b]:
+                    raised[b], slopes[b] = c - value, -1
+            # least: F(value); slope: its right slope, the sum of the
+            # largest slope among the pieces that attain each maximum
+            least = top = value
+            slope = top_slope = 1
+            for k in range(slot + 1, length):
+                if raised[k] > top:
+                    top, top_slope = raised[k], slopes[k]
+                elif raised[k] == top:
+                    top_slope = max(top_slope, slopes[k])
+                least += top
+                slope += top_slope
+            if least <= remaining:
                 yield from rec(prefix + [value], raised, remaining - value)
+                value += 1
+            elif slope < 0:
+                value -= (least - remaining) // slope
+            else:
+                return
     yield from rec([], [lo] * length, total)
+
+
+def _positive_part_sum(tops: Sequence[int], sums: Sequence[int]) -> int:
+    """The sum of max(0, x - s) over x in tops and s in sums. With the
+    sums in increasing order, each inner loop ends at the first s >= x."""
+    ordered = sorted(sums)
+    total = 0
+    for x in tops:
+        for s in ordered:
+            if s >= x:
+                break
+            total += x - s
+    return total
 
 
 def _make_record(g: int, cover_degree: int, e: SplittingType,
@@ -287,14 +327,18 @@ def _make_record(g: int, cover_degree: int, e: SplittingType,
     """The record of a pair the enumerator has accepted. The correction
     is h1(f^dual (x) Sym2 e) in degree 4 and h1(e (x) Wedge2 f (x)
     O(-g-4)) in degree 5, summed over the parts by h1(O(a)) =
-    max(0, -a - 1)."""
+    max(0, -a - 1): the sum over f_j and e_i + e_k (i <= k) of
+    max(0, f_j - 1 - (e_i + e_k)), and the sum over e_i and f_j + f_l
+    (j < l) of max(0, g + 3 - e_i - (f_j + f_l))."""
     xe, xf = sb.expected_codim(e), sb.expected_codim(f)
     if cover_degree == 4:
-        corr = sum(max(0, fj - ei - ek - 1) for fj in f.parts
-                   for ei, ek in combinations_with_replacement(e.parts, 2))
+        corr = _positive_part_sum(
+            [fj - 1 for fj in f.parts],
+            [ei + ek for ei, ek in combinations_with_replacement(e.parts, 2)])
     else:
-        corr = sum(max(0, g + 3 - ei - fj - fl) for ei in e.parts
-                   for fj, fl in combinations(f.parts, 2))
+        corr = _positive_part_sum(
+            [g + 3 - ei for ei in e.parts],
+            [fj + fl for fj, fl in combinations(f.parts, 2)])
     flags = classify(g, cover_degree, e, f)
     key = (cover_degree, g, e.parts, f.parts)
     label = FIXTURE_LABELS.get(key)
@@ -405,22 +449,28 @@ def hasse(records: Sequence[StratumRecord]) -> Tuple[List[Tuple[str, str]], str]
     increasing i, then increasing j.
 
     The masks take O(n log n) integer operations per prefix-sum position
-    and the edge scan n^2 bit tests, so the cost is O(n^2), where a
-    comparison of every ordered pair and a scan over every middle record
-    for each comparable pair cost O(n^3).
+    and the edge scan visits only the set bits of each up[i], so the
+    cost is O(n^2), where a comparison of every ordered pair and a scan
+    over every middle record for each comparable pair cost O(n^3).
     """
-    n = len(records)
-    for r in records:
-        # raises ValueError on records of another rank or degree
-        sb.dominates(r.e, records[0].e)
-        sb.dominates(r.f, records[0].f)
+    family = {(len(r.e), r.e.degree(), len(r.f), r.f.degree())
+              for r in records}
+    if len(family) > 1:
+        raise ValueError("incomparable families")
     sums = [tuple(accumulate(r.e.parts)) + tuple(accumulate(r.f.parts))
             for r in records]
     up = _above_masks(sums)
     down = _above_masks([tuple(-x for x in s) for s in sums])
     ids = [r.node_id() for r in records]
-    edges = [(ids[i], ids[j]) for i, u in enumerate(up) for j in range(n)
-             if u >> j & 1 and not u & down[j]]
+    edges = []
+    for i, u in enumerate(up):
+        bits = u
+        while bits:
+            low = bits & -bits
+            j = low.bit_length() - 1
+            if not u & down[j]:
+                edges.append((ids[i], ids[j]))
+            bits ^= low
     lines = ["digraph strata {"]
     for r, node in zip(records, ids):
         lines.append('  "%s" [label="%s"];' % (node, r.label or node))

@@ -329,6 +329,28 @@ class TestPfaffians:
         with pytest.raises(ValueError):
             cs.pfaffians(cs.generic_skew5()[:4])
 
+    def test_checks_the_5x5_matrix_once(self, monkeypatch):
+        checked = []
+        original = cs._check_skew
+
+        def counted(mat):
+            checked.append(len(mat))
+            original(mat)
+
+        monkeypatch.setattr(cs, "_check_skew", counted)
+        cs.pfaffians(cs.generic_skew5())
+        assert checked == [5]
+
+    @pytest.mark.parametrize(
+        "i,j", list(itertools.combinations(range(5), 2)) + [(2, 2)])
+    def test_rejects_a_5x5_matrix_that_is_not_skew(self, i, j):
+        # entry (j, i) equal to entry (i, j): symmetric, not skew, pair;
+        # i == j puts 1 on the diagonal
+        mat = cs.generic_skew5()
+        mat[j][i] = mat[i][j] if i != j else _1
+        with pytest.raises(ValueError, match="skew"):
+            cs.pfaffians(mat)
+
 
 class TestRankFormulas:
     def test_ce_rank_values(self):

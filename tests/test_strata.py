@@ -7,7 +7,7 @@ import random
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from splitloci import splitbundle as sb
 from splitloci import strata
@@ -245,6 +245,11 @@ class TestHasse:
         with pytest.raises(ValueError, match="incomparable families"):
             strata.hasse(records)
 
+    def test_rejects_a_mix_of_cover_degrees(self):
+        records = strata.enumerate_strata(4, 9) + strata.enumerate_strata(5, 9)
+        with pytest.raises(ValueError, match="incomparable families"):
+            strata.hasse(records)
+
     def test_rejects_f_of_another_degree(self):
         record = strata.enumerate_strata(5, 9)[0]
         other = dataclasses.replace(
@@ -307,16 +312,33 @@ def random_admissible_pair(rng, degree, g):
     raise AssertionError("no admissible pair drawn")
 
 
+def sorted_tuples(length, total, lo, hi):
+    """Every weakly increasing tuple of the given length and sum with
+    entries in [lo, hi], in lexicographic order; no pair bounds."""
+    if length == 1:
+        if lo <= total <= hi:
+            yield (total,)
+        return
+    for v in range(max(lo, total - hi * (length - 1)),
+                   min(hi, total // length) + 1):
+        for rest in sorted_tuples(length - 1, total - v, v, hi):
+            yield (v,) + rest
+
+
 @st.composite
 def tuple_bounds(draw):
     """Arguments for `_weakly_increasing_tuples`: a length, a sum, entry
-    bounds and pair bounds (a, b, c) with a < b, some of which bind."""
+    bounds and pair bounds (a, b, c) with a < b. With hi - lo up to 12,
+    up to 7 pair bounds and c up to 2 * hi + 2, as wide as the
+    `PENT_LINEAR` bounds bind, a slot's failing values come in runs that
+    the generator jumps over by more than one value, or ends the slot
+    at."""
     length = draw(st.integers(1, 5))
     lo = draw(st.integers(-2, 4))
-    hi = draw(st.integers(lo - 1, lo + 5))
+    hi = draw(st.integers(lo - 1, lo + 12))
     total = draw(st.integers(length * (lo - 1), length * (hi + 1)))
     pairs = []
-    for _ in range(draw(st.integers(0, 4 if length > 1 else 0))):
+    for _ in range(draw(st.integers(0, 7 if length > 1 else 0))):
         a = draw(st.integers(0, length - 2))
         b = draw(st.integers(a + 1, length - 1))
         pairs.append((a, b, draw(st.integers(2 * lo - 2, 2 * hi + 2))))
@@ -326,6 +348,10 @@ def tuple_bounds(draw):
 class TestTupleGenerator:
     @settings(max_examples=300, deadline=None)
     @given(args=tuple_bounds())
+    # slot 0 fails at 0 with the least completion falling by 1 a step,
+    # and jumps to the first value that passes: by one value, by three
+    @example(args=(3, 3, 0, 2, [(0, 1, 2)]))
+    @example(args=(3, 9, 0, 5, [(0, 1, 6)]))
     def test_matches_a_filter_in_order(self, args):
         length, total, lo, hi, pairs = args
         expected = [t for t in combinations_with_replacement(
@@ -333,6 +359,23 @@ class TestTupleGenerator:
                     if sum(t) == total
                     and all(t[a] + t[b] >= c for a, b, c in pairs)]
         assert list(strata._weakly_increasing_tuples(*args)) == expected
+
+    @pytest.mark.parametrize("genus", [7, 16, 24])
+    def test_pentagonal_f_match_a_filter_in_order(self, genus):
+        # every e of (5, genus), with the bounds enumerate_strata passes
+        ftotal = 2 * genus + 8
+        es = list(sorted_tuples(4, genus + 4, -(-(genus + 4) // 10),
+                                ftotal // 5))
+        assert list(strata._weakly_increasing_tuples(
+            4, genus + 4, -(-(genus + 4) // 10), ftotal // 5)) == es
+        for e in es:
+            lo, hi = ftotal - 8 * e[3], 2 * e[3]
+            linear = [(a, b, genus + 4 - e[k])
+                      for _, a, b, k in strata.PENT_LINEAR]
+            expected = [f for f in sorted_tuples(5, ftotal, lo, hi)
+                        if all(f[a] + f[b] >= c for a, b, c in linear)]
+            assert list(strata._weakly_increasing_tuples(
+                5, ftotal, lo, hi, linear)) == expected
 
 
 class TestClosedForms:
