@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import strata
 from .linalg import echelon
-from .polynomial import Poly
+from .polynomial import Packing, Poly, Scalar
 
 # codimension grading of the generator symbols; parameter symbols
 # (e1..e4, f1..f5, g) have weight 0
@@ -125,6 +125,27 @@ def chern_total(bundle: FilteredBundle) -> List[ZPair]:
 # ---------------------------------------------------------------------------
 # determinants
 
+def _pack_matrix(mat) -> Tuple[Packing, List[List[Dict[int, Scalar]]]]:
+    """One graded packing for a matrix and every product its determinant
+    and Pfaffian engines form, and the matrix packed with it. The radix
+    is 2D+1, where D is the sum of the rows' largest total degrees.
+
+    A minor on rows R has total degree at most the sum over R of those
+    rows' largest degrees, so at most D. Each cofactor product is an
+    entry times a minor on other rows, and each Pfaffian product takes
+    its two entries from four distinct rows, so both stay within D.
+    Each Bareiss entry is a minor, and the numerator before each exact
+    division is a difference of products of two minors, of total degree
+    at most 2D; every monomial the division's remainder reaches has
+    degree at most the numerator's. So no product reaches the radix.
+    """
+    rows = [[_to_poly(x) for x in row] for row in mat]
+    bound = sum(max((entry.weighted_degree() for entry in row), default=0)
+                for row in rows)
+    packing = Packing([entry for row in rows for entry in row], 2 * bound + 1)
+    return packing, [[packing.pack(entry) for entry in row] for row in rows]
+
+
 def det_cofactor(rows: Sequence[Sequence[Poly]]) -> Poly:
     """Laplace expansion along the rows, each minor computed once.
 
@@ -133,26 +154,29 @@ def det_cofactor(rows: Sequence[Sequence[Poly]]) -> Poly:
     an n x n matrix takes n * 2^(n-1) products instead of n!. Only
     multiplication and addition are used, never a division or a pivot
     choice, so it shares no step with `det_bareiss` and stays an
-    independent check of it.
+    independent check of it. The matrix is packed once and the minors
+    are kept packed.
     """
     n = len(rows)
-    minors: Dict[int, Poly] = {1 << j: entry for j, entry in enumerate(rows[-1])
-                               if not entry.is_zero()}
+    packing, packed = _pack_matrix(rows)
+    minors = {1 << j: entry for j, entry in enumerate(packed[-1]) if entry}
     for i in range(n - 2, -1, -1):
-        expanded: Dict[int, Poly] = {}
+        expanded: Dict[int, Dict[int, Scalar]] = {}
         for cols, minor in minors.items():
-            for j, entry in enumerate(rows[i]):
+            for j, entry in enumerate(packed[i]):
                 bit = 1 << j
-                if cols & bit or entry.is_zero():
+                if cols & bit or not entry:
                     continue
                 # j's position in the enlarged column set fixes the sign
-                term = entry * minor
-                if (cols & (bit - 1)).bit_count() % 2:
-                    term = -term
-                key = cols | bit
-                expanded[key] = expanded[key] + term if key in expanded else term
-        minors = {cols: m for cols, m in expanded.items() if not m.is_zero()}
-    return minors.get((1 << n) - 1, Poly())
+                sign = -1 if (cols & (bit - 1)).bit_count() % 2 else 1
+                packing.mul_add(expanded.setdefault(cols | bit, {}),
+                                entry, minor, sign)
+        minors = {}
+        for cols, terms in expanded.items():
+            terms = {k: c for k, c in terms.items() if c}
+            if terms:
+                minors[cols] = terms
+    return packing.unpack(minors.get((1 << n) - 1, {}))
 
 
 def _bareiss(rows: Sequence[Sequence[Poly]]) -> Tuple[int, Poly]:
@@ -162,30 +186,35 @@ def _bareiss(rows: Sequence[Sequence[Poly]]) -> Tuple[int, Poly]:
     a square matrix of full rank that is its determinant. Each entry
     below the pivots is, after step k, a (k+1)-minor of the matrix, so
     dividing by the previous pivot is exact even where a column without
-    a pivot is skipped.
+    a pivot is skipped. The matrix is packed once (see `_pack_matrix`
+    for the radix) and every step runs on packed entries.
     """
-    m = [[_to_poly(x) for x in row] for row in rows]
+    packing, m = _pack_matrix(rows)
     ncols = len(m[0]) if m else 0
     rank = 0
     sign = 1
-    prev = Poly.const(1)
+    prev = {0: 1}  # the packed constant 1
     for c in range(ncols):
-        k = next((i for i in range(rank, len(m)) if not m[i][c].is_zero()),
-                 None)
+        k = next((i for i in range(rank, len(m)) if m[i][c]), None)
         if k is None:
             continue
         if k != rank:
             m[rank], m[k] = m[k], m[rank]
             sign = -sign
         pivot_row = m[rank]
+        pivot = pivot_row[c]
         for row in m[rank + 1:]:
+            lead = row[c]
             for j in range(c + 1, ncols):
-                row[j] = (pivot_row[c] * row[j]
-                          - row[c] * pivot_row[j]).divide_exact(prev)
-            row[c] = Poly()
-        prev = pivot_row[c]
+                numerator: Dict[int, Scalar] = {}
+                packing.mul_add(numerator, pivot, row[j])
+                packing.mul_add(numerator, lead, pivot_row[j], -1)
+                row[j] = packing.divide(numerator, prev)
+            row[c] = {}
+        prev = pivot
         rank += 1
-    return rank, prev if sign > 0 else -prev
+    last = packing.unpack(prev)
+    return rank, last if sign > 0 else -last
 
 
 def det_bareiss(rows: Sequence[Sequence[Poly]]) -> Poly:
@@ -221,9 +250,13 @@ def _check_skew(mat) -> None:
                 raise ValueError("matrix is not skew-symmetric")
 
 
-def _pfaffian4(m) -> Poly:
-    """m01 m23 - m02 m13 + m03 m12 for a 4x4 matrix of Polys, unchecked."""
-    return m[0][1] * m[2][3] - m[0][2] * m[1][3] + m[0][3] * m[1][2]
+def _pfaffian4(packing: Packing, m, a: int, b: int, c: int, d: int) -> Poly:
+    """m_ab m_cd - m_ac m_bd + m_ad m_bc of a packed matrix, unchecked."""
+    acc: Dict[int, Scalar] = {}
+    packing.mul_add(acc, m[a][b], m[c][d])
+    packing.mul_add(acc, m[a][c], m[b][d], -1)
+    packing.mul_add(acc, m[a][d], m[b][c])
+    return packing.unpack(acc)
 
 
 def pfaffian4(mat) -> Poly:
@@ -231,7 +264,7 @@ def pfaffian4(mat) -> Poly:
     _check_skew(mat)
     if len(mat) != 4:
         raise ValueError("expected a 4x4 matrix")
-    return _pfaffian4([[_to_poly(x) for x in row] for row in mat])
+    return _pfaffian4(*_pack_matrix(mat), 0, 1, 2, 3)
 
 
 def principal_minor(mat, drop: int):
@@ -243,11 +276,13 @@ def pfaffians(mat) -> Tuple[Poly, ...]:
     """The five quadric coefficients of a 5x5 skew matrix: Q_i is the
     Pfaffian of the principal 4x4 minor omitting row and column i. A
     principal minor of a skew matrix is skew, so the minors are not
-    checked again."""
+    checked again, and the 5x5 matrix is packed once for all five."""
     _check_skew(mat)
     if len(mat) != 5:
         raise ValueError("expected a 5x5 matrix")
-    return tuple(_pfaffian4(principal_minor(mat, i)) for i in range(5))
+    packing, m = _pack_matrix(mat)
+    return tuple(_pfaffian4(packing, m, *(j for j in range(5) if j != i))
+                 for i in range(5))
 
 
 def generic_skew5(prefix: str = "L") -> List[List[Poly]]:

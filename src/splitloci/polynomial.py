@@ -9,16 +9,20 @@ an integral result to `int`. The common all-integer case so runs on
 plain int arithmetic, without the gcd that each Fraction operation
 pays, and every computation stays exact.
 
-A product of two polynomials of several terms each, and each exact
-division, packs its operands' monomials into ints for that one call:
-a monomial product is then one int addition, and graded order is int
-order. Each distinct result monomial is unpacked once to the tuple form.
+A `Packing` turns the monomials of a set of polynomials into ints, so
+that a monomial product is one int addition and graded order is int
+order, and it owns the one multiply-accumulate kernel and the one
+exact-division kernel on packed polynomials. A product of two
+polynomials of several terms each, and each exact division, packs its
+operands for that one call; a determinant or Pfaffian packs its whole
+matrix once and unpacks only the answer. Each distinct result monomial
+is unpacked once to the tuple form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
+from typing import Dict, Iterable, Mapping, Tuple, Union
 
 Monomial = Tuple[Tuple[str, int], ...]
 Scalar = Union[int, Fraction]
@@ -71,61 +75,126 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(out)
 
 
-def _pack(operands: Sequence[Mapping[Monomial, Scalar]],
-          radices: Mapping[str, int], graded: bool = False):
-    """The operands' terms keyed by packed monomials, for one operation.
+class Packing:
+    """Monomials of a fixed set of polynomials packed into ints.
 
-    A monomial packs to a mixed-radix int with one digit per variable,
-    the first variable in sorted order the most significant. radices
-    maps each variable of the operands to a bound above every exponent
-    it reaches in the operation, so packed monomials multiply by int
-    addition with no carry between digits. With graded, the total degree
-    is one more digit above the others, and each radix must also exceed
-    every total degree reached, so that int order is graded order.
-    Returns ([packed terms of each operand], digits, top), where digits
-    lists (variable, place value) most significant first and top is the
-    place value of the total-degree digit.
+    A monomial packs to a mixed-radix int with one digit per variable of
+    the polynomials, the first variable in sorted order the most
+    significant, and its total degree as one more digit above them all,
+    so int order is graded order and a monomial product is one int
+    addition. Packed polynomials are dicts from int to coefficient, and
+    every operation on them runs through the two kernels here, so a
+    caller may pack its operands once, run many products and exact
+    divisions, and unpack only the answer.
+
+    The digits are exact while each total degree stays below the radix,
+    since no exponent exceeds the total degree: `mul_add` raises
+    RuntimeError on a product whose total-degree digit reaches it.
     """
-    digits = []
-    place = 1
-    for var in sorted(radices, reverse=True):
-        digits.append((var, place))
-        place *= radices[var]
-    digits.reverse()
-    # graded: each exponent also counts once in the total-degree digit
-    shift = place if graded else 0
-    places = {var: p + shift for var, p in digits}
-    packed = []
-    for terms in operands:
+
+    __slots__ = ("radix", "digits", "places", "top")
+
+    def __init__(self, polys: Iterable["Poly"], radix: int):
+        variables = set()
+        for p in polys:
+            for mono in p.terms:
+                for var, _ in mono:
+                    variables.add(var)
+        self.radix = radix
+        # (variable, place value), most significant first
+        self.digits = []
+        place = 1
+        for var in sorted(variables, reverse=True):
+            self.digits.append((var, place))
+            place *= radix
+        self.digits.reverse()
+        self.top = place
+        # each exponent also counts once in the total-degree digit
+        self.places = {var: p + place for var, p in self.digits}
+
+    def pack(self, p: "Poly") -> Dict[int, Scalar]:
+        places = self.places
         out = {}
-        for mono, coeff in terms.items():
+        for mono, coeff in p.terms.items():
             key = 0
             for var, exp in mono:
                 key += exp * places[var]
             out[key] = coeff
-        packed.append(out)
-    return packed, digits, place
+        return out
 
+    def unpack(self, packed: Mapping[int, Scalar]) -> "Poly":
+        """The canonical, demoted Poly of the nonzero packed terms."""
+        top = self.top
+        terms: Dict[Monomial, Scalar] = {}
+        for key, coeff in packed.items():
+            if not coeff:
+                continue
+            key %= top
+            mono = []
+            for var, place in self.digits:
+                if key >= place:
+                    mono.append((var, key // place))
+                    key %= place
+                    if not key:
+                        break
+            terms[tuple(mono)] = (coeff if type(coeff) is int or coeff.denominator != 1
+                                  else coeff.numerator)
+        return _wrap(terms)
 
-def _unpacked(packed: Mapping[int, Scalar], digits: Sequence[Tuple[str, int]],
-              top: int) -> Dict[Monomial, Scalar]:
-    """Canonical, demoted terms of the nonzero packed terms, read with the
-    digits `_pack` returned; a total-degree digit is dropped."""
-    terms: Dict[Monomial, Scalar] = {}
-    for key, coeff in packed.items():
-        if not coeff:
-            continue
-        key %= top
-        mono = []
-        for var, place in digits:
-            if key >= place:
-                mono.append((var, key // place))
-                key %= place
-                if not key:
-                    break
-        terms[tuple(mono)] = (coeff if type(coeff) is int or coeff.denominator != 1
-                              else coeff.numerator)
-    return terms
+    def mul_add(self, acc: Dict[int, Scalar], a: Mapping[int, Scalar],
+                b: Mapping[int, Scalar], sign: int = 1) -> None:
+        """acc += sign * a * b, leaving any cancelled term as a zero."""
+        if not a or not b:
+            return
+        if len(a) > len(b):
+            a, b = b, a
+        degree = (max(a) + max(b)) // self.top
+        if degree >= self.radix:
+            raise RuntimeError("packed product of total degree %d reaches "
+                               "the radix %d" % (degree, self.radix))
+        get = acc.get
+        for k1, c1 in a.items():
+            if sign < 0:
+                c1 = -c1
+            for k2, c2 in b.items():
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
+
+    def divide(self, dividend: Mapping[int, Scalar],
+               divisor: Mapping[int, Scalar]) -> Dict[int, Scalar]:
+        """The exact quotient, without zero terms; raises ValueError if
+        the division leaves a remainder. Every monomial the remainder
+        reaches has total degree at most the dividend's, so a radix
+        above that degree keeps every digit exact."""
+        if not divisor:
+            raise ZeroDivisionError("polynomial division by zero")
+        remainder = {k: c for k, c in dividend.items() if c}
+        div_lead = max(divisor)
+        div_lead_coeff = divisor[div_lead]
+        rest = [(m, c) for m, c in divisor.items() if m != div_lead]
+        radix = self.radix
+        # the divisor lead's nonzero digits, as (place value, digit)
+        lows = [(place, div_lead // place % radix) for _, place in self.digits
+                if div_lead // place % radix]
+        quotient: Dict[int, Scalar] = {}
+        while remainder:
+            lead = max(remainder)
+            # lead - div_lead borrows, and the lead is not divisible,
+            # iff a digit of the lead is below the divisor lead's
+            for place, low in lows:
+                if lead // place % radix < low:
+                    raise ValueError("inexact polynomial division")
+            mono = lead - div_lead
+            coeff = quotient[mono] = _quotient(remainder.pop(lead), div_lead_coeff)
+            # subtract coeff * mono * divisor; its lead term cancels exactly
+            for m, c in rest:
+                prod = m + mono
+                left = remainder.get(prod, 0) - c * coeff
+                if left:
+                    remainder[prod] = left
+                else:
+                    remainder.pop(prod, None)
+        return quotient
 
 
 def _mono_key(m: Monomial, varorder: Tuple[str, ...]) -> Tuple:
@@ -226,23 +295,11 @@ class Poly:
                 for m2, c2 in other.terms.items():
                     terms[_mono_mul(m1, m2)] = c1 * c2
             return _wrap(_demoted(terms))
-        radices: Dict[str, int] = {}
-        for operand in (self.terms, other.terms):
-            high: Dict[str, int] = {}
-            for mono in operand:
-                for var, exp in mono:
-                    if exp > high.get(var, 0):
-                        high[var] = exp
-            for var, exp in high.items():
-                radices[var] = radices.get(var, 1) + exp
-        (left, right), digits, top = _pack((self.terms, other.terms), radices)
+        packing = Packing((self, other),
+                          self.weighted_degree() + other.weighted_degree() + 1)
         acc: Dict[int, Scalar] = {}
-        get = acc.get
-        for k1, c1 in left.items():
-            for k2, c2 in right.items():
-                k = k1 + k2
-                acc[k] = get(k, 0) + c1 * c2
-        return _wrap(_unpacked(acc, digits, top))
+        packing.mul_add(acc, packing.pack(self), packing.pack(other))
+        return packing.unpack(acc)
 
     __rmul__ = __mul__
 
@@ -308,8 +365,11 @@ class Poly:
         """Largest weighted total degree among monomials (0 for the zero poly)."""
         best = 0
         for mono in self.terms:
-            d = sum(exp * (weights[var] if weights else 1) for var, exp in mono)
-            best = max(best, d)
+            d = 0
+            for var, exp in mono:
+                d += exp * weights[var] if weights else exp
+            if d > best:
+                best = d
         return best
 
     def homogeneous_parts(self, weights: Mapping[str, int] | None = None) -> Dict[int, "Poly"]:
@@ -333,34 +393,9 @@ class Poly:
         radix = self.weighted_degree() + 1
         if divisor.weighted_degree() >= radix:
             raise ValueError("inexact polynomial division")
-        (remainder, div), digits, top = _pack(
-            (self.terms, divisor.terms),
-            dict.fromkeys(self.variables() | divisor.variables(), radix),
-            graded=True)
-        div_lead = max(div)
-        div_lead_coeff = div.pop(div_lead)
-        # the divisor lead's nonzero digits, as (place value, digit)
-        lows = [(place, div_lead // place % radix) for _, place in digits
-                if div_lead // place % radix]
-        quotient: Dict[int, Scalar] = {}
-        while remainder:
-            lead = max(remainder)
-            # lead - div_lead borrows, and the lead is not divisible,
-            # iff a digit of the lead is below the divisor lead's
-            for place, low in lows:
-                if lead // place % radix < low:
-                    raise ValueError("inexact polynomial division")
-            mono = lead - div_lead
-            coeff = quotient[mono] = _quotient(remainder.pop(lead), div_lead_coeff)
-            # subtract coeff * mono * divisor; its lead term cancels exactly
-            for m, c in div.items():
-                prod = m + mono
-                left = remainder.get(prod, 0) - c * coeff
-                if left:
-                    remainder[prod] = left
-                else:
-                    remainder.pop(prod, None)
-        return _wrap(_unpacked(quotient, digits, top))
+        packing = Packing((self, divisor), radix)
+        return packing.unpack(packing.divide(packing.pack(self),
+                                             packing.pack(divisor)))
 
     def __str__(self) -> str:
         if not self.terms:

@@ -524,8 +524,21 @@ def single_locus_coincidence(record: StratumRecord,
     degree 4 (genus 5-12) and degree 5 (genus 7-12) the tests find the
     result equal to the least fixpoint of the rule, iterated from all
     records failing, so there it does not depend on the search order.
+
+    Every comparison is in the prefix-sum dominance order, so each
+    surviving record's prefix sums of e and of f are computed once per
+    call; records of different families raise ValueError.
     """
     surviving = [r for r in records if not r.lower_gonality]
+    family = {(len(r.e), r.e.degree(), len(r.f), r.f.degree())
+              for r in surviving + [record]}
+    if len(family) > 1:
+        raise ValueError("incomparable families")
+    keys = [r.key() for r in surviving]
+    # each surviving record's prefix sums of e and of f, computed once;
+    # equal sums mean equal splitting types
+    sums = {axis: [tuple(accumulate(getattr(r, axis).parts)) for r in surviving]
+            for axis in ("e", "f")}
     cache: Dict[Tuple, dict] = {}
 
     def check(rec: StratumRecord) -> dict:
@@ -536,15 +549,18 @@ def single_locus_coincidence(record: StratumRecord,
         cache[key] = {"holds": False}
         result = {}
         for axis in ("e", "f"):
-            own = getattr(rec, axis)
+            own = tuple(accumulate(getattr(rec, axis).parts))
             expected = rec.expected_e if axis == "e" else rec.expected_f
-            others = [r for r in surviving
-                      if r.key() != key and getattr(r, axis) == own]
-            unique = not others
+            unique = True
+            lower = []
+            for r, k, sum_r in zip(surviving, keys, sums[axis]):
+                if k == key:
+                    continue
+                if sum_r == own:
+                    unique = False
+                elif all(a <= b for a, b in zip(sum_r, own)):
+                    lower.append(r)
             codim_matches = rec.codim == expected
-            lower = [r for r in surviving if r.key() != key
-                     and sb.dominates(getattr(r, axis), own) == sb.LESS_EQUAL
-                     and getattr(r, axis) != own]
             below_ok = all(check(r)["holds"] for r in lower)
             result[axis] = {
                 "unique": unique,

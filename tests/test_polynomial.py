@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from splitloci import chowsym as cs
-from splitloci.polynomial import Poly
+from splitloci.linalg import rank
+from splitloci.polynomial import Packing, Poly
 
 NAMES = ("x", "y", "z")
 ONE = (0, 0, 0)
@@ -146,8 +147,8 @@ class TestPolyAgainstReference:
 
 
 # Operands over five variables, each on its own variable set, with
-# exponents up to 6: two maximal exponents of one variable sum to 12,
-# one below the radix a product packs that variable with.
+# exponents up to 6: a product's total degree reaches one below the
+# radix of its packing, the sum of the operands' degrees plus one.
 nonzero_coeffs = coeffs.filter(bool)
 
 
@@ -324,6 +325,106 @@ class TestCofactorAgainstLeibniz:
         x = {(1, 0, 0): Fraction(1)}
         mat = [[x, x, {}], [{}, {}, {}], [x, {}, x]]
         assert cs.det_cofactor([[to_poly(e) for e in row] for row in mat]).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the packed engines against the reference
+#
+# `_matrix_packing` gives each matrix the radix 2D+1, D the sum of its
+# rows' largest degrees. In a 3x3 matrix whose first row has the
+# highest degree, the second Bareiss step multiplies two minors of
+# degree above D/2 each, so a radix of D+1 raises; one-variable entries
+# of degree up to 4 keep the degrees high and the Leibniz sum cheap.
+
+mixed_coeffs = st.one_of(st.integers(-3, 3),
+                         st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+def univariate(max_degree):
+    return st.dictionaries(st.tuples(st.integers(0, max_degree), st.just(0),
+                                     st.just(0)),
+                           mixed_coeffs, max_size=3).map(
+        lambda d: {m: Fraction(c) for m, c in d.items() if c})
+
+
+@st.composite
+def univariate_matrices(draw):
+    n = draw(st.integers(1, 4))
+    return [[draw(univariate(4)) for _ in range(n)] for _ in range(n)]
+
+
+@st.composite
+def high_first_row(draw):
+    """3x3, first row of degree 3 or 4 in every entry, the others of
+    degree at most 1."""
+    top = st.dictionaries(st.tuples(st.integers(3, 4), st.just(0), st.just(0)),
+                          mixed_coeffs.filter(bool), min_size=1, max_size=2).map(
+        lambda d: {m: Fraction(c) for m, c in d.items()})
+    return ([[draw(top) for _ in range(3)]]
+            + [[draw(univariate(1)) for _ in range(3)] for _ in range(2)])
+
+
+def generic_rank(mat):
+    """Rank over Q(x) of a matrix of one-variable reference entries: the
+    largest rank at the points 0..D, where D bounds the degree of every
+    minor, so a nonzero minor is nonzero at one of them."""
+    bound = sum(max((m[0] for e in row for m in e), default=0) for row in mat)
+    best = 0
+    for x in range(bound + 1):
+        values = [[sum((c * x ** m[0] for m, c in e.items()), Fraction(0))
+                   for e in row] for row in mat]
+        best = max(best, rank(values))
+    return best
+
+
+class TestPackedEngines:
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(univariate_matrices(), high_first_row()))
+    @example([[{(4, 0, 0): Fraction(1)}, {(3, 0, 0): Fraction(2, 3)}, {(4, 0, 0): Fraction(-1)}],
+              [{(1, 0, 0): Fraction(1)}, {ONE: Fraction(1)}, {}],
+              [{ONE: Fraction(-2)}, {(1, 0, 0): Fraction(1, 2)}, {(1, 0, 0): Fraction(3)}]])
+    def test_bareiss_cofactor_and_leibniz_agree(self, mat):
+        rows = [[to_poly(e) for e in row] for row in mat]
+        want = leibniz(mat)
+        assert from_poly(cs.det_bareiss(rows)) == want
+        assert from_poly(cs.det_cofactor(rows)) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 4), st.data())
+    def test_bareiss_rank_of_non_square_and_stacked(self, nrows, ncols, data):
+        a = [[data.draw(univariate(3)) for _ in range(ncols)] for _ in range(nrows)]
+        b = [[data.draw(univariate(2)) for _ in range(ncols)]
+             for _ in range(data.draw(st.integers(1, 2)))]
+        for mat in (a, b, a + b):
+            rows = [[to_poly(e) for e in row] for row in mat]
+            assert cs._bareiss(rows)[0] == generic_rank(mat)
+
+    def test_product_reaching_the_radix_raises(self):
+        x = Poly.var("x") + 1
+        packing = Packing([x], 2)
+        with pytest.raises(RuntimeError):
+            packing.mul_add({}, packing.pack(x), packing.pack(x))
+
+    @settings(max_examples=80)
+    @given(polys5(), polys5(), polys5())
+    # x^2 + x over x^2 and x^2*y + y^2 over x^2*y: without the borrow
+    # check the remainder's lead would give a quotient term x^-1 resp.
+    # x^-2*y
+    @example({(0,) * 5: Fraction(1)}, {(2, 0, 0, 0, 0): Fraction(1)},
+             {(1, 0, 0, 0, 0): Fraction(1)})
+    @example({(0,) * 5: Fraction(1)}, {(2, 1, 0, 0, 0): Fraction(1)},
+             {(0, 2, 0, 0, 0): Fraction(-3, 2)})
+    def test_division_with_a_remainder_raises(self, a, b, r):
+        """b * a + r with r of lower degree than b is a multiple of b
+        only when r is 0: b * q has degree at least b's for q != 0."""
+        degree = max(sum(m) for m in b)
+        r = {m: c for m, c in r.items() if sum(m) < degree}
+        dividend = to_poly(r_add(r_mul(a, b), r), NAMES5)
+        if r:
+            with pytest.raises(ValueError, match="inexact"):
+                dividend.divide_exact(to_poly(b, NAMES5))
+        else:
+            assert from_poly(dividend.divide_exact(to_poly(b, NAMES5)), NAMES5) == a
 
 
 # ---------------------------------------------------------------------------

@@ -460,6 +460,40 @@ def least_fixpoint_coincidence(records):
     return holds
 
 
+def coincidence_by_dominates(record, records):
+    """single_locus_coincidence as a plain scan that calls
+    splitbundle.dominates on every pair it compares."""
+    surviving = [r for r in records if not r.lower_gonality]
+    cache = {}
+
+    def check(rec):
+        key = rec.key()
+        if key in cache:
+            return cache[key]
+        cache[key] = {"holds": False}
+        result = {}
+        for axis in ("e", "f"):
+            own = getattr(rec, axis)
+            expected = rec.expected_e if axis == "e" else rec.expected_f
+            unique = not [r for r in surviving
+                          if r.key() != key and getattr(r, axis) == own]
+            lower = [r for r in surviving if r.key() != key
+                     and sb.dominates(getattr(r, axis), own) == sb.LESS_EQUAL]
+            below_ok = all(check(r)["holds"] for r in lower)
+            codim_matches = rec.codim == expected
+            result[axis] = {
+                "unique": unique,
+                "codim_matches_expected": codim_matches,
+                "strata_below_handled": below_ok,
+                "holds": unique and codim_matches and below_ok,
+            }
+        result["holds"] = result["e"]["holds"] or result["f"]["holds"]
+        cache[key] = result
+        return result
+
+    return check(record)
+
+
 class TestSingleLocusCoincidence:
     def get(self, degree, genus, label):
         records = strata.enumerate_strata(degree, genus)
@@ -508,3 +542,17 @@ class TestSingleLocusCoincidence:
         for rec in records:
             assert (strata.single_locus_coincidence(rec, records)["holds"]
                     == holds[rec.key()])
+
+    @pytest.mark.parametrize("degree,genus", [(4, g) for g in range(5, 13)]
+                             + [(5, g) for g in range(7, 13)])
+    def test_equals_a_scan_with_dominates(self, degree, genus):
+        records = strata.enumerate_strata(degree, genus)
+        for rec in records:
+            assert (strata.single_locus_coincidence(rec, records)
+                    == coincidence_by_dominates(rec, records))
+
+    def test_incomparable_families_raise(self):
+        records = strata.enumerate_strata(4, 6)
+        with pytest.raises(ValueError):
+            strata.single_locus_coincidence(records[0], records
+                                            + strata.enumerate_strata(4, 7))
