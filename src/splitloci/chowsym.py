@@ -324,6 +324,11 @@ def sym2_chern_check() -> dict:
     """Expand c(Sym^2 V) for a rank-6 bundle with Chern roots
     +-x1, +-x2, +-x3 and compare the degree 1..3 pieces (in the even
     classes c2, c4, c6 of V) with the coefficients (8; 22, 14; 28, 54, 38).
+
+    These roots are the weights of the standard representation of Sp_6,
+    and Sym^2 of it is the adjoint representation: its 21 roots are the
+    long roots +-2x_i, the short roots +-x_i +- x_j (i < j), and the
+    rank 3 of the Cartan subalgebra as zero weights.
     """
     xs = [Poly.var("x%d" % i) for i in (1, 2, 3)]
     roots = []

@@ -1,28 +1,128 @@
 """Exact row reduction of rational matrices, carried out in integers.
 
-`echelon` is the package's one elimination routine. Each row is first
-scaled by the lcm of its denominators, then Gauss-Jordan elimination
-runs fraction-free (Bareiss 1968): a row is updated as
-p * row - f * pivot_row and divided by its content, the gcd of its
-entries. No fraction is ever formed, so the result is exact by
-construction and the integers stay as small as the row space allows.
+`Echelon` is the package's one elimination kernel: a reduced row echelon
+form kept sparse and fraction-free, grown one row at a time. A row is a
+{column: int} dict holding only its nonzero entries. Every stored row is
+primitive (the gcd of its entries is 1), has a positive entry at its
+pivot, its least column, and is zero at every other stored pivot. That
+form is unique for a given row space, so the stored rows do not depend
+on the order the rows were inserted in.
+
+Inserting a row touches only the entries that are there:
+1. it is reduced only at the pivot columns it holds, in one step:
+   s * row - sum_k (s * f_k / p_k) * pivot_row_k, where f_k is its entry
+   at pivot column c_k, p_k that pivot, and s the least scale that makes
+   every quotient an integer (Bareiss 1968: no fraction is ever formed);
+2. if anything is left, it is divided by its content and signed so that
+   the entry at its least column, the new pivot, is positive;
+3. only the stored rows that hold that column are back-reduced by it.
+
+With `reindexed` and `merge`, `tautring` carries the rows of lower
+degrees to the columns of the next and folds them into its form.
+`echelon` and `rank` are dense wrappers: each row is scaled by the lcm
+of its denominators and inserted in turn.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
 from numbers import Rational
-from typing import List, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+
+Row = Dict[int, int]
 
 
-def _primitive(row: List[int]) -> List[int]:
-    content = gcd(*row)
-    return [x // content for x in row] if content > 1 else row
+def integer_row(values: Mapping[int, Rational]) -> Row:
+    """The nonzero entries of a rational row, scaled by the lcm of their
+    denominators."""
+    scale = lcm(*(x.denominator for x in values.values()))
+    return {c: x.numerator * (scale // x.denominator)
+            for c, x in values.items() if x}
 
 
-def _integer_row(row: Sequence[Rational]) -> List[int]:
-    scale = lcm(*(x.denominator for x in row))
-    return _primitive([x.numerator * (scale // x.denominator) for x in row])
+def _primitive(row: Row) -> Row:
+    content = gcd(*row.values())
+    return {c: x // content for c, x in row.items()} if content > 1 else row
+
+
+def _subtract(row: Row, m: int, other: Row) -> None:
+    """row -= m * other, in place, dropping the entries that cancel."""
+    for c, y in other.items():
+        x = row.get(c, 0) - m * y
+        if x:
+            row[c] = x
+        else:
+            del row[c]
+
+
+class Echelon:
+    """The sparse reduced row echelon form of the rows inserted so far.
+
+    `rows` maps each pivot column to its row; the rank is len(self). The
+    reduced-row-echelon entry (k, c) of the row with pivot k is
+    Fraction(rows[k].get(c, 0), rows[k][k]).
+    """
+
+    def __init__(self) -> None:
+        self.rows: Dict[int, Row] = {}
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def insert(self, row: Row) -> None:
+        """Add an integer row, its zero entries left out."""
+        rows = self.rows
+        held = [(c, f) for c, f in row.items() if c in rows]
+        if held:
+            scale = lcm(*(rows[c][c] // gcd(rows[c][c], f) for c, f in held))
+            out = {c: scale * x for c, x in row.items()}
+            for c, f in held:
+                _subtract(out, scale * f // rows[c][c], rows[c])
+            row = out
+        if not row:
+            return
+        pivot = min(row)
+        row = _primitive(row)
+        if row[pivot] < 0:
+            row = {c: -x for c, x in row.items()}
+        p = row[pivot]
+        for k, other in rows.items():
+            f = other.get(pivot)
+            if f:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                reduced = {c: a * x for c, x in other.items()}
+                _subtract(reduced, b, row)
+                rows[k] = _primitive(reduced)
+        rows[pivot] = row
+
+    def merge(self, other: "Echelon") -> None:
+        """Insert every row of another form; an empty form takes them as
+        they are, since they are reduced already."""
+        if self.rows:
+            for row in other.rows.values():
+                self.insert(row)
+        else:
+            self.rows = dict(other.rows)
+
+    def reindexed(self, cols: Sequence[int],
+                  pivots: Iterable[int]) -> "Echelon":
+        """The rows with the given pivots, column c moved to cols[c]. The
+        map must be strictly increasing, so that each pivot stays its
+        row's least column and the rows stay reduced."""
+        if any(a >= b for a, b in zip(cols, cols[1:])):
+            raise ValueError("column map is not increasing")
+        form = Echelon()
+        form.rows = {cols[p]: {cols[c]: x for c, x in self.rows[p].items()}
+                     for p in pivots}
+        return form
+
+
+def _inserted(rows: Sequence[Sequence[Rational]]) -> Echelon:
+    form = Echelon()
+    for row in rows:
+        form.insert(integer_row(dict(enumerate(row))))
+    return form
 
 
 def echelon(rows: Sequence[Sequence[Rational]]) -> Tuple[List[List[int]], List[int]]:
@@ -35,28 +135,12 @@ def echelon(rows: Sequence[Sequence[Rational]]) -> Tuple[List[List[int]], List[i
     Fraction(reduced[k][c], reduced[k][pivots[k]]); the rank is
     len(pivots).
     """
-    m = [_integer_row(row) for row in rows]
-    pivots: List[int] = []
-    ncols = len(m[0]) if m else 0
-    for c in range(ncols):
-        r = len(pivots)
-        k = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if k is None:
-            continue
-        m[r], m[k] = m[k], m[r]
-        if m[r][c] < 0:
-            m[r] = [-x for x in m[r]]
-        pivot_row = m[r]
-        p = pivot_row[c]
-        for i, row in enumerate(m):
-            f = row[c]
-            if f and i != r:
-                g = gcd(p, f)
-                a, b = p // g, f // g
-                m[i] = _primitive([a * x - b * y for x, y in zip(row, pivot_row)])
-        pivots.append(c)
-    return m[:len(pivots)], pivots
+    form = _inserted(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = sorted(form.rows)
+    return [[form.rows[p].get(c, 0) for c in range(ncols)]
+            for p in pivots], pivots
 
 
 def rank(rows: Sequence[Sequence[Rational]]) -> int:
-    return len(echelon(rows)[1])
+    return len(_inserted(rows))

@@ -323,14 +323,18 @@ def _positive_part_sum(tops: Sequence[int], sums: Sequence[int]) -> int:
 
 
 def _make_record(g: int, cover_degree: int, e: SplittingType,
-                 f: SplittingType) -> StratumRecord:
-    """The record of a pair the enumerator has accepted. The correction
+                 f: SplittingType, xe: Optional[int] = None) -> StratumRecord:
+    """The record of a pair the enumerator has accepted; xe, when given,
+    is expected_codim(e), which the enumerator computes once per e. The
+    correction
     is h1(f^dual (x) Sym2 e) in degree 4 and h1(e (x) Wedge2 f (x)
     O(-g-4)) in degree 5, summed over the parts by h1(O(a)) =
     max(0, -a - 1): the sum over f_j and e_i + e_k (i <= k) of
     max(0, f_j - 1 - (e_i + e_k)), and the sum over e_i and f_j + f_l
     (j < l) of max(0, g + 3 - e_i - (f_j + f_l))."""
-    xe, xf = sb.expected_codim(e), sb.expected_codim(f)
+    if xe is None:
+        xe = sb.expected_codim(e)
+    xf = sb.expected_codim(f)
     if cover_degree == 4:
         corr = _positive_part_sum(
             [fj - 1 for fj in f.parts],
@@ -366,13 +370,14 @@ def enumerate_strata(cover_degree: int, g: int) -> List[StratumRecord]:
         # E1MIN and E3MAX bound every entry of e to [1, (g + 3) // 2].
         for e_parts in _weakly_increasing_tuples(3, total, 1, total // 2):
             e = SplittingType(e_parts)
+            xe = sb.expected_codim(e)
             # Q12VAN bounds f2 above, which bounds f1 below; f1 <= f2
             # caps f1 at total // 2.
             for f1 in range(total - 2 * e.parts[1],
                             min(2 * e.parts[0], total // 2) + 1):
                 f = SplittingType((f1, total - f1))
                 if tet_check(g, e, f).allowed:
-                    records.append(_make_record(g, 4, e, f))
+                    records.append(_make_record(g, 4, e, f, xe))
     else:
         ftotal = 2 * g + 8
         # E1RANGE's lower end and E4MAX bound every entry of e; its upper
@@ -380,6 +385,7 @@ def enumerate_strata(cover_degree: int, g: int) -> List[StratumRecord]:
         for e_parts in _weakly_increasing_tuples(4, g + 4, -(-(g + 4) // 10),
                                                  ftotal // 5):
             e = SplittingType(e_parts)
+            xe = sb.expected_codim(e)
             e4 = e_parts[3]
             # TOPF caps every entry of f at 2 * e4, so the sum puts each
             # at least ftotal - 8 * e4; L1..L7 are the pair bounds.
@@ -388,7 +394,7 @@ def enumerate_strata(cover_degree: int, g: int) -> List[StratumRecord]:
                     5, ftotal, ftotal - 8 * e4, 2 * e4, linear):
                 f = SplittingType(f_parts)
                 if pent_check(g, e, f).allowed:
-                    records.append(_make_record(g, 5, e, f))
+                    records.append(_make_record(g, 5, e, f, xe))
     return records
 
 

@@ -6,12 +6,17 @@ Hilbert function, socle degrees and dimensions, the Gorenstein pairing
 test, the Artinian vanishing window, and minimal-generator counts.
 
 Each public call builds one GradedQuotient and drops it on return. It
-echelons each degree once, in increasing order, by the fraction-free
-integer elimination of `linalg.echelon`: I_d = sum_i k_i * I_{d-w_i},
-which is (m.I)_d, plus the generators of degree d. It stops at the first
-max(weight) consecutive degrees where the quotient vanishes: a monomial
-of higher degree sheds one variable at a time, losing at most max(weight)
-each step, so it has a divisor in that window, which lies in the ideal.
+echelons each degree once, in increasing order, in one sparse
+fraction-free `linalg.Echelon`: I_d = sum_i k_i * I_{d-w_i}, which is
+(m.I)_d, plus the generators of degree d. The stored rows of each
+I_{d-w_i} go in re-indexed to the monomials of degree d, less those
+whose pivot is k_j times a pivot of I_{d-w_i-w_j} for a j < i, which
+would add nothing to the span; then the generators go in, so the rank
+they add on top counts the minimal generators of degree d. It stops at
+the first max(weight) consecutive degrees where the quotient vanishes:
+a monomial of higher degree sheds one variable at a time, losing at
+most max(weight) each step, so it has a divisor in that window, which
+lies in the ideal.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .linalg import echelon, rank
+from .linalg import Echelon, integer_row, rank
 from .polynomial import Poly
 
 Exponents = Tuple[int, ...]
@@ -32,33 +37,41 @@ def _var(i: int) -> str:
 
 
 def monomials(d: int, weights: Sequence[int]) -> List[Exponents]:
-    """All exponent vectors of weighted degree exactly d, lex order."""
+    """All exponent vectors of weighted degree exactly d, in strictly
+    decreasing lex order."""
     if d < 0:
         raise ValueError("negative degree")
-    out: List[Exponents] = []
-
-    def rec(i: int, remaining: int, acc: Tuple[int, ...]):
-        if i == len(weights):
-            if remaining == 0:
-                out.append(acc)
-            return
-        w = weights[i]
-        for e in range(remaining // w, -1, -1):
-            rec(i + 1, remaining - e * w, acc + (e,))
-
-    rec(0, d, ())
-    return out
+    if not weights:
+        return [()] if d == 0 else []
+    # (exponents so far, degree left), one list per variable but the last,
+    # whose exponent the degree left fixes
+    partial: List[Tuple[Exponents, int]] = [((), d)]
+    for w in weights[:-1]:
+        partial = [(acc + (e,), left - e * w) for acc, left in partial
+                   for e in range(left // w, -1, -1)]
+    w = weights[-1]
+    return [acc + (left // w,) for acc, left in partial if left % w == 0]
 
 
 class WeightedIdeal:
     """Generator list over Q[k1..kw] with kappa_i of the given weight."""
 
     def __init__(self, weights: Sequence[int], generators: Sequence[Poly]):
-        self.weights = tuple(int(w) for w in weights)
+        self.weights = tuple(weights)
+        if not self.weights:
+            raise ValueError("no variables")
+        if not all(isinstance(w, int) and w >= 1 for w in self.weights):
+            raise ValueError("weights must be ints >= 1, got %r"
+                             % (self.weights,))
         self.generators = [g for g in generators]
         if any(g.is_zero() for g in self.generators):
             raise ValueError("zero generator")
         wmap = {_var(i): w for i, w in enumerate(self.weights)}
+        for g in self.generators:
+            foreign = g.variables() - wmap.keys()
+            if foreign:
+                raise ValueError("generator variables %s outside k1..k%d"
+                                 % (sorted(foreign), self.nvars))
         parts = [g.homogeneous_parts(wmap) for g in self.generators]
         self.degrees = [max(p) for p in parts]
         self.homogeneous = all(len(p) == 1 for p in parts)
@@ -71,6 +84,11 @@ class WeightedIdeal:
         return list(self.degrees)
 
 
+def _exponents(mono, nvars: int) -> Exponents:
+    exps = dict(mono)
+    return tuple(exps.get(_var(i), 0) for i in range(nvars))
+
+
 def _mul(a: Exponents, b: Exponents) -> Exponents:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -80,50 +98,53 @@ def _times(mono: Exponents, var_index: int) -> Exponents:
 
 
 class _Degree:
-    """I_d in echelon form over the monomials of degree d, built from the
-    degrees below: the rows k_i * I_{d-w_i} span (m.I)_d, and the rank the
-    generators of degree d add to them, `new_generators`, is
-    dim I_d/(m.I)_d. The monomials of the non-pivot columns, `free`, are
-    a basis of the quotient R_d."""
+    """I_d in sparse echelon form over the monomials of degree d, built
+    from the degrees below: the rows k_i * I_{d-w_i}, re-indexed, span
+    (m.I)_d, and the rank the generators of degree d add to them,
+    `new_generators`, is dim I_d/(m.I)_d. The monomials of the non-pivot
+    columns, `free`, are a basis of the quotient R_d."""
 
     def __init__(self, ideal: WeightedIdeal, d: int, below: Sequence["_Degree"]):
         if not ideal.homogeneous:
             raise ValueError("homogenize first")
         self.basis = monomials(d, ideal.weights)
         self.index = {m: i for i, m in enumerate(self.basis)}
-        rows: List[List[int]] = []
+        self.form = Echelon()
+        # the first i with k_i times a pivot of I_{d-w_i} at each column
+        self.shifted_by: Dict[int, int] = {}
         for i, w in enumerate(ideal.weights):
             if d >= w:
                 lower = below[d - w]
                 cols = [self.index[_times(m, i)] for m in lower.basis]
-                for lower_row in lower.rows:
-                    row = [0] * len(self.basis)
-                    for c, x in zip(cols, lower_row):
-                        row[c] = x
-                    rows.append(row)
-        m_rows, m_pivots = echelon(rows)
-        gens = [self._row(g, ideal.nvars)
-                for g, dg in zip(ideal.generators, ideal.degrees) if dg == d]
-        self.rows, pivots = echelon(m_rows + gens) if gens else (m_rows, m_pivots)
-        self.new_generators = len(pivots) - len(m_pivots)
-        self.pivot_row = {c: k for k, c in enumerate(pivots)}
-        self.free = [c for c in range(len(self.basis)) if c not in self.pivot_row]
-
-    def _row(self, g: Poly, nvars: int) -> List[Fraction]:
-        row: List[Fraction] = [0] * len(self.basis)
-        for mono, c in g.terms.items():
-            exps = dict(mono)
-            row[self.index[tuple(exps.get(_var(i), 0) for i in range(nvars))]] = c
-        return row
+                # Rows of I_{d-w_i} whose pivot is k_j times a pivot of
+                # I_{d-w_i-w_j} for some j < i are left out. The rows kept
+                # and the spaces k_j * I_{d-w_i-w_j}, j < i, still span
+                # I_{d-w_i}: their leading monomials cover every pivot.
+                # And k_i k_j * I_{d-w_i-w_j} lies in k_j * I_{d-w_j},
+                # inserted before.
+                kept = []
+                for p in lower.form.rows:
+                    if lower.shifted_by.get(p, i) >= i:
+                        kept.append(p)
+                    self.shifted_by.setdefault(cols[p], i)
+                # k_i keeps the order of monomials, so cols increases
+                self.form.merge(lower.form.reindexed(cols, kept))
+        products = len(self.form)
+        for g, dg in zip(ideal.generators, ideal.degrees):
+            if dg == d:
+                self.form.insert(integer_row(
+                    {self.index[_exponents(mono, ideal.nvars)]: c
+                     for mono, c in g.terms.items()}))
+        self.new_generators = len(self.form) - products
+        self.free = [c for c in range(len(self.basis)) if c not in self.form.rows]
 
     def normal_form(self, mono: Exponents) -> List[Fraction]:
         """Coordinates of a monomial modulo I_d over the basis `free`."""
         col = self.index[mono]
-        k = self.pivot_row.get(col)
-        if k is None:
+        row = self.form.rows.get(col)
+        if row is None:
             return [int(f == col) for f in self.free]
-        row = self.rows[k]
-        return [Fraction(-row[f], row[col]) for f in self.free]
+        return [Fraction(-row.get(f, 0), row[col]) for f in self.free]
 
 
 class GradedQuotient:
@@ -151,7 +172,7 @@ class GradedQuotient:
         deg = self.degree(d)
         if deg is None:
             return len(monomials(d, self.ideal.weights))
-        return len(deg.pivot_row)
+        return len(deg.form)
 
 
 # The checks below take a WeightedIdeal, or the GradedQuotient of one so

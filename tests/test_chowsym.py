@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from splitloci import chowsym as cs
+from splitloci import chowsym as cs, tautring as tr
 from splitloci.chowsym import FilteredBundle
 from splitloci.polynomial import Poly
 
@@ -357,6 +357,30 @@ class TestRankFormulas:
         assert cs.ce_rank(4, 1) == 2
         assert cs.ce_rank(5, 1) == 5
         assert cs.ce_rank(5, 2) == 5
+
+    # beta_1 = ce_rank(k, 1) counts the minimal generators of a Gorenstein
+    # Artinian ring with h-vector (1, k-2, 1), the fibre of a degree-k
+    # cover cut down to a point
+    def test_ce_rank_5_1_counts_the_pfaffians_of_a_skew_matrix(self):
+        k1, k2, k3 = V("k1"), V("k2"), V("k3")
+        forms = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1),
+                 (1, 0, 1), (1, 2, 0), (0, 1, 2), (2, 0, 1), (1, 1, 1)]
+        mat = [[_0] * 5 for _ in range(5)]
+        for (i, j), (a, b, c) in zip(itertools.combinations(range(5), 2), forms):
+            mat[i][j] = a * k1 + b * k2 + c * k3
+            mat[j][i] = -mat[i][j]
+        q = tr.GradedQuotient(tr.WeightedIdeal((1, 1, 1), cs.pfaffians(mat)))
+        assert tr.hilbert(q, 4) == [1, 3, 1, 0, 0]
+        assert tr.gorenstein_check(q, 4)["gorenstein"]
+        assert tr.minimal_generators(q) == {2: cs.ce_rank(5, 1)}
+
+    def test_ce_rank_4_1_counts_two_conics(self):
+        k1, k2 = V("k1"), V("k2")
+        conics = [k1 * (k1 + k2), k2 * (k1 + 2 * k2)]
+        q = tr.GradedQuotient(tr.WeightedIdeal((1, 1), conics))
+        assert tr.hilbert(q, 4) == [1, 2, 1, 0, 0]
+        assert tr.gorenstein_check(q, 4)["gorenstein"]
+        assert tr.minimal_generators(q) == {2: cs.ce_rank(4, 1)}
 
     def test_ce_rank_out_of_range(self):
         with pytest.raises(ValueError):

@@ -3,10 +3,11 @@ Fraction Gauss-Jordan reference kept here."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from splitloci import chowsym as cs
-from splitloci.linalg import echelon, rank
+from splitloci.linalg import Echelon, echelon, rank
 
 
 def reference_rref(rows):
@@ -79,6 +80,21 @@ def test_echelon_matches_fraction_gauss_jordan(rows):
 
 
 @settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_echelon_does_not_depend_on_row_order(data):
+    # the reduced form with primitive rows and positive pivots is unique,
+    # so inserting the rows in any order gives the same rows
+    rows = data.draw(matrices())
+    shuffled = data.draw(st.permutations(rows))
+    ref, ref_pivots = reference_rref(rows)
+    reduced, pivots = echelon(shuffled)
+    assert (reduced, pivots) == echelon(rows)
+    assert pivots == ref_pivots
+    for row, ref_row, p in zip(reduced, ref, pivots):
+        assert [Fraction(x, row[p]) for x in row] == ref_row
+
+
+@settings(max_examples=200, deadline=None)
 @given(matrices(square=True))
 def test_null_vector_matches_reference(rows):
     vec = cs._null_vector(rows)
@@ -101,3 +117,27 @@ def test_rows_are_primitive_integers():
                                [Fraction(-2, 5), 4]])
     assert (reduced, pivots) == ([[1, 0], [0, 1]], [0, 1])
     assert echelon([[Fraction(-3, 4), Fraction(3, 2), 0]]) == ([[1, -2, 0]], [0])
+
+
+def test_reindexed_and_merged_forms():
+    form = Echelon()
+    form.insert({0: 2, 2: 4, 3: 1})
+    form.insert({1: 3, 3: -3})
+    # column c goes to column 2c + 1, and only the row with pivot 1 moves
+    moved = form.reindexed([1, 3, 5, 7], [1])
+    assert moved.rows == {3: {3: 1, 7: -1}}
+    with pytest.raises(ValueError, match="not increasing"):
+        form.reindexed([0, 2, 1, 3], [0, 1])
+    # merging into an empty form takes the rows as they are; into a
+    # nonempty one inserts and back-reduces them
+    target = Echelon()
+    target.merge(moved)
+    assert target.rows == moved.rows
+    target.merge(Echelon())
+    other = Echelon()
+    other.insert({1: 1, 7: 1})
+    target.merge(other)
+    assert target.rows == {1: {1: 1, 7: 1}, 3: {3: 1, 7: -1}}
+    other.insert({3: 2})
+    target.merge(other)
+    assert target.rows == {1: {1: 1}, 3: {3: 1}, 7: {7: 1}}

@@ -39,6 +39,16 @@ class TestMonomials:
         for exps in tr.monomials(9, (1, 2, 3)):
             assert exps[0] + 2 * exps[1] + 3 * exps[2] == 9
 
+    @pytest.mark.parametrize("weights", [(1,), (1, 1), (1, 2), (2, 3), (1, 2, 3)])
+    def test_order_is_strictly_decreasing_lex(self, weights):
+        # the pivots and the `free` basis of every degree follow this order
+        for d in range(13):
+            box = itertools.product(*(range(d // w + 1) for w in weights))
+            expected = sorted((e for e in box
+                               if sum(x * w for x, w in zip(e, weights)) == d),
+                              reverse=True)
+            assert tr.monomials(d, weights) == expected
+
 
 class TestWeightedIdeal:
     def test_zero_generator_rejected(self):
@@ -49,6 +59,19 @@ class TestWeightedIdeal:
         ideal = tr.WeightedIdeal((1, 2), [k(1, 2) + k(1)])
         with pytest.raises(ValueError, match="homogenize first"):
             tr.graded_ideal_rank(ideal, 3)
+
+    @pytest.mark.parametrize("weights", [(0, 1), (-1, 2), (1, 2.0)])
+    def test_weights_must_be_positive_ints(self, weights):
+        with pytest.raises(ValueError, match="weights"):
+            tr.WeightedIdeal(weights, [k(2, 2)])
+
+    def test_no_variables_rejected(self):
+        with pytest.raises(ValueError, match="no variables"):
+            tr.WeightedIdeal((), [Poly.const(1)])
+
+    def test_foreign_variable_rejected(self):
+        with pytest.raises(ValueError, match=r"\['k3'\] outside k1..k2"):
+            tr.WeightedIdeal((1, 2), [k(1) * k(2), k(3, 2)])
 
     def test_generator_degrees(self):
         ideal = tr.WeightedIdeal((1, 2), [k(1, 4), k(2, 2), k(1) * k(2)])
@@ -114,35 +137,41 @@ class TestClassicalOracles:
 
 
 # ---------------------------------------------------------------------------
-# I_d and (m.I)_d spanned directly by the products m*g_j and ranked by a
-# plain Fraction Gauss-Jordan, independent of the degree-by-degree
-# construction in tautring.
+# I_d and (m.I)_d spanned directly by the products m*g_j and reduced by a
+# plain dense Fraction Gauss-Jordan, independent of the degree-by-degree
+# sparse construction in tautring.
 
 def _exponents(d, weights):
     return [e for e in itertools.product(*(range(d // w + 1) for w in weights))
             if sum(x * w for x, w in zip(e, weights)) == d]
 
 
-def _fraction_rank(rows):
+def _fraction_rref(rows):
+    """(rows scaled to pivot 1, pivot columns) of the reduced row echelon
+    form over Q."""
     m = [[Fraction(x) for x in row] for row in rows]
-    r = 0
+    pivots = []
     for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
         p = next((i for i in range(r, len(m)) if m[i][c]), None)
         if p is None:
             continue
         m[r], m[p] = m[p], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c]:
-                f = m[i][c] / m[r][c]
+                f = m[i][c]
                 m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-    return r
+        pivots.append(c)
+    return m[:len(pivots)], pivots
 
 
-def _reference_ranks(weights, gens, d):
-    """(dim I_d, dim (m.I)_d) for generators given as
-    (degree, {exponents: coefficient})."""
-    columns = {e: i for i, e in enumerate(_exponents(d, weights))}
+def _reference(weights, gens, d):
+    """(basis, rref of I_d, its pivots, dim (m.I)_d) for generators given
+    as (degree, {exponents: coefficient}), over the monomials of degree d
+    in decreasing lex order."""
+    basis = sorted(_exponents(d, weights), reverse=True)
+    columns = {e: i for i, e in enumerate(basis)}
     all_rows, m_rows = [], []
     for dg, terms in gens:
         if dg > d:
@@ -154,7 +183,8 @@ def _reference_ranks(weights, gens, d):
             all_rows.append(row)
             if any(cofactor):
                 m_rows.append(row)
-    return _fraction_rank(all_rows), _fraction_rank(m_rows)
+    rref, pivots = _fraction_rref(all_rows)
+    return basis, rref, pivots, len(_fraction_rref(m_rows)[1])
 
 
 @st.composite
@@ -188,13 +218,26 @@ def test_ranks_and_minimal_generators_match_direct_span(drawn):
     polys = [Poly({tuple(("k%d" % (i + 1), x) for i, x in enumerate(e) if x): c
                    for e, c in terms.items()}) for _, terms in gens]
     ideal = tr.WeightedIdeal(weights, polys)
+    quotient = tr.GradedQuotient(ideal)
     d_max = max(dg for dg, _ in gens) + max(weights)
     expected = {}
     for d in range(d_max + 1):
-        full, products = _reference_ranks(weights, gens, d)
-        assert tr.graded_ideal_rank(ideal, d) == full
-        if full > products:
-            expected[d] = full - products
+        basis, rref, pivots, products = _reference(weights, gens, d)
+        assert tr.graded_ideal_rank(ideal, d) == len(pivots)
+        if len(pivots) > products:
+            expected[d] = len(pivots) - products
+        deg = quotient.degree(d)
+        if deg is None:
+            continue
+        # the quotient basis and each monomial's coordinates over it
+        free = [c for c in range(len(basis)) if c not in pivots]
+        assert (deg.basis, deg.free) == (basis, free)
+        for col, mono in enumerate(basis):
+            if col in pivots:
+                want = [-rref[pivots.index(col)][f] for f in free]
+            else:
+                want = [int(f == col) for f in free]
+            assert deg.normal_form(mono) == want
     assert tr.minimal_generators(ideal, d_max) == expected
 
 
