@@ -140,7 +140,7 @@ def _pack_matrix(mat) -> Tuple[Packing, List[List[Dict[int, Scalar]]]]:
     degree at most the numerator's. So no product reaches the radix.
     """
     rows = [[_to_poly(x) for x in row] for row in mat]
-    bound = sum(max((entry.weighted_degree() for entry in row), default=0)
+    bound = sum(max((entry.total_degree() for entry in row), default=0)
                 for row in rows)
     packing = Packing([entry for row in rows for entry in row], 2 * bound + 1)
     return packing, [[packing.pack(entry) for entry in row] for row in rows]
@@ -158,9 +158,11 @@ def det_cofactor(rows: Sequence[Sequence[Poly]]) -> Poly:
     are kept packed.
     """
     n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix is not square")
     packing, packed = _pack_matrix(rows)
-    minors = {1 << j: entry for j, entry in enumerate(packed[-1]) if entry}
-    for i in range(n - 2, -1, -1):
+    minors = {0: {0: 1}}  # the minor on no rows: the packed constant 1
+    for i in range(n - 1, -1, -1):
         expanded: Dict[int, Dict[int, Scalar]] = {}
         for cols, minor in minors.items():
             for j, entry in enumerate(packed[i]):

@@ -119,6 +119,8 @@ class Echelon:
 
 
 def _inserted(rows: Sequence[Sequence[Rational]]) -> Echelon:
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("rows have unequal lengths")
     form = Echelon()
     for row in rows:
         form.insert(integer_row(dict(enumerate(row))))

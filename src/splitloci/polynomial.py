@@ -296,7 +296,7 @@ class Poly:
                     terms[_mono_mul(m1, m2)] = c1 * c2
             return _wrap(_demoted(terms))
         packing = Packing((self, other),
-                          self.weighted_degree() + other.weighted_degree() + 1)
+                          self.total_degree() + other.total_degree() + 1)
         acc: Dict[int, Scalar] = {}
         packing.mul_add(acc, packing.pack(self), packing.pack(other))
         return packing.unpack(acc)
@@ -361,13 +361,13 @@ class Poly:
             total += prod
         return total
 
-    def weighted_degree(self, weights: Mapping[str, int] | None = None) -> int:
-        """Largest weighted total degree among monomials (0 for the zero poly)."""
+    def total_degree(self) -> int:
+        """Largest total degree among monomials (0 for the zero poly)."""
         best = 0
         for mono in self.terms:
             d = 0
-            for var, exp in mono:
-                d += exp * weights[var] if weights else exp
+            for _, exp in mono:
+                d += exp
             if d > best:
                 best = d
         return best
@@ -379,9 +379,6 @@ class Poly:
             parts.setdefault(d, {})[mono] = coeff
         return {d: _wrap(t) for d, t in sorted(parts.items())}
 
-    def is_homogeneous(self, weights: Mapping[str, int] | None = None) -> bool:
-        return len(self.homogeneous_parts(weights)) <= 1
-
     def divide_exact(self, divisor: "Poly") -> "Poly":
         """Exact division; raises ValueError if the division leaves a remainder."""
         if divisor.is_zero():
@@ -390,8 +387,8 @@ class Poly:
             return Poly()
         # every monomial a remainder reaches has total degree at most
         # the dividend's, so that degree + 1 bounds each digit
-        radix = self.weighted_degree() + 1
-        if divisor.weighted_degree() >= radix:
+        radix = self.total_degree() + 1
+        if divisor.total_degree() >= radix:
             raise ValueError("inexact polynomial division")
         packing = Packing((self, divisor), radix)
         return packing.unpack(packing.divide(packing.pack(self),

@@ -6,12 +6,15 @@ numeric constraints. The module computes codimensions, membership in the
 good open locus Psi, forced linear-series flags, the product dominance
 order with its Hasse diagram, union-of-strata codimension checks, and the
 single-locus coincidence test used to realize a pair stratum as one
-splitting locus.
+splitting locus. That test's rule asks every surviving stratum below on
+the same axis to pass it too, so passing is the rule's least fixpoint;
+it and the Hasse diagram share one routine of prefix-sum bitmasks.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from itertools import (accumulate, combinations,
                        combinations_with_replacement)
@@ -420,19 +423,30 @@ def strata_report_json(records: Sequence[StratumRecord]) -> str:
     return json.dumps(strata_report(records), indent=2)
 
 
-def _above_masks(sums: Sequence[Tuple[int, ...]]) -> List[int]:
+def _prefix_sums(records: Sequence[StratumRecord]) -> Tuple[list, list]:
+    """Each record's prefix sums of e and of f, without the last entries.
+    Those are the degrees of e and f; unless every record has the same
+    degrees and ranks (the sums' lengths), this raises ValueError."""
+    both = [(tuple(accumulate(r.e.parts)), tuple(accumulate(r.f.parts)))
+            for r in records]
+    if len({(len(e), e[-1], len(f), f[-1]) for e, f in both}) > 1:
+        raise ValueError("incomparable families")
+    return [e[:-1] for e, _ in both], [f[:-1] for _, f in both]
+
+
+def _below_masks(sums: Sequence[Tuple[int, ...]]) -> List[int]:
     """Bit j of the i-th mask is set when every entry of sums[j] is at
-    least the matching entry of sums[i] and sums[j] != sums[i]."""
+    most the matching entry of sums[i] and sums[j] != sums[i]."""
     n = len(sums)
     masks = [(1 << n) - 1] * n
     for column in zip(*sums):
-        # at_least[v]: the j whose entry in this column is >= v
-        at_least: Dict[int, int] = {}
+        # at_most[v]: the j whose entry in this column is <= v
+        at_most: Dict[int, int] = {}
         mask = 0
-        for j in sorted(range(n), key=column.__getitem__, reverse=True):
+        for j in sorted(range(n), key=column.__getitem__):
             mask |= 1 << j
-            at_least[column[j]] = mask
-        masks = [m & at_least[v] for m, v in zip(masks, column)]
+            at_most[column[j]] = mask
+        masks = [m & at_most[v] for m, v in zip(masks, column)]
     same: Dict[Tuple[int, ...], int] = {}
     for j, s in enumerate(sums):
         same[s] = same.get(s, 0) | 1 << j
@@ -446,9 +460,9 @@ def hasse(records: Sequence[StratumRecord]) -> Tuple[List[Tuple[str, str]], str]
     Record i lies strictly below record j in it exactly when
     each prefix sum of e and of f of i is at most the matching sum of j
     and the sums are not all equal. The concatenated prefix sums are
-    computed once per record. up[i] is a Python-int bitmask with bit j
-    set when record j lies strictly above record i; down[j], its
-    transpose, has bit i set when record i lies strictly below record j
+    computed once per record. down[j] is a Python-int bitmask with bit i
+    set when record i lies strictly below record j; up[i], its
+    transpose, has bit j set when record j lies strictly above record i
     (the same masks, taken over the negated sums). (i, j) is an edge of
     the Hasse diagram when bit j is set in up[i] and no record lies
     between them, that is up[i] & down[j] == 0; edges come out in
@@ -459,14 +473,9 @@ def hasse(records: Sequence[StratumRecord]) -> Tuple[List[Tuple[str, str]], str]
     cost is O(n^2), where a comparison of every ordered pair and a scan
     over every middle record for each comparable pair cost O(n^3).
     """
-    family = {(len(r.e), r.e.degree(), len(r.f), r.f.degree())
-              for r in records}
-    if len(family) > 1:
-        raise ValueError("incomparable families")
-    sums = [tuple(accumulate(r.e.parts)) + tuple(accumulate(r.f.parts))
-            for r in records]
-    up = _above_masks(sums)
-    down = _above_masks([tuple(-x for x in s) for s in sums])
+    sums = [se + sf for se, sf in zip(*_prefix_sums(records))]
+    down = _below_masks(sums)
+    up = _below_masks([tuple(-x for x in s) for s in sums])
     ids = [r.node_id() for r in records]
     edges = []
     for i, u in enumerate(up):
@@ -517,65 +526,54 @@ def single_locus_coincidence(record: StratumRecord,
     """Test whether the pair stratum can be realized as a single splitting
     locus of e (or of f) in the complement of the lower-gonality strata.
 
-    For either coordinate this requires: the record is the unique surviving
-    stratum with that splitting type, the pair codimension equals the
-    expected codimension of that splitting type, and every surviving
-    stratum strictly below it in the dominance order itself passes the
-    test (the loci below must already be handled).
+    For either coordinate the rule requires: the record is the unique
+    surviving stratum with that splitting type, the pair codimension
+    equals the expected codimension of that splitting type, and every
+    surviving stratum strictly below it in that coordinate's dominance
+    order passes. The rule is monotone, so passing is its least
+    fixpoint: from none passing, mark each surviving stratum the rule
+    accepts until no mark changes. That needs no search order where the
+    e and f orders cross (degree 4, genus 5: (2,2,4),(4,4) lies below
+    Psi1 = (2,3,3),(3,5) in e and above it in f).
 
-    The orders on e and on f can disagree, so the recursion can return
-    to a record whose check is in progress: in degree 4, genus 5, the
-    pair (2,2,4),(4,4) lies strictly below Psi1 = (2,3,3),(3,5) in e and
-    strictly above it in f. Such a record reads as not passing. On
-    degree 4 (genus 5-12) and degree 5 (genus 7-12) the tests find the
-    result equal to the least fixpoint of the rule, iterated from all
-    records failing, so there it does not depend on the search order.
-
-    Every comparison is in the prefix-sum dominance order, so each
-    surviving record's prefix sums of e and of f are computed once per
-    call; records of different families raise ValueError.
+    Records are identified by key(), so a repeated record counts once; a
+    record absent from records, or lower-gonality, is measured against
+    the surviving ones. The strata below and the marks are bitmasks, as
+    in `hasse`; records of different families raise ValueError.
     """
-    surviving = [r for r in records if not r.lower_gonality]
-    family = {(len(r.e), r.e.degree(), len(r.f), r.f.degree())
-              for r in surviving + [record]}
-    if len(family) > 1:
-        raise ValueError("incomparable families")
-    keys = [r.key() for r in surviving]
-    # each surviving record's prefix sums of e and of f, computed once;
-    # equal sums mean equal splitting types
-    sums = {axis: [tuple(accumulate(getattr(r, axis).parts)) for r in surviving]
-            for axis in ("e", "f")}
-    cache: Dict[Tuple, dict] = {}
+    survivors = {r.key(): r for r in records if not r.lower_gonality}
+    n = len(survivors)
+    # the record is the last point, one of the first n if it survives
+    survivors.pop(record.key(), None)
+    points = list(survivors.values()) + [record]
+    # per axis and point: (unique, codim matches, surviving strata below);
+    # unique means no surviving record but the point itself has its sums
+    axes = []
+    for axis, sums in zip(("e", "f"), _prefix_sums(points)):
+        counts = Counter(sums[:n])
+        axes.append([(counts[s] == (i < n),
+                      r.codim == getattr(r, "expected_" + axis),
+                      below & ((1 << n) - 1))
+                     for i, (r, s, below) in enumerate(
+                         zip(points, sums, _below_masks(sums)))])
+    rules = [[below for unique, matches, below in point if unique and matches]
+             for point in zip(*axes)][:n]
+    holds, previous = 0, -1
+    while holds != previous:
+        previous = holds
+        for i, masks in enumerate(rules):
+            if any(not below & ~holds for below in masks):
+                holds |= 1 << i
 
-    def check(rec: StratumRecord) -> dict:
-        key = rec.key()
-        if key in cache:
-            return cache[key]
-        # a record whose check is in progress reads as not passing
-        cache[key] = {"holds": False}
-        result = {}
-        for axis in ("e", "f"):
-            own = tuple(accumulate(getattr(rec, axis).parts))
-            expected = rec.expected_e if axis == "e" else rec.expected_f
-            unique = True
-            lower = []
-            for r, k, sum_r in zip(surviving, keys, sums[axis]):
-                if k == key:
-                    continue
-                if sum_r == own:
-                    unique = False
-                elif all(a <= b for a, b in zip(sum_r, own)):
-                    lower.append(r)
-            codim_matches = rec.codim == expected
-            below_ok = all(check(r)["holds"] for r in lower)
-            result[axis] = {
-                "unique": unique,
-                "codim_matches_expected": codim_matches,
-                "strata_below_handled": below_ok,
-                "holds": unique and codim_matches and below_ok,
-            }
-        result["holds"] = result["e"]["holds"] or result["f"]["holds"]
-        cache[key] = result
-        return result
-
-    return check(record)
+    result = {}
+    for axis, point in zip(("e", "f"), axes):
+        unique, codim_matches, below = point[-1]
+        below_ok = not below & ~holds
+        result[axis] = {
+            "unique": unique,
+            "codim_matches_expected": codim_matches,
+            "strata_below_handled": below_ok,
+            "holds": unique and codim_matches and below_ok,
+        }
+    result["holds"] = result["e"]["holds"] or result["f"]["holds"]
+    return result

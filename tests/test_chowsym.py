@@ -285,6 +285,16 @@ class TestDeterminants:
         with pytest.raises(ValueError):
             cs.det_bareiss([[Poly.const(1), Poly.const(2)]])
 
+    @pytest.mark.parametrize("rows", [[[1, 2, 3], [4, 5, 6]], [[1, 2], [3]]])
+    def test_cofactor_rejects_a_matrix_that_is_not_square(self, rows):
+        m = [[Poly.const(c) for c in row] for row in rows]
+        with pytest.raises(ValueError, match="matrix is not square"):
+            cs.det_cofactor(m)
+
+    def test_the_empty_matrix_has_determinant_one(self):
+        assert cs.det_cofactor([]) == Poly.const(1)
+        assert cs.det([]) == Poly.const(1)
+
     def test_det_raises_when_engines_disagree(self, monkeypatch):
         m = [[Poly.const(c) for c in row] for row in [[2, 1], [1, 3]]]
         monkeypatch.setattr(cs, "det_cofactor", lambda rows: Poly.const(0))

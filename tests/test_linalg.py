@@ -112,6 +112,14 @@ def test_empty_and_degenerate_shapes():
     assert cs._null_vector([[0, 0], [0, 0]]) == [Fraction(1), Fraction(0)]
 
 
+@pytest.mark.parametrize("rows", [[[0, 0], [0, 0, 1]], [[1], [0, 1]]])
+def test_ragged_rows_raise(rows):
+    with pytest.raises(ValueError, match="unequal lengths"):
+        echelon(rows)
+    with pytest.raises(ValueError, match="unequal lengths"):
+        rank(rows)
+
+
 def test_rows_are_primitive_integers():
     reduced, pivots = echelon([[Fraction(1, 2), Fraction(1, 3)],
                                [Fraction(-2, 5), 4]])

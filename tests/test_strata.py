@@ -494,6 +494,30 @@ def coincidence_by_dominates(record, records):
     return check(record)
 
 
+def coincidence_from_fixpoint(record, records):
+    """single_locus_coincidence's result read off
+    least_fixpoint_coincidence: each axis compared by
+    splitbundle.dominates with the surviving records of another key."""
+    holds = least_fixpoint_coincidence(records)
+    others = [r for r in records
+              if not r.lower_gonality and r.key() != record.key()]
+    result = {}
+    for axis in ("e", "f"):
+        own = getattr(record, axis)
+        unique = all(getattr(r, axis) != own for r in others)
+        codim_matches = record.codim == getattr(record, "expected_" + axis)
+        below_ok = all(holds[r.key()] for r in others
+                       if sb.dominates(getattr(r, axis), own) == sb.LESS_EQUAL)
+        result[axis] = {
+            "unique": unique,
+            "codim_matches_expected": codim_matches,
+            "strata_below_handled": below_ok,
+            "holds": unique and codim_matches and below_ok,
+        }
+    result["holds"] = result["e"]["holds"] or result["f"]["holds"]
+    return result
+
+
 class TestSingleLocusCoincidence:
     def get(self, degree, genus, label):
         records = strata.enumerate_strata(degree, genus)
@@ -524,8 +548,8 @@ class TestSingleLocusCoincidence:
 
     def test_pair_order_cycles_across_axes(self):
         # (2,2,4),(4,4) lies strictly below Psi1 in e and strictly above
-        # it in f, and both survive, so the recursion may return to a
-        # record whose check is in progress
+        # it in f, and both survive: a cycle across the two axes, which
+        # the least fixpoint resolves without a search order
         records = strata.enumerate_strata(4, 5)
         low = next(r for r in records if r.key() == ((2, 2, 4), (4, 4)))
         psi1 = by_label(records)["Psi1"]
@@ -534,19 +558,50 @@ class TestSingleLocusCoincidence:
         assert sb.dominates(low.e, psi1.e) == sb.LESS_EQUAL
         assert sb.dominates(psi1.f, low.f) == sb.LESS_EQUAL
 
-    @pytest.mark.parametrize("degree,genus", [(4, g) for g in range(5, 13)]
-                             + [(5, g) for g in range(7, 13)])
+    def test_a_cross_axis_cycle_in_a_sub_list(self):
+        # b lies below c in f and c below b in e. c passes, so the absent
+        # target sees every stratum below it in f pass; a search down from
+        # the target that reached c through b, with b's check still open,
+        # would read c as failing
+        records = enumerated(5, 18)
+        a, b, c = (next(r for r in records if r.key() == key) for key in (
+            ((3, 6, 6, 7), (6, 9, 9, 10, 10)),
+            ((5, 5, 6, 6), (8, 8, 8, 9, 11)),
+            ((4, 6, 6, 6), (8, 8, 8, 10, 10))))
+        target = next(r for r in records
+                      if r.key() == ((4, 6, 6, 6), (8, 9, 9, 9, 9)))
+        assert sb.dominates(b.f, c.f) == sb.LESS_EQUAL
+        assert sb.dominates(c.e, b.e) == sb.LESS_EQUAL
+        chosen = [a, b, c]
+        assert all(strata.single_locus_coincidence(r, chosen)["holds"]
+                   for r in chosen)
+        result = strata.single_locus_coincidence(target, chosen)
+        assert result["f"]["strata_below_handled"]
+        assert result == coincidence_from_fixpoint(target, chosen)
+
+    @settings(max_examples=60, deadline=None)
+    @given(window=st.sampled_from(STRATA_WINDOWS), data=st.data())
+    def test_random_sub_lists_match_the_fixpoint(self, window, data):
+        # an index drawn twice repeats a record, which counts once; the
+        # target, drawn from the whole enumeration, may be absent
+        records = enumerated(*window)
+        index = st.integers(0, len(records) - 1)
+        chosen = [records[i] for i in data.draw(st.lists(index, max_size=30))]
+        target = records[data.draw(index)]
+        assert (strata.single_locus_coincidence(target, chosen)
+                == coincidence_from_fixpoint(target, chosen))
+
+    @pytest.mark.parametrize("degree,genus", STRATA_WINDOWS)
     def test_equals_the_least_fixpoint(self, degree, genus):
-        records = strata.enumerate_strata(degree, genus)
+        records = enumerated(degree, genus)
         holds = least_fixpoint_coincidence(records)
         for rec in records:
             assert (strata.single_locus_coincidence(rec, records)["holds"]
                     == holds[rec.key()])
 
-    @pytest.mark.parametrize("degree,genus", [(4, g) for g in range(5, 13)]
-                             + [(5, g) for g in range(7, 13)])
+    @pytest.mark.parametrize("degree,genus", STRATA_WINDOWS)
     def test_equals_a_scan_with_dominates(self, degree, genus):
-        records = strata.enumerate_strata(degree, genus)
+        records = enumerated(degree, genus)
         for rec in records:
             assert (strata.single_locus_coincidence(rec, records)
                     == coincidence_by_dominates(rec, records))
