@@ -17,6 +17,18 @@ polynomials of several terms each, and each exact division, packs its
 operands for that one call; a determinant or Pfaffian packs its whole
 matrix once and unpacks only the answer. Each distinct result monomial
 is unpacked once to the tuple form.
+
+Substitution and evaluation each make one pass over the term dict.
+`substitute` splits each monomial once into the factors it keeps and
+the ones it replaces, computes each power of a replacement once per
+call, and accumulates the products into one dict that it demotes once;
+`rewrite` applies its pairs one after another and skips a step whose
+variable does not occur. `evaluate` multiplies int coefficients and int
+values as plain ints, uses Fraction only where an operand already is
+one, and converts the sum to a Fraction once. A scalar, whether a
+coefficient, a value or a replacement, must be an `int` (a `bool` is
+one) or a `Fraction`; any other scalar, such as a floating-point number
+or a string, would not stay exact, and raises TypeError.
 """
 
 from __future__ import annotations
@@ -38,6 +50,13 @@ def _normalize_mono(pairs: Iterable[Tuple[str, int]]) -> Monomial:
         if exp:
             merged[var] = merged.get(var, 0) + exp
     return tuple(sorted((v, e) for v, e in merged.items() if e))
+
+
+def _require_exact(value) -> None:
+    """Raise TypeError unless value is an int or a Fraction: any other
+    scalar would not stay exact."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError("scalar %r is not an int or a Fraction" % (value,))
 
 
 def _quotient(a: Scalar, b: Scalar) -> Scalar:
@@ -225,8 +244,11 @@ class Poly:
         clean: Dict[Monomial, Scalar] = {}
         if terms:
             for mono, coeff in terms.items():
+                if type(coeff) is not int and type(coeff) is not Fraction:
+                    _require_exact(coeff)
                 mono = _normalize_mono(mono)
-                clean[mono] = clean.get(mono, 0) + Fraction(coeff)
+                # an int sum stays int; _demoted demotes a Fraction one
+                clean[mono] = clean.get(mono, 0) + coeff
         self.terms = _demoted(clean)
 
     @classmethod
@@ -332,34 +354,63 @@ class Poly:
         """Replace variables simultaneously by polynomials or scalars."""
         subs = {v: (p if isinstance(p, Poly) else Poly.const(p))
                 for v, p in mapping.items()}
-        result = Poly()
+        powers: Dict[Tuple[str, int], Dict[Monomial, Scalar]] = {}
+        acc: Dict[Monomial, Scalar] = {}
+        get = acc.get
         for mono, coeff in self.terms.items():
-            term = Poly.const(coeff)
-            for var, exp in mono:
-                if var in subs:
-                    term = term * subs[var] ** exp
-                else:
-                    term = term * Poly.var(var, exp)
-            result = result + term
-        return result
+            kept = []
+            replaced = []
+            for factor in mono:
+                (replaced if factor[0] in subs else kept).append(factor)
+            if not replaced:
+                acc[mono] = get(mono, 0) + coeff
+                continue
+            term = {tuple(kept): coeff}
+            for var, exp in replaced:
+                power = powers.get((var, exp))
+                if power is None:
+                    power = powers[var, exp] = (subs[var] ** exp).terms
+                product: Dict[Monomial, Scalar] = {}
+                for m1, c1 in term.items():
+                    for m2, c2 in power.items():
+                        m = _mono_mul(m1, m2)
+                        product[m] = product.get(m, 0) + c1 * c2
+                term = product
+            for m, c in term.items():
+                acc[m] = get(m, 0) + c
+        return _wrap(_demoted(acc))
 
-    def rewrite(self, rewrites: Iterable[Tuple[str, "Poly"]]) -> "Poly":
-        """Apply substitutions one after another, in the given order."""
+    def rewrite(self, rewrites: Iterable[Tuple[str, "Poly | Scalar"]]) -> "Poly":
+        """Apply substitutions one after another, in the given order.
+        A mapping raises TypeError: it has no order, and its keys are
+        not pairs."""
+        if isinstance(rewrites, Mapping):
+            raise TypeError("rewrite takes a sequence of (variable, value) "
+                            "pairs, not a mapping; substitute replaces "
+                            "simultaneously")
         out = self
         for var, expr in rewrites:
-            out = out.substitute({var: expr})
+            if not isinstance(expr, Poly):
+                _require_exact(expr)
+            if any(v == var for mono in out.terms for v, _ in mono):
+                out = out.substitute({var: expr})
         return out
 
     def evaluate(self, values: Mapping[str, Scalar]) -> Fraction:
-        total = Fraction(0)
+        """The value at the given point, as a Fraction; KeyError for a
+        variable without a value."""
+        total: Scalar = 0
         for mono, coeff in self.terms.items():
             prod = coeff
             for var, exp in mono:
                 if var not in values:
                     raise KeyError("no value for variable %r" % var)
-                prod *= Fraction(values[var]) ** exp
+                value = values[var]
+                if type(value) is not int:
+                    _require_exact(value)
+                prod *= value ** exp
             total += prod
-        return total
+        return Fraction(total)
 
     def total_degree(self) -> int:
         """Largest total degree among monomials (0 for the zero poly)."""

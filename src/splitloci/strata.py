@@ -143,11 +143,11 @@ def pent_check(g: int, e, f) -> ConstraintVerdict:
 def in_psi(record: StratumRecord) -> bool:
     """Membership of the record's pair in the good open locus Psi.
 
-    Psi is cut out by 2e1 - f2 >= -1 in degree 4 and by
+    Psi is cut out by 2*e1 - f2 >= -1 in degree 4 and by
     e1 + f1 + f2 - (g + 4) >= -1 in degree 5. For every genus this holds
     exactly when the correction term vanishes. The correction is a sum of
     terms max(0, t), so it is 0 exactly when its largest t is <= 0. With
-    the parts sorted, the largest t is f2 - 2e1 - 1 in degree 4 (the
+    the parts sorted, the largest t is f2 - 2*e1 - 1 in degree 4 (the
     largest f_j minus the smallest e_i + e_k, i <= k) and
     g + 3 - e1 - f1 - f2 in degree 5 (the smallest e_i plus the smallest
     f_j + f_l, j < l), and in each case t <= 0 is the inequality above.

@@ -1,7 +1,7 @@
 """Byte-for-byte comparison of CLI reports with the goldens under
 tests/golden/, recorded before the exact-arithmetic kernels changed, and
-of every `strata` report with the exit code, byte count and SHA-256
-recorded in bench/expected/cli.json."""
+of every `strata` and `lemma verify` report with the exit code, byte
+count and SHA-256 recorded in bench/expected/cli.json."""
 
 import contextlib
 import hashlib
@@ -35,14 +35,15 @@ CASES = [
 ] + [("lemma_verify_all.json", ["lemma", "verify", "all", "--format", "json"], 0)]
 
 
-def _strata_digests():
+def _digests(prefix):
     with open(BENCH_EXPECTED, encoding="utf-8") as fh:
         requests = json.load(fh)["requests"]
     return sorted((cmd, d) for cmd, d in requests.items()
-                  if cmd.startswith("strata "))
+                  if cmd.startswith(prefix))
 
 
-STRATA_DIGESTS = _strata_digests()
+STRATA_DIGESTS = _digests("strata ")
+LEMMA_DIGESTS = _digests("lemma verify ")
 
 
 def _run_with_stderr(argv):
@@ -78,9 +79,22 @@ def test_every_strata_report_has_a_digest():
     assert len(STRATA_DIGESTS) == 114
 
 
+def test_every_lemma_report_has_a_digest():
+    # `lemma verify all --format json` and the eight per-lemma tables
+    assert len(LEMMA_DIGESTS) == 9
+
+
 @pytest.mark.parametrize("cmd,digest", STRATA_DIGESTS,
                          ids=[c for c, _ in STRATA_DIGESTS])
 def test_strata_output_matches_recorded_digest(cmd, digest):
+    code, out = _run(cmd.split())
+    assert (code, len(out), hashlib.sha256(out).hexdigest()) == (
+        digest["exit"], digest["bytes"], digest["sha256"])
+
+
+@pytest.mark.parametrize("cmd,digest", LEMMA_DIGESTS,
+                         ids=[c for c, _ in LEMMA_DIGESTS])
+def test_lemma_output_matches_recorded_digest(cmd, digest):
     code, out = _run(cmd.split())
     assert (code, len(out), hashlib.sha256(out).hexdigest()) == (
         digest["exit"], digest["bytes"], digest["sha256"])

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from splitloci import chowsym as cs
 from splitloci.linalg import rank
-from splitloci.polynomial import Packing, Poly
+from splitloci.polynomial import ONE_MONO, Packing, Poly
 
 NAMES = ("x", "y", "z")
 ONE = (0, 0, 0)
@@ -61,6 +61,17 @@ def r_substitute(a, mapping):
     return total
 
 
+def r_evaluate(a, point):
+    """The value of a at the point, one value per index."""
+    total = Fraction(0)
+    for m, c in a.items():
+        term = Fraction(c)
+        for value, e in zip(point, m):
+            term *= Fraction(value) ** e
+        total += term
+    return total
+
+
 def to_poly(a, names=NAMES):
     """A Poly built from non-canonical monomials: variables in reverse
     order, zero exponents kept."""
@@ -91,6 +102,9 @@ coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 monos = st.tuples(*(st.integers(0, 2) for _ in NAMES))
 polys = st.dictionaries(monos, coeffs, max_size=4).map(
     lambda d: {m: c for m, c in d.items() if c})
+affine = st.dictionaries(st.sampled_from([ONE, (1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+                         coeffs, max_size=4).map(
+    lambda d: {m: c for m, c in d.items() if c})
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +133,36 @@ class TestPolyAgainstReference:
     def test_substitute_scalar(self, a, c):
         got = to_poly(a).substitute({"y": c})
         assert from_poly(got) == r_substitute(a, {1: {ONE: c} if c else {}})
+
+    # int points run evaluate's all-int path, Fraction points its mixed one
+    @given(polys, st.tuples(*(st.integers(-5, 5) for _ in NAMES))
+           | st.tuples(*(coeffs for _ in NAMES)))
+    def test_evaluate_at_int_and_fraction_points(self, a, point):
+        got = to_poly(a).evaluate(dict(zip(NAMES, point)))
+        assert type(got) is Fraction
+        assert got == r_evaluate(a, point)
+
+    # affine replacements: successive powers of higher-degree ones blow
+    # up the reference's term count, and the order is what is under test
+    @given(polys, st.lists(st.tuples(st.integers(0, 2), affine), max_size=3))
+    def test_rewrite_is_successive_substitution(self, a, steps):
+        got = to_poly(a).rewrite([(NAMES[i], to_poly(q)) for i, q in steps])
+        want = a
+        for i, q in steps:
+            want = r_substitute(want, {i: q})
+        assert from_poly(got) == want
+
+    def test_rewrite_order_matters_and_substitute_is_simultaneous(self):
+        x, y = Poly.var("x"), Poly.var("y")
+        assert x.rewrite([("x", y), ("y", 2)]) == 2
+        assert x.rewrite([("y", 2), ("x", y)]) == y
+        assert x.substitute({"x": y, "y": 2}) == y
+
+    def test_evaluate_without_a_value_raises(self):
+        p = Poly.var("x") * Poly.var("y") + 1
+        with pytest.raises(KeyError, match="'y'"):
+            p.evaluate({"x": 2})
+        assert Poly.const(3).evaluate({}) == 3
 
     @given(polys, polys)
     def test_divide_exact_on_products(self, a, b):
@@ -278,6 +322,39 @@ class TestCanonicalMonomials:
                      (("x", 1), ("y", 1)): -1}).is_zero()
         assert Poly({(("y", 1), ("x", 1)): 1,
                      (("x", 1), ("y", 1)): 1}) == 2 * Poly.var("x") * Poly.var("y")
+
+
+class TestExactScalars:
+    # neither a float nor a string stays exact; Fraction("1/2") would
+    # parse the string, Fraction(0.1) would take the binary expansion
+    INEXACT = [0.5, 0.1, "1/2", "3", 1j, None]
+
+    @pytest.mark.parametrize("value", INEXACT)
+    def test_inexact_scalars_raise(self, value):
+        x = Poly.var("x")
+        for build in (lambda: Poly({ONE_MONO: value}), lambda: Poly.const(value),
+                      lambda: Poly.var("x", coeff=value),
+                      lambda: x.substitute({"x": value}),
+                      lambda: x.substitute({"y": value}),
+                      lambda: x.rewrite([("x", value)]),
+                      lambda: x.rewrite([("y", value)]),
+                      lambda: x.evaluate({"x": value})):
+            with pytest.raises(TypeError, match="not an int or a Fraction"):
+                build()
+
+    def test_bool_is_an_int(self):
+        x = Poly.var("x")
+        assert Poly.const(True) == 1
+        assert type(Poly.const(True).terms[ONE_MONO]) is int
+        assert x.substitute({"x": True}) == 1
+        assert x.evaluate({"x": False}) == 0
+
+    # each key of a dict would unpack as a (variable, value) pair: "e1"
+    # as variable "e" with value "1", "x" and "abc" not at all
+    @pytest.mark.parametrize("name", ["e1", "x", "abc"])
+    def test_rewrite_rejects_a_mapping(self, name):
+        with pytest.raises(TypeError, match="not a mapping"):
+            Poly.var(name).rewrite({name: Poly.const(5)})
 
 
 # ---------------------------------------------------------------------------
