@@ -17,11 +17,12 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import strata
 from .linalg import echelon
 from .polynomial import Packing, Poly, Scalar
+from .strata import E, E1, E2, E3, E4, F, F1, F2, F3, F4, F5, G
 
 # codimension grading of the generator symbols; parameter symbols
 # (e1..e4, f1..f5, g) have weight 0
@@ -376,9 +377,6 @@ def sym2_chern_check() -> dict:
 # ---------------------------------------------------------------------------
 # relation matrices
 
-E1, E2, E3, E4 = (Poly.var(v) for v in ("e1", "e2", "e3", "e4"))
-F1, F2, F3, F4, F5 = (Poly.var(v) for v in ("f1", "f2", "f3", "f4", "f5"))
-G = Poly.var("g")
 _0 = Poly()
 _1 = Poly.const(1)
 _2 = Poly.const(2)
@@ -392,7 +390,7 @@ class LemmaSpec:
     rows: Tuple[Tuple[Poly, ...], ...]
     claimed: Optional[Poly]
     substitutions: Tuple[Tuple[str, Poly], ...]
-    hypotheses: Callable[[int, Tuple[int, ...], Tuple[int, ...]], bool]
+    hypotheses: Tuple[Tuple[Poly, str], ...]  # atoms, as in strata.Table
     annotations: Tuple[str, ...] = ()
     reconstructed_rows: Optional[Tuple[Tuple[Poly, ...], ...]] = None
     # (genus, e, f) of a stratum where the closed form is engineered to
@@ -401,51 +399,16 @@ class LemmaSpec:
         Tuple[int, Tuple[int, ...], Tuple[int, ...]]] = None
 
 
-def _hyp_twoequalparts(g, e, f):
-    return e[0] < e[1] == e[2] and f[0] < f[1]
+def _chain(parts, signs: str) -> tuple:
+    """The atoms p1 s1 p2 s2 p3 ... of a chain of "<" and "=" signs."""
+    return tuple((b - a - 1, ">=") if s == "<" else (b - a, "==")
+                 for a, b, s in zip(parts, parts[1:], signs))
 
 
-def _hyp_dp_base(g, e, f):
-    return e[0] < e[1] < e[2] and f[0] < f[1] and 2 * e[0] < f[1]
-
-
-def _hyp_dp1(g, e, f):
-    return _hyp_dp_base(g, e, f) and 2 * e[0] == f[0]
-
-
-def _hyp_dp2(g, e, f):
-    return (_hyp_dp1(g, e, f)
-            and e[0] + e[1] < 2 * e[1] == f[1])
-
-
-def _hyp_dp3i(g, e, f):
-    return (_hyp_dp_base(g, e, f) and 2 * e[0] > f[0]
-            and e[0] + e[2] == 2 * e[1] == f[1])
-
-
-def _hyp_dp3ii(g, e, f):
-    return _hyp_dp3i(g, e, f) and g != 9 - f[0]
-
-
-def _hyp_shape1(g, e, f):
-    return (e[0] < e[1] == e[2] < e[3]
-            and f[0] == f[1] < f[2] == f[3] < f[4]
-            and e[3] + f[0] + f[1] == g + 4
-            and e[0] + f[2] + f[3] == g + 4)
-
-
-def _hyp_forsigma2(g, e, f):
-    return (e[0] < e[1] < e[2] == e[3]
-            and f[0] < f[1] == f[2] < f[3] == f[4]
-            and e[0] + f[1] + f[4] == g + 4
-            and e[2] + f[0] + f[1] == g + 4)
-
-
-def _hyp_forsigma3(g, e, f):
-    return (e[0] < e[1] == e[2] < e[3]
-            and f[0] < f[1] == f[2] < f[3] == f[4]
-            and e[0] + f[1] + f[4] == g + 4
-            and e[1] + f[0] + f[3] == g + 4)
+_DP_BASE = _chain(E, "<<") + _chain(F, "<") + ((F2 - 2 * E1 - 1, ">="),)
+_DP1 = _DP_BASE + ((F1 - 2 * E1, "=="),)
+_DP3I = _DP_BASE + ((2 * E1 - F1 - 1, ">="), (E1 + E3 - 2 * E2, "=="),
+                    (F2 - 2 * E2, "=="))
 
 
 _DP_ROWS_AS_BS = (
@@ -474,10 +437,13 @@ _DISCREPANCY_NOTE = (
 _PENT_F_ROW = (2 * F4 + 2 * F2, F4 + 2 * F2 + F1, 2 * F4 + F2 + F1)
 
 LEMMAS: Dict[str, LemmaSpec] = {}
+_HYPOTHESES: Dict[str, strata.Table] = {}  # each lemma's, compiled once
 
 
 def _register(spec: LemmaSpec) -> None:
     LEMMAS[spec.lemma_id] = spec
+    _HYPOTHESES[spec.lemma_id] = strata.Table(
+        spec.degree, {spec.lemma_id: spec.hypotheses})
 
 
 _register(LemmaSpec(
@@ -492,7 +458,7 @@ _register(LemmaSpec(
     ),
     claimed=None,
     substitutions=(),
-    hypotheses=_hyp_twoequalparts,
+    hypotheses=_chain(E, "<=") + _chain(F, "<"),
     annotations=(
         "invertibility claim only; no closed-form determinant is stated",),
 ))
@@ -508,7 +474,7 @@ _register(LemmaSpec(
         ("f2", G + 3 - 2 * E1),
         ("e3", G + 3 - E1 - E2),
     ),
-    hypotheses=_hyp_dp1,
+    hypotheses=_DP1,
 ))
 
 _register(LemmaSpec(
@@ -529,7 +495,7 @@ _register(LemmaSpec(
         ("e3", G + 3 - E1 - E2),
         ("g", 2 * E1 + 2 * E2 - 3),
     ),
-    hypotheses=_hyp_dp2,
+    hypotheses=_DP1 + ((F2 - 2 * E2, "=="),),
     annotations=(_DISCREPANCY_NOTE,),
     reconstructed_rows=(
         (_2, _0, _0, _0, Poly.const(-1)),
@@ -552,7 +518,7 @@ _register(LemmaSpec(
         ("f1", G + 3 - 2 * E2),
         ("g", 3 * E2 - 3),
     ),
-    hypotheses=_hyp_dp3i,
+    hypotheses=_DP3I,
 ))
 
 _register(LemmaSpec(
@@ -573,7 +539,7 @@ _register(LemmaSpec(
         ("f1", G + 3 - 2 * E2),
         ("g", 3 * E2 - 3),
     ),
-    hypotheses=_hyp_dp3ii,
+    hypotheses=_DP3I + ((G + F1 - 9, "!="),),
     annotations=(_DISCREPANCY_NOTE,),
     reconstructed_rows=(
         (_2, _0, _0, _0, Poly.const(-1)),
@@ -600,7 +566,8 @@ _register(LemmaSpec(
     ),
     claimed=(-E1 * F1 + E2 * F1 - E2 * F3 + E4 * F3 + E1 * F5 - E4 * F5),
     substitutions=(),
-    hypotheses=_hyp_shape1,
+    hypotheses=_chain(E, "<=<") + _chain(F, "=<=<") + (
+        (E4 + F1 + F2 - G - 4, "=="), (E1 + F3 + F4 - G - 4, "==")),
 ))
 
 _register(LemmaSpec(
@@ -618,7 +585,8 @@ _register(LemmaSpec(
     claimed=(2 * E2 * F1 - 2 * E3 * F1 - E1 * F2 - 3 * E2 * F2
              + 4 * E3 * F2 + E1 * F4 + E2 * F4 - 2 * E3 * F4),
     substitutions=(),
-    hypotheses=_hyp_forsigma2,
+    hypotheses=_chain(E, "<<=") + _chain(F, "<=<=") + (
+        (E1 + F2 + F5 - G - 4, "=="), (E3 + F1 + F2 - G - 4, "==")),
 ))
 
 _register(LemmaSpec(
@@ -636,7 +604,8 @@ _register(LemmaSpec(
     claimed=(-2 * E2 * F1 + 2 * E4 * F1 + E1 * F2 - 2 * E2 * F2
              + E4 * F2 - E1 * F4 + 4 * E2 * F4 - 3 * E4 * F4),
     substitutions=(),
-    hypotheses=_hyp_forsigma3,
+    hypotheses=_chain(E, "<=<") + _chain(F, "<=<=") + (
+        (E1 + F2 + F5 - G - 4, "=="), (E2 + F1 + F4 - G - 4, "==")),
 ))
 
 def _stratum_values(g: int, e, f) -> Dict[str, int]:
@@ -721,12 +690,13 @@ EVAL_GENUS_RANGE = {4: range(5, 13), 5: range(7, 10)}
 def _applicable_strata(spec: LemmaSpec, enumerated: Dict[Tuple[int, int], list]):
     """Strata meeting the lemma's hypotheses; `enumerated` holds each
     (degree, genus) enumeration so that it is made once."""
+    hypotheses = _HYPOTHESES[spec.lemma_id]
     for g in EVAL_GENUS_RANGE[spec.degree]:
         key = (spec.degree, g)
         if key not in enumerated:
             enumerated[key] = strata.enumerate_strata(*key)
         for rec in enumerated[key]:
-            if spec.hypotheses(g, rec.e.parts, rec.f.parts):
+            if hypotheses.check(g, rec.e, rec.f).allowed:
                 yield g, rec
 
 

@@ -9,6 +9,7 @@ expected codimension of a splitting locus, and the dominance partial order.
 
 from __future__ import annotations
 
+import operator
 from itertools import accumulate, combinations
 from typing import Iterable
 
@@ -24,7 +25,7 @@ class SplittingType:
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int]):
-        tup = tuple(sorted(int(p) for p in parts))
+        tup = tuple(sorted(map(operator.index, parts)))
         if not tup:
             raise ValueError("empty splitting type")
         self.parts = tup

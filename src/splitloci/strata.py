@@ -1,8 +1,10 @@
 """Enumeration of pair-splitting-type stratifications for degree-4 and
 degree-5 covers of the projective line.
 
-Each stratum is a pair (e, f) of splitting types subject to a list of
-numeric constraints. The module computes codimensions, membership in the
+Each stratum is a pair (e, f) of splitting types subject to named
+constraints: a table of integer-linear atoms in g and the parts, read by
+one evaluator, `Table`, which also reads the hypotheses of the lemmas in
+`chowsym`. The module computes codimensions, membership in the
 good open locus Psi, forced linear-series flags, the product dominance
 order with its Hasse diagram, union-of-strata codimension checks, and the
 single-locus coincidence test used to realize a pair stratum as one
@@ -21,6 +23,7 @@ from itertools import (accumulate, combinations,
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import splitbundle as sb
+from .polynomial import Poly
 from .splitbundle import SplittingType
 
 GENUS_MAX = 24
@@ -82,62 +85,108 @@ class StratumRecord:
         }
 
 
-def tet_check(g: int, e, f) -> ConstraintVerdict:
-    e = e if isinstance(e, SplittingType) else SplittingType(e)
-    f = f if isinstance(f, SplittingType) else SplittingType(f)
-    if e.rank() != 3 or f.rank() != 2:
-        raise ValueError("tet_check expects rank-3 e and rank-2 f")
-    if g < 5:
-        raise ValueError("genus out of range for degree-4 covers")
-    e1, e2, e3 = e.parts
-    f1, f2 = f.parts
-    violated: List[str] = []
-    if e.degree() != g + 3 or f.degree() != g + 3:
-        violated.append("TOTALDEG")
-    if e1 < 1:
-        violated.append("E1MIN")
-    if 2 * e3 > g + 3:
-        violated.append("E3MAX")
-    if 2 * e1 < f1:
-        violated.append("NO0")
-    if 2 * e2 < f2:
-        violated.append("Q12VAN")
-    if f2 > e1 + e3 and f1 != 2 * e1:
-        violated.append("CONDITIONAL")
-    return ConstraintVerdict(not violated, tuple(violated))
+# A stratum's point: its genus g and the sorted parts e1 <= e2 <= ... of e
+# and f1 <= f2 <= ... of f, in which the lemmas' rows are written too.
+G = Poly.var("g")
+E = E1, E2, E3, E4 = tuple(Poly.var("e%d" % i) for i in range(1, 5))
+F = F1, F2, F3, F4, F5 = tuple(Poly.var("f%d" % i) for i in range(1, 6))
+RANKS = {4: (3, 2), 5: (4, 5)}  # of e and f, by cover degree
+GENUS_MIN = {4: 5, 5: 7}
 
 
-# The linear constraints L1..L7 on a degree-5 pair (e, f): each entry
-# (name, a, b, k), with a < b, requires f[a] + f[b] + e[k] >= g + 4
-# (0-based indices into the parts).
+class AnyOf(tuple):
+    """Atoms of which one must hold, where a plain tuple needs all."""
+
+
+TET_CONSTRAINTS = {
+    "TOTALDEG": ((E1 + E2 + E3 - G - 3, "=="), (F1 + F2 - G - 3, "==")),
+    "E1MIN": ((E1 - 1, ">="),),
+    "E3MAX": ((G + 3 - 2 * E3, ">="),),
+    "NO0": ((2 * E1 - F1, ">="),),
+    "Q12VAN": ((2 * E2 - F2, ">="),),
+    "CONDITIONAL": AnyOf([(E1 + E3 - F2, ">="), (F1 - 2 * E1, "==")]),
+}
+
+# L1..L7 on a degree-5 pair (e, f): each entry (name, a, b, k), with
+# a < b, requires f[a] + f[b] + e[k] >= g + 4 (0-based indices into the
+# parts). The enumerator reads them as pair bounds.
 PENT_LINEAR = (("L1", 0, 2, 3), ("L2", 0, 3, 2), ("L3", 1, 2, 2),
                ("L4", 1, 4, 0), ("L5", 2, 3, 0), ("L6", 0, 4, 1),
                ("L7", 1, 3, 1))
 
+PENT_CONSTRAINTS = {
+    "SUM_E": ((E1 + E2 + E3 + E4 - G - 4, "=="),),
+    "SUM_F": ((F1 + F2 + F3 + F4 + F5 - 2 * G - 8, "=="),),
+    "E1RANGE": ((10 * E1 - G - 4, ">="), (G + 4 - 4 * E1, ">=")),
+    "E4MAX": ((2 * G + 8 - 5 * E4, ">="),),
+    "TOPF": ((2 * E4 - F5, ">="),),
+    **{name: ((F[a] + F[b] + E[k] - G - 4, ">="),)
+       for name, a, b, k in PENT_LINEAR},
+}
+
+
+class Table:
+    """Named constraints on the strata of one cover degree, each a tuple
+    or an AnyOf of atoms. An atom (form, relation) is the condition
+    `form relation 0`, relation ">=", "==" or "!=", and x > y is written
+    x - y - 1 >= 0. Each atom is compiled once: its constant, its multiple
+    of g, sparse integer terms over the parts (e1, ..., f1, ...) and its
+    relation; a form not integer-linear in g and the parts raises
+    ValueError. `check` runs all atoms in one flat loop, and names the
+    failing constraints only when an atom fails."""
+
+    def __init__(self, degree: int, constraints: Dict[str, Sequence[tuple]]):
+        self.ranks, self.genus_min = RANKS[degree], GENUS_MIN[degree]
+        parts = [x + str(i) for x, n in zip("ef", self.ranks)
+                 for i in range(1, n + 1)]
+        self.atoms = []
+        for name, atoms in constraints.items():
+            for form, relation in atoms:
+                if (form.total_degree() > 1 or relation not in (">=", "==", "!=")
+                        or not form.variables() <= {"g", *parts}
+                        or not all(isinstance(c, int) for c in form.terms.values())):
+                    raise ValueError("%s %s 0 is not an integer-linear atom in "
+                                     "g, %s" % (form, relation, ", ".join(parts)))
+                terms = dict(form.terms)
+                self.atoms.append((name, terms.pop((), 0), terms.pop((("g", 1),), 0),
+                                   tuple((parts.index(m[0][0]), c)
+                                         for m, c in terms.items()), relation))
+        # a tuple fails when one of its atoms fails, an AnyOf when all do
+        self.needed = {name: len(atoms) if isinstance(atoms, AnyOf) else 1
+                       for name, atoms in constraints.items()}
+
+    def check(self, g: int, e, f) -> ConstraintVerdict:
+        """The verdict on the stratum (e, f) of genus g; e and f are
+        SplittingTypes or sequences of parts."""
+        e = e if isinstance(e, SplittingType) else SplittingType(e)
+        f = f if isinstance(f, SplittingType) else SplittingType(f)
+        if (len(e.parts), len(f.parts)) != self.ranks or g < self.genus_min:
+            raise ValueError("degree-%d strata have genus >= %d, rank-%d e and "
+                             "rank-%d f" % ((self.ranks[0] + 1, self.genus_min)
+                                            + self.ranks))
+        parts = e.parts + f.parts
+        failed = []
+        for name, value, per_genus, terms, relation in self.atoms:
+            value += per_genus * g
+            for i, c in terms:
+                value += c * parts[i]
+            if value < 0 if relation == ">=" else (value == 0) != (relation == "=="):
+                failed.append(name)
+        violated = failed and tuple(dict.fromkeys(
+            n for n in failed if failed.count(n) >= self.needed[n]))
+        return ConstraintVerdict(False, violated) if violated else _ALLOWED
+
+
+_ALLOWED = ConstraintVerdict(True, ())
+CHECKS = {4: Table(4, TET_CONSTRAINTS), 5: Table(5, PENT_CONSTRAINTS)}
+
+
+def tet_check(g: int, e, f) -> ConstraintVerdict:
+    return CHECKS[4].check(g, e, f)
+
 
 def pent_check(g: int, e, f) -> ConstraintVerdict:
-    e = e if isinstance(e, SplittingType) else SplittingType(e)
-    f = f if isinstance(f, SplittingType) else SplittingType(f)
-    if e.rank() != 4 or f.rank() != 5:
-        raise ValueError("pent_check expects rank-4 e and rank-5 f")
-    if g < 7:
-        raise ValueError("genus out of range for degree-5 covers")
-    e1, e4 = e.parts[0], e.parts[3]
-    violated: List[str] = []
-    if e.degree() != g + 4:
-        violated.append("SUM_E")
-    if f.degree() != 2 * g + 8:
-        violated.append("SUM_F")
-    if not (g + 4 <= 10 * e1 and 4 * e1 <= g + 4):
-        violated.append("E1RANGE")
-    if 5 * e4 > 2 * g + 8:
-        violated.append("E4MAX")
-    if f.parts[4] > 2 * e4:
-        violated.append("TOPF")
-    for name, a, b, k in PENT_LINEAR:
-        if f.parts[a] + f.parts[b] + e.parts[k] < g + 4:
-            violated.append(name)
-    return ConstraintVerdict(not violated, tuple(violated))
+    return CHECKS[5].check(g, e, f)
 
 
 def in_psi(record: StratumRecord) -> bool:
@@ -361,10 +410,9 @@ def _make_record(g: int, cover_degree: int, e: SplittingType,
 def enumerate_strata(cover_degree: int, g: int) -> List[StratumRecord]:
     if cover_degree not in (4, 5):
         raise ValueError("cover degree must be 4 or 5")
-    if cover_degree == 4 and not 5 <= g <= GENUS_MAX:
-        raise ValueError("genus out of range for degree-4 enumeration")
-    if cover_degree == 5 and not 7 <= g <= GENUS_MAX:
-        raise ValueError("genus out of range for degree-5 enumeration")
+    if not GENUS_MIN[cover_degree] <= g <= GENUS_MAX:
+        raise ValueError("genus out of range for degree-%d enumeration"
+                         % cover_degree)
 
     # Both branches generate each pair once, in increasing (e, f) order.
     records: List[StratumRecord] = []

@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from splitloci import chowsym as cs, tautring as tr
+from splitloci import chowsym as cs, strata, tautring as tr
 from splitloci.chowsym import FilteredBundle
+from splitloci.linalg import echelon
 from splitloci.polynomial import Poly
 
 C2 = Poly.var("c2")
@@ -21,7 +22,16 @@ def V(name):
 
 E1, E2, E3, E4 = V("e1"), V("e2"), V("e3"), V("e4")
 F1, F2, F3, F4, F5 = V("f1"), V("f2"), V("f3"), V("f4"), V("f5")
+G = V("g")
 _0, _1 = Poly(), Poly.const(1)
+AFFINE = ("g", "e1", "e2", "e3", "e4", "f1", "f2", "f3", "f4", "f5")
+
+
+def affine_row(form):
+    """The coefficients of an affine form: its constant, then AFFINE."""
+    assert form.total_degree() <= 1 and form.variables() <= set(AFFINE)
+    coeffs = {mono[0][0] if mono else "": c for mono, c in form.terms.items()}
+    return [coeffs.get(v, 0) for v in ("",) + AFFINE]
 
 
 Z = Poly.var("z")
@@ -491,6 +501,46 @@ class TestLemmaReports:
         assert ev["null_vector"] is not None
         assert ev["value_claimed"] == "0"
         assert not report.is_failure
+
+    def test_engineered_zero_sits_on_the_lemma_strata(self):
+        # an enumerated stratum meeting every atom of distinctparts-3ii but
+        # g != 9 - f1, and every atom of distinctparts-3i; each atom is
+        # read by Poly.evaluate, not by the table
+        spec = cs.LEMMAS["distinctparts-3ii"]
+        g, e, f = spec.engineered_zero
+        assert (e, f) in {(r.e.parts, r.f.parts)
+                          for r in strata.enumerate_strata(4, g)}
+        values = {"g": g, "e1": e[0], "e2": e[1], "e3": e[2],
+                  "f1": f[0], "f2": f[1]}
+
+        def holds(form, relation):
+            value = form.evaluate(values)
+            return {">=": value >= 0, "==": value == 0,
+                    "!=": value != 0}[relation]
+
+        failing = [a for a in spec.hypotheses if not holds(*a)]
+        assert failing == [a for a in spec.hypotheses if a[1] == "!="]
+        assert len(failing) == 1
+        assert all(holds(*a) for a in cs.LEMMAS["distinctparts-3i"].hypotheses)
+
+    @pytest.mark.parametrize("lemma_id", sorted(cs.LEMMAS))
+    def test_substitutions_follow_from_the_equality_atoms(self, lemma_id):
+        # each var - expr lies in the affine span of the lemma's == atoms
+        # and the degree sums, over the coordinates (1, g, e1.., f1..)
+        spec = cs.LEMMAS[lemma_id]
+        sums = {4: strata.TET_CONSTRAINTS["TOTALDEG"],
+                5: strata.PENT_CONSTRAINTS["SUM_E"]
+                + strata.PENT_CONSTRAINTS["SUM_F"]}[spec.degree]
+        span = [affine_row(form) for form, relation
+                in spec.hypotheses + sums if relation == "=="]
+        rank = len(echelon(span)[1])
+        for var, expr in spec.substitutions:
+            row = affine_row(V(var) - expr)
+            assert len(echelon(span + [row])[1]) == rank, (var, str(expr))
+        if lemma_id == "distinctparts-3i":
+            # a typo the span catches: g = 3e2 - 2 instead of 3e2 - 3
+            assert len(echelon(span + [affine_row(G - 3 * E2 + 2)])[1]) \
+                == rank + 1
 
     def test_pentagonal_single_applicable_strata(self):
         for lemma_id, genus, value in [("shape1", 8, "-3"),

@@ -35,6 +35,16 @@ class TestSplittingType:
     def test_str(self):
         assert str(SplittingType([1, 2])) == "(1,2)"
 
+    @pytest.mark.parametrize("parts", [(2.7, 3), (3.0, 3), ("4", 1),
+                                       (1, None)])
+    def test_a_part_that_is_not_an_integer_raises(self, parts):
+        # int() would truncate 2.7 to 2 and parse "4" as 4
+        with pytest.raises(TypeError):
+            SplittingType(parts)
+
+    def test_a_bool_part_is_an_int(self):
+        assert SplittingType([True, 3, False]).parts == (0, 1, 3)
+
     @given(parts_strategy)
     def test_rank_degree(self, parts):
         e = SplittingType(parts)

@@ -4,13 +4,17 @@ import dataclasses
 import functools
 import json
 import random
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from splitloci import chowsym as cs
 from splitloci import splitbundle as sb
 from splitloci import strata
+from splitloci.polynomial import Poly
+from splitloci.strata import E1, E2
 
 
 def by_label(records):
@@ -58,6 +62,194 @@ class TestConstraints:
             strata.enumerate_strata(5, 6)
         with pytest.raises(ValueError):
             strata.enumerate_strata(3, 9)
+
+    def test_check_genus_guard(self):
+        with pytest.raises(ValueError):
+            strata.tet_check(4, (2, 2, 3), (3, 4))
+        with pytest.raises(ValueError):
+            strata.pent_check(6, (2, 2, 3, 3), (4, 4, 4, 4, 4))
+
+    def test_parts_that_are_not_integers_raise(self):
+        # 4.9 + 4 + 4 = 12.9: a truncated 4.9 would pass as (4, 4, 4)
+        with pytest.raises(TypeError):
+            strata.tet_check(9, (4.9, 4, 4), (6, 6))
+        with pytest.raises(TypeError):
+            strata.pent_check(9, ("3", 3, 3, 4), (5, 5, 5, 5, 6))
+
+
+# The checks and lemma hypotheses as hand-written predicates, frozen from
+# before the atom table and sharing no code with it: the reference the
+# table's verdicts are compared against. Each check returns the violated
+# names in the order the table lists them; e and f are sorted parts.
+def reference_tet_check(g, e, f):
+    e1, e2, e3 = e
+    f1, f2 = f
+    violated = []
+    if sum(e) != g + 3 or sum(f) != g + 3:
+        violated.append("TOTALDEG")
+    if e1 < 1:
+        violated.append("E1MIN")
+    if 2 * e3 > g + 3:
+        violated.append("E3MAX")
+    if 2 * e1 < f1:
+        violated.append("NO0")
+    if 2 * e2 < f2:
+        violated.append("Q12VAN")
+    if f2 > e1 + e3 and f1 != 2 * e1:
+        violated.append("CONDITIONAL")
+    return tuple(violated)
+
+
+REFERENCE_PENT_LINEAR = (("L1", 0, 2, 3), ("L2", 0, 3, 2), ("L3", 1, 2, 2),
+                         ("L4", 1, 4, 0), ("L5", 2, 3, 0), ("L6", 0, 4, 1),
+                         ("L7", 1, 3, 1))
+
+
+def reference_pent_check(g, e, f):
+    e1, e4 = e[0], e[3]
+    violated = []
+    if sum(e) != g + 4:
+        violated.append("SUM_E")
+    if sum(f) != 2 * g + 8:
+        violated.append("SUM_F")
+    if not (g + 4 <= 10 * e1 and 4 * e1 <= g + 4):
+        violated.append("E1RANGE")
+    if 5 * e4 > 2 * g + 8:
+        violated.append("E4MAX")
+    if f[4] > 2 * e4:
+        violated.append("TOPF")
+    for name, a, b, k in REFERENCE_PENT_LINEAR:
+        if f[a] + f[b] + e[k] < g + 4:
+            violated.append(name)
+    return tuple(violated)
+
+
+def _hyp_twoequalparts(g, e, f):
+    return e[0] < e[1] == e[2] and f[0] < f[1]
+
+
+def _hyp_dp_base(g, e, f):
+    return e[0] < e[1] < e[2] and f[0] < f[1] and 2 * e[0] < f[1]
+
+
+def _hyp_dp1(g, e, f):
+    return _hyp_dp_base(g, e, f) and 2 * e[0] == f[0]
+
+
+def _hyp_dp2(g, e, f):
+    return (_hyp_dp1(g, e, f)
+            and e[0] + e[1] < 2 * e[1] == f[1])
+
+
+def _hyp_dp3i(g, e, f):
+    return (_hyp_dp_base(g, e, f) and 2 * e[0] > f[0]
+            and e[0] + e[2] == 2 * e[1] == f[1])
+
+
+def _hyp_dp3ii(g, e, f):
+    return _hyp_dp3i(g, e, f) and g != 9 - f[0]
+
+
+def _hyp_shape1(g, e, f):
+    return (e[0] < e[1] == e[2] < e[3]
+            and f[0] == f[1] < f[2] == f[3] < f[4]
+            and e[3] + f[0] + f[1] == g + 4
+            and e[0] + f[2] + f[3] == g + 4)
+
+
+def _hyp_forsigma2(g, e, f):
+    return (e[0] < e[1] < e[2] == e[3]
+            and f[0] < f[1] == f[2] < f[3] == f[4]
+            and e[0] + f[1] + f[4] == g + 4
+            and e[2] + f[0] + f[1] == g + 4)
+
+
+def _hyp_forsigma3(g, e, f):
+    return (e[0] < e[1] == e[2] < e[3]
+            and f[0] < f[1] == f[2] < f[3] == f[4]
+            and e[0] + f[1] + f[4] == g + 4
+            and e[1] + f[0] + f[3] == g + 4)
+
+
+REFERENCE_HYPOTHESES = {
+    "twoequalparts": _hyp_twoequalparts, "distinctparts-1": _hyp_dp1,
+    "distinctparts-2": _hyp_dp2, "distinctparts-3i": _hyp_dp3i,
+    "distinctparts-3ii": _hyp_dp3ii, "shape1": _hyp_shape1,
+    "forsigma2": _hyp_forsigma2, "forsigma3": _hyp_forsigma3,
+}
+
+
+def window(degree, genera):
+    """Every sorted (g, e, f) with e and f of the degree's ranks, sums off
+    by up to 1 from the admissible ones (so that TOTALDEG, SUM_E and SUM_F
+    fire), e from 0 (degree 4) or 1 (degree 5) up and f from 0 or 1 up."""
+    e_rank, f_rank = strata.RANKS[degree]
+    lo = degree - 4
+    for g in genera:
+        e_sum, f_sum = (g + 3, g + 3) if degree == 4 else (g + 4, 2 * g + 8)
+        for se in (e_sum - 1, e_sum, e_sum + 1):
+            for e in sorted_tuples(e_rank, se, lo, se):
+                for sf in (f_sum - 1, f_sum, f_sum + 1):
+                    for f in sorted_tuples(f_rank, sf, lo, sf):
+                        yield g, e, f
+
+
+class TestConstraintTable:
+    @pytest.mark.parametrize("degree,genera,reference,size", [
+        (4, range(5, 12), reference_tet_check, 6825),
+        (5, range(7, 9), reference_pent_check, 34503)])
+    def test_violated_names_match_the_reference(self, degree, genera,
+                                                reference, size):
+        check = strata.tet_check if degree == 4 else strata.pent_check
+        fired = set()
+        cases = 0
+        for g, e, f in window(degree, genera):
+            violated = reference(g, e, f)
+            verdict = check(g, e, f)
+            assert verdict.violated == violated, (g, e, f)
+            assert verdict.allowed == (not violated)
+            fired.update(violated)
+            cases += 1
+        # every constraint fires somewhere in the window
+        table = strata.TET_CONSTRAINTS if degree == 4 \
+            else strata.PENT_CONSTRAINTS
+        assert fired == set(table)
+        assert cases == size
+
+    def test_lemma_atoms_accept_the_reference_strata(self):
+        # every enumerated stratum, wider than EVAL_GENUS_RANGE
+        assert set(REFERENCE_HYPOTHESES) == set(cs.LEMMAS)
+        for lemma_id, spec in cs.LEMMAS.items():
+            table = cs._HYPOTHESES[lemma_id]
+            accepted = 0
+            for degree, genus in STRATA_WINDOWS:
+                if degree != spec.degree:
+                    continue
+                for r in enumerated(degree, genus):
+                    expected = REFERENCE_HYPOTHESES[lemma_id](
+                        genus, r.e.parts, r.f.parts)
+                    assert table.check(genus, r.e, r.f).allowed == expected
+                    accepted += expected
+            assert accepted, lemma_id
+
+    def test_an_any_of_fails_only_when_all_its_atoms_fail(self):
+        # f2 = 10 > e1 + e3 = 9 and f1 = 2 != 2 * e1 = 6
+        assert strata.tet_check(9, (3, 3, 6), (2, 10)).violated == (
+            "Q12VAN", "CONDITIONAL")
+        # f2 = 10 > e1 + e3 = 7, but f1 = 2 = 2 * e1
+        assert strata.tet_check(9, (1, 5, 6), (2, 10)).allowed
+
+    @pytest.mark.parametrize("atom", [
+        (E1 * E2, ">="),                     # not linear
+        (E1 ** 2, "=="),
+        (Poly.var("e1", coeff=Fraction(1, 2)), ">="),  # not integral
+        (Poly.var("e4"), ">="),              # no e4 in degree 4
+        (Poly.var("h"), ">="),               # not a symbol of the point
+        (E1 - 1, ">"),                       # not a relation of the table
+    ])
+    def test_an_atom_that_is_not_integer_linear_raises(self, atom):
+        with pytest.raises(ValueError):
+            strata.Table(4, {"BAD": (atom,)})
 
 
 class TestDegree4Fixtures:
