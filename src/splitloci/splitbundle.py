@@ -59,7 +59,7 @@ class SplittingType:
         return "SplittingType(%s)" % (self.parts,)
 
     def __str__(self):
-        return "(%s)" % ",".join(str(p) for p in self.parts)
+        return "(%s)" % ",".join(map(str, self.parts))
 
 
 def _coerce(e) -> SplittingType:
@@ -129,9 +129,10 @@ def chi(e) -> int:
 
 def expected_codim(e) -> int:
     """h1(End(e)): End(e) has the parts e_j - e_i, and
-    h1(O(a)) = max(0, -a - 1), so with e sorted the sum runs over i < j
-    of max(0, e_j - e_i - 1)."""
-    return sum(max(0, b - a - 1) for a, b in combinations(_coerce(e).parts, 2))
+    h1(O(a)) = max(0, -a - 1), so with e sorted the sum runs over the
+    i < j with e_j - e_i > 1 of e_j - e_i - 1."""
+    return sum([b - a - 1 for a, b in combinations(_coerce(e).parts, 2)
+                if b - a > 1])
 
 
 def dominates(e_lo, e_hi) -> str:

@@ -16,6 +16,7 @@ it and the Hasse diagram share one routine of prefix-sum bitmasks.
 from __future__ import annotations
 
 import json
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from itertools import (accumulate, combinations,
@@ -157,7 +158,9 @@ class Table:
 
     def check(self, g: int, e, f) -> ConstraintVerdict:
         """The verdict on the stratum (e, f) of genus g; e and f are
-        SplittingTypes or sequences of parts."""
+        SplittingTypes or sequences of parts. A genus or part that is not
+        an integer raises TypeError."""
+        g = operator.index(g)
         e = e if isinstance(e, SplittingType) else SplittingType(e)
         f = f if isinstance(f, SplittingType) else SplittingType(f)
         if (len(e.parts), len(f.parts)) != self.ranks or g < self.genus_min:
@@ -301,10 +304,11 @@ GENUS5_PSI2_NOTE = (
 
 
 def _weakly_increasing_tuples(length: int, total: int, lo: int, hi: int,
-                              pairs: Sequence[Tuple[int, int, int]] = ()):
-    """All weakly increasing integer tuples t of the given length (at
-    least 1) and sum, with lo <= t[i] <= hi, and t[a] + t[b] >= c for
-    each (a, b, c) in pairs, where a < b; in lexicographic order.
+                              pairs: Sequence[Tuple[int, int, int]] = ()
+                              ) -> List[Tuple[int, ...]]:
+    """The list of all weakly increasing integer tuples t of the given
+    length (at least 1) and sum, with lo <= t[i] <= hi, and t[a] + t[b]
+    >= c for each (a, b, c) in pairs, where a < b; in lexicographic order.
 
     The recursion carries a floor for each slot, lo to start with;
     placing t[a] = v raises the floor of each paired slot b to c - v.
@@ -319,46 +323,71 @@ def _weakly_increasing_tuples(length: int, total: int, lo: int, hi: int,
     v + ceil((F(v) - remaining) / -sigma) fails too, so v jumps there.
     The values with F(v) <= remaining form an interval, so once F(v)
     exceeds it with sigma >= 0 no later value passes, and the slot ends.
-    The last entry is the remaining sum itself. Every value that passes
-    the test is tried, so no admissible tuple is lost."""
+    Every value that passes the test is tried, so no admissible tuple is
+    lost.
+
+    The last two slots take a closed form. With the remaining sum r, the
+    last entry is r - v, and a pair bound between the two slots reads
+    r >= c whatever v is. Beyond that, v is at least the entry before it
+    and its own floor, and with r - v at most hi and at least v and the
+    last slot's floor, v runs over one range: from max(entry before,
+    floor, r - hi) to min(r // 2, r - last floor)."""
+    if length == 1:
+        return [(total,)] if lo <= total <= hi else []
     raises: List[List[Tuple[int, int]]] = [[] for _ in range(length)]
     for a, b, c in pairs:
         raises[a].append((b, c))
+    last = length - 1
+    # the pair bounds between the last two slots ask remaining >= need;
+    # 2 * lo is no bound, as the last two entries are at least lo
+    need = max([2 * lo] + [c for _, c in raises[last - 1]])
+    no_slopes = [0] * length
+    tuples: List[Tuple[int, ...]] = []
 
     def rec(prefix, floors, remaining):
         slot = len(prefix)
-        later = length - slot - 1
-        if not later:
-            if max(prefix[-1:] + [floors[slot]]) <= remaining <= hi:
-                yield tuple(prefix) + (remaining,)
+        # the entry before and the slot's floor bound its value below
+        first = max(prefix[-1:] + (floors[slot],))
+        if slot == last - 1:
+            if remaining >= need:
+                tuples.extend([prefix + (v, remaining - v) for v in range(
+                    max(first, remaining - hi),
+                    min(remaining // 2, remaining - floors[last]) + 1)])
             return
+        later = last - slot
         # the later entries lie in [value, hi], which bounds value
-        value = max(prefix[-1:] + [floors[slot], remaining - hi * later])
+        value = max(first, remaining - hi * later)
         end = min(hi, remaining // (later + 1))
+        bounds = raises[slot]
         while value <= end:
-            raised, slopes = list(floors), [0] * length
-            for b, c in raises[slot]:
-                if c - value > raised[b]:
-                    raised[b], slopes[b] = c - value, -1
+            raised, slopes = floors, no_slopes
+            if bounds:
+                raised, slopes = list(floors), [0] * length
+                for b, c in bounds:
+                    if c - value > raised[b]:
+                        raised[b], slopes[b] = c - value, -1
             # least: F(value); slope: its right slope, the sum of the
             # largest slope among the pieces that attain each maximum
             least = top = value
             slope = top_slope = 1
             for k in range(slot + 1, length):
-                if raised[k] > top:
-                    top, top_slope = raised[k], slopes[k]
-                elif raised[k] == top:
-                    top_slope = max(top_slope, slopes[k])
+                floor = raised[k]
+                if floor > top:
+                    top, top_slope = floor, slopes[k]
+                elif floor == top and slopes[k] > top_slope:
+                    top_slope = slopes[k]
                 least += top
                 slope += top_slope
             if least <= remaining:
-                yield from rec(prefix + [value], raised, remaining - value)
+                rec(prefix + (value,), raised, remaining - value)
                 value += 1
             elif slope < 0:
                 value -= (least - remaining) // slope
             else:
                 return
-    yield from rec([], [lo] * length, total)
+
+    rec((), [lo] * length, total)
+    return tuples
 
 
 def _positive_part_sum(tops: Sequence[int], sums: Sequence[int]) -> int:
@@ -410,6 +439,7 @@ def _make_record(g: int, cover_degree: int, e: SplittingType,
 def enumerate_strata(cover_degree: int, g: int) -> List[StratumRecord]:
     if cover_degree not in (4, 5):
         raise ValueError("cover degree must be 4 or 5")
+    g = operator.index(g)
     if not GENUS_MIN[cover_degree] <= g <= GENUS_MAX:
         raise ValueError("genus out of range for degree-%d enumeration"
                          % cover_degree)
@@ -505,35 +535,41 @@ def hasse(records: Sequence[StratumRecord]) -> Tuple[List[Tuple[str, str]], str]
     """Transitive reduction of the pair order, plus DOT text.
 
     The pair order is the product of the dominance orders on e and on f.
-    Record i lies strictly below record j in it exactly when
-    each prefix sum of e and of f of i is at most the matching sum of j
-    and the sums are not all equal. The concatenated prefix sums are
-    computed once per record. down[j] is a Python-int bitmask with bit i
-    set when record i lies strictly below record j; up[i], its
-    transpose, has bit j set when record j lies strictly above record i
-    (the same masks, taken over the negated sums). (i, j) is an edge of
-    the Hasse diagram when bit j is set in up[i] and no record lies
-    between them, that is up[i] & down[j] == 0; edges come out in
-    increasing i, then increasing j.
+    Record i lies strictly below record j in it exactly when each prefix
+    sum of e and of f of i is at most the matching sum of j and the sums
+    are not all equal. The concatenated prefix sums are computed once per
+    record, and the records are ranked by them in lexicographic order.
+    That ranking is a linear extension of the pair order: if i lies
+    strictly below j, then at the first position where their sums differ
+    the sum of i is the smaller one, so i ranks before j. up[r] is a
+    Python-int bitmask, over ranks, with bit s set when the record of
+    rank s lies strictly above the record of rank r.
 
-    The masks take O(n log n) integer operations per prefix-sum position
-    and the edge scan visits only the set bits of each up[i], so the
-    cost is O(n^2), where a comparison of every ordered pair and a scan
-    over every middle record for each comparable pair cost O(n^3).
+    The covers of rank r come from up[r], lowest bit first: the lowest
+    remaining bit c is taken as a cover, and c and up[c] are cleared. c
+    is a cover: a record k strictly between r and c is a bit of up[r]
+    below c, so it was taken as a cover or cleared as lying above one
+    taken before, and c, lying above k and so above that cover, was
+    cleared with it. And every cover is taken: it lies above no record
+    above r, so only its own step clears it. Edges come out in
+    increasing i, then increasing j, of the input order.
+
+    The masks take O(n log n) integer operations per prefix-sum position,
+    for one set of masks, and the covers O(1) big-int steps per edge,
+    where a scan over every comparable pair took O(n^2).
     """
     sums = [se + sf for se, sf in zip(*_prefix_sums(records))]
-    down = _below_masks(sums)
-    up = _below_masks([tuple(-x for x in s) for s in sums])
-    ids = [r.node_id() for r in records]
-    edges = []
-    for i, u in enumerate(up):
-        bits = u
+    order = sorted(range(len(sums)), key=sums.__getitem__)
+    up = _below_masks([tuple(-x for x in sums[i]) for i in order])
+    covers: List[List[int]] = [[] for _ in order]
+    for i, bits in zip(order, up):
         while bits:
-            low = bits & -bits
-            j = low.bit_length() - 1
-            if not u & down[j]:
-                edges.append((ids[i], ids[j]))
-            bits ^= low
+            c = (bits & -bits).bit_length() - 1
+            covers[i].append(order[c])
+            bits &= ~(1 << c | up[c])
+    ids = [r.node_id() for r in records]
+    edges = [(ids[i], ids[j]) for i, above in enumerate(covers)
+             for j in sorted(above)]
     lines = ["digraph strata {"]
     for r, node in zip(records, ids):
         lines.append('  "%s" [label="%s"];' % (node, r.label or node))

@@ -339,12 +339,19 @@ def test_criterion_09_tautological_rings():
 def test_criterion_10_property_suites():
     checks = []
 
-    rng = random.Random(0)
-    rr_ok = True
-    for _ in range(1000):
-        parts = [rng.randint(-20, 20) for _ in range(rng.randint(1, 8))]
-        e = SplittingType(parts)
-        rr_ok = rr_ok and sb.chi(e) == e.degree() + e.rank()
+    # Riemann-Roch on ranks 1-8 with parts in [-20, 20], exhaustively:
+    # chi(O(a)) = a + 1 for every a, and chi is additive over every
+    # direct sum O(a)^r (+) O(b)^s with r + s <= 8. With b = a and s = 1
+    # the sums give chi(O(a)^r) = r(a + 1) by induction on r, so chi of
+    # each sum is its degree plus its rank.
+    blocks = {(a, r): SplittingType([a] * r)
+              for a in range(-20, 21) for r in range(1, 8)}
+    chis = {key: sb.chi(e) for key, e in blocks.items()}
+    rr_ok = all(chis[a, 1] == a + 1 for a in range(-20, 21))
+    for (a, r), (b, s) in itertools.combinations_with_replacement(blocks, 2):
+        if r + s <= 8:
+            rr_ok = rr_ok and (sb.chi(sb.direct_sum(blocks[a, r], blocks[b, s]))
+                               == chis[a, r] + chis[b, s])
     checks.append(("riemann-roch-1000", rr_ok))
 
     types = [SplittingType(p) for p in

@@ -76,6 +76,36 @@ class TestConstraints:
         with pytest.raises(TypeError):
             strata.pent_check(9, ("3", 3, 3, 4), (5, 5, 5, 5, 6))
 
+    @pytest.mark.parametrize("genus", [9.0, "9", None])
+    def test_a_genus_that_is_not_an_integer_raises(self, genus, monkeypatch):
+        # a float genus would be compared and summed as a float, and
+        # tet_check(9.0, (4, 4, 4), (6, 6)) allowed
+        with pytest.raises(TypeError):
+            strata.tet_check(genus, (4, 4, 4), (6, 6))
+        with pytest.raises(TypeError):
+            strata.pent_check(genus, (3, 3, 3, 4), (5, 5, 5, 5, 6))
+
+        def unreachable(*args):
+            raise AssertionError("enumerated with genus %r" % (genus,))
+
+        # raised before any enumeration, not from inside range
+        monkeypatch.setattr(strata, "_weakly_increasing_tuples", unreachable)
+        for degree in (4, 5):
+            with pytest.raises(TypeError):
+                strata.enumerate_strata(degree, genus)
+        for lemma_id, spec in cs.LEMMAS.items():
+            e, f = (((4, 4, 4), (6, 6)) if spec.degree == 4
+                    else ((3, 3, 3, 4), (5, 5, 5, 5, 6)))
+            with pytest.raises(TypeError):
+                cs._HYPOTHESES[lemma_id].check(genus, e, f)
+
+    def test_a_bool_genus_is_an_int(self):
+        # True is genus 1, below every genus floor: ValueError, not TypeError
+        with pytest.raises(ValueError):
+            strata.tet_check(True, (4, 4, 4), (6, 6))
+        with pytest.raises(ValueError):
+            strata.enumerate_strata(5, True)
+
 
 # The checks and lemma hypotheses as hand-written predicates, frozen from
 # before the atom table and sharing no code with it: the reference the
@@ -432,6 +462,15 @@ class TestHasse:
         assert edges == scanned_edges(chosen)
         assert dot.count(" -> ") == len(edges)
 
+    @settings(max_examples=30, deadline=None)
+    @given(window=st.sampled_from([(4, 12), (5, 10)]), data=st.data())
+    def test_permuted_windows_match_the_reference_scan(self, window, data):
+        # the linear extension ranks records by their sums, whatever
+        # order they come in; edges follow the input order
+        records = data.draw(st.permutations(enumerated(*window)))
+        edges, _ = strata.hasse(records)
+        assert edges == scanned_edges(records)
+
     def test_rejects_records_of_different_genera(self):
         records = strata.enumerate_strata(4, 9) + strata.enumerate_strata(4, 10)
         with pytest.raises(ValueError, match="incomparable families"):
@@ -544,6 +583,13 @@ class TestTupleGenerator:
     # and jumps to the first value that passes: by one value, by three
     @example(args=(3, 3, 0, 2, [(0, 1, 2)]))
     @example(args=(3, 9, 0, 5, [(0, 1, 6)]))
+    # the last two slots: a pair bound between them asks total >= c, so
+    # c = total yields tuples and c = total + 1 none
+    @example(args=(2, 6, 0, 5, [(0, 1, 6)]))
+    @example(args=(2, 6, 0, 5, [(0, 1, 7)]))
+    # t[0] = 0 raises the last slot's floor to 8, which caps the
+    # penultimate value at 9 - 8 = 1, below 9 // 2
+    @example(args=(3, 9, 0, 9, [(0, 2, 8)]))
     def test_matches_a_filter_in_order(self, args):
         length, total, lo, hi, pairs = args
         expected = [t for t in combinations_with_replacement(
