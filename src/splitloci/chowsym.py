@@ -13,13 +13,13 @@ formulas for the resolution bundles, and the Sym^2 Chern-class identity.
 
 from __future__ import annotations
 
-import json
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from . import strata
+from . import jsontext, strata
 from .linalg import echelon
 from .polynomial import Packing, Poly, Scalar
 from .strata import E, E1, E2, E3, E4, F, F1, F2, F3, F4, F5, G
@@ -314,7 +314,8 @@ def ce_rank(k: int, i: int) -> int:
 
 def quadric_count(g: int) -> int:
     """Number of quadrics through a canonical pentagonal curve:
-    g(g+1)/2 - 3(g-1)."""
+    g(g+1)/2 - 3(g-1). A genus that is not an integer raises TypeError."""
+    g = operator.index(g)
     if g < 4:
         raise ValueError("genus too small")
     return g * (g + 1) // 2 - 3 * (g - 1)
@@ -667,7 +668,7 @@ class LemmaReport:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=False)
+        return jsontext.dumps(self.to_dict())
 
     @property
     def nonvanishing(self) -> bool:
@@ -689,14 +690,16 @@ EVAL_GENUS_RANGE = {4: range(5, 13), 5: range(7, 10)}
 
 def _applicable_strata(spec: LemmaSpec, enumerated: Dict[Tuple[int, int], list]):
     """Strata meeting the lemma's hypotheses; `enumerated` holds each
-    (degree, genus) enumeration so that it is made once."""
-    hypotheses = _HYPOTHESES[spec.lemma_id]
+    (degree, genus) enumeration so that it is made once. Only the verdict
+    is needed, so the records, already checked by the enumerator, go to
+    the compiled predicate directly."""
+    holds = _HYPOTHESES[spec.lemma_id].holds
     for g in EVAL_GENUS_RANGE[spec.degree]:
         key = (spec.degree, g)
         if key not in enumerated:
             enumerated[key] = strata.enumerate_strata(*key)
         for rec in enumerated[key]:
-            if hypotheses.check(g, rec.e, rec.f).allowed:
+            if holds(g, rec.e.parts + rec.f.parts):
                 yield g, rec
 
 

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
-from . import chowsym, splitbundle, strata, tautring
+from . import chowsym, jsontext, splitbundle, strata, tautring
 from .splitbundle import SplittingType
 
 # query name -> the function it applies to the evaluated expression
@@ -234,15 +233,17 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 
 
 def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    widths = [len(h) for h in headers]
+    """The rows under the headers, each column left-aligned to its widest
+    cell; a row with more or fewer cells than headers raises ValueError."""
     for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    def fmt(row):
-        return "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-    lines = [fmt(headers), fmt(["-" * w for w in widths])]
-    lines.extend(fmt(row) for row in rows)
-    return "\n".join(lines)
+        if len(row) != len(headers):
+            raise ValueError("a table row has %d cells for %d headers"
+                             % (len(row), len(headers)))
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    line = "  ".join("%%-%ds" % w for w in widths)
+    lines = [line % tuple(headers), line % tuple("-" * w for w in widths)]
+    lines.extend(line % tuple(row) for row in rows)
+    return "\n".join(text.rstrip() for text in lines)
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +257,8 @@ def _cmd_eval(args) -> int:
         return 2
     value = eval_query(query)
     if args.format == "json":
-        _emit(json.dumps({"query": print_query(query), "value": value},
-                         indent=2), args.out)
+        _emit(jsontext.dumps({"query": print_query(query), "value": value}),
+              args.out)
     else:
         _emit(str(value), args.out)
     return 0
@@ -303,7 +304,7 @@ def _cmd_lemma(args) -> int:
               % (args.target, ", ".join(chowsym.LEMMAS)), file=sys.stderr)
         return 2
     if args.format == "json":
-        _emit(json.dumps([r.to_dict() for r in reports], indent=2), args.out)
+        _emit(jsontext.dumps([r.to_dict() for r in reports]), args.out)
     else:
         rows = [[r.lemma, r.verdict,
                  r.det_computed, r.det_claimed or "-",

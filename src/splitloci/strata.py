@@ -2,20 +2,24 @@
 degree-5 covers of the projective line.
 
 Each stratum is a pair (e, f) of splitting types subject to named
-constraints: a table of integer-linear atoms in g and the parts, read by
-one evaluator, `Table`, which also reads the hypotheses of the lemmas in
-`chowsym`. The module computes codimensions, membership in the
-good open locus Psi, forced linear-series flags, the product dominance
-order with its Hasse diagram, union-of-strata codimension checks, and the
-single-locus coincidence test used to realize a pair stratum as one
-splitting locus. That test's rule asks every surviving stratum below on
+constraints: a table of integer-linear atoms in g and the parts. One
+class, `Table`, also used for the hypotheses of the lemmas in `chowsym`,
+compiles each table once into generated Python: a predicate, `holds`,
+which gives the verdict and stops at the first failing constraint, and
+`verdicts`, the truth of each constraint. `check` validates its
+arguments, asks `holds`, and only for a stratum that fails names the
+violated constraints from `verdicts`. The module
+computes codimensions, membership in the good open locus Psi, forced
+linear-series flags, the product dominance order with its Hasse
+diagram, union-of-strata codimension checks, and the single-locus
+coincidence test used to realize a pair stratum as one splitting
+locus. That test's rule asks every surviving stratum below on
 the same axis to pass it too, so passing is the rule's least fixpoint;
 it and the Hasse diagram share one routine of prefix-sum bitmasks.
 """
 
 from __future__ import annotations
 
-import json
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -23,7 +27,7 @@ from itertools import (accumulate, combinations,
                        combinations_with_replacement)
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import splitbundle as sb
+from . import jsontext, splitbundle as sb
 from .polynomial import Poly
 from .splitbundle import SplittingType
 
@@ -130,31 +134,50 @@ class Table:
     """Named constraints on the strata of one cover degree, each a tuple
     or an AnyOf of atoms. An atom (form, relation) is the condition
     `form relation 0`, relation ">=", "==" or "!=", and x > y is written
-    x - y - 1 >= 0. Each atom is compiled once: its constant, its multiple
-    of g, sparse integer terms over the parts (e1, ..., f1, ...) and its
-    relation; a form not integer-linear in g and the parts raises
-    ValueError. `check` runs all atoms in one flat loop, and names the
-    failing constraints only when an atom fails."""
+    x - y - 1 >= 0. Each atom is read once into its constant, its
+    multiple of g, sparse integer terms over the parts (e1, ..., f1, ...)
+    and its relation; a form not integer-linear in g and the parts, or a
+    constraint with no atoms, raises ValueError.
+
+    The atoms are then compiled, in one generated module whose text is
+    kept as `source`, into two functions of (g, parts), with parts the
+    parts of e followed by those of f. Each constraint is one clause, a
+    tuple the `and` of its atoms and an AnyOf their `or`, each atom a
+    literal `c1*e1 + ... + cg*g relation -c0`. `holds` is the `and` of
+    the clauses in table order, so it stops at the first failing
+    constraint; `verdicts` is the tuple of every clause's truth. `holds`
+    answers whether a stratum is allowed and nothing else: callers that
+    only need that verdict, such as the lemma hypotheses, call it
+    directly. `check` validates its arguments, asks `holds`, and only
+    for a stratum that fails asks `verdicts` which constraints to name."""
 
     def __init__(self, degree: int, constraints: Dict[str, Sequence[tuple]]):
         self.ranks, self.genus_min = RANKS[degree], GENUS_MIN[degree]
         parts = [x + str(i) for x, n in zip("ef", self.ranks)
                  for i in range(1, n + 1)]
-        self.atoms = []
+        self.names = tuple(constraints)
+        clauses = []
         for name, atoms in constraints.items():
+            if not atoms:
+                raise ValueError("constraint %s has no atoms" % name)
+            literals = []
             for form, relation in atoms:
                 if (form.total_degree() > 1 or relation not in (">=", "==", "!=")
                         or not form.variables() <= {"g", *parts}
                         or not all(isinstance(c, int) for c in form.terms.values())):
                     raise ValueError("%s %s 0 is not an integer-linear atom in "
                                      "g, %s" % (form, relation, ", ".join(parts)))
-                terms = dict(form.terms)
-                self.atoms.append((name, terms.pop((), 0), terms.pop((("g", 1),), 0),
-                                   tuple((parts.index(m[0][0]), c)
-                                         for m, c in terms.items()), relation))
-        # a tuple fails when one of its atoms fails, an AnyOf when all do
-        self.needed = {name: len(atoms) if isinstance(atoms, AnyOf) else 1
-                       for name, atoms in constraints.items()}
+                literals.append(_literal(form, relation))
+            clauses.append("(%s)" % (" or " if isinstance(atoms, AnyOf)
+                                     else " and ").join(literals))
+        unpack = "def %s(g, parts):\n    " + ", ".join(parts) + " = parts\n"
+        self.source = (unpack % "holds" + "    return (%s)\n"
+                       % "\n            and ".join(clauses or ["True"])
+                       + unpack % "verdicts" + "    return [%s]\n"
+                       % ", ".join(clauses))
+        namespace: dict = {}
+        exec(compile(self.source, "<Table %d>" % degree, "exec"), namespace)
+        self.holds, self.verdicts = namespace["holds"], namespace["verdicts"]
 
     def check(self, g: int, e, f) -> ConstraintVerdict:
         """The verdict on the stratum (e, f) of genus g; e and f are
@@ -168,16 +191,25 @@ class Table:
                              "rank-%d f" % ((self.ranks[0] + 1, self.genus_min)
                                             + self.ranks))
         parts = e.parts + f.parts
-        failed = []
-        for name, value, per_genus, terms, relation in self.atoms:
-            value += per_genus * g
-            for i, c in terms:
-                value += c * parts[i]
-            if value < 0 if relation == ">=" else (value == 0) != (relation == "=="):
-                failed.append(name)
-        violated = failed and tuple(dict.fromkeys(
-            n for n in failed if failed.count(n) >= self.needed[n]))
-        return ConstraintVerdict(False, violated) if violated else _ALLOWED
+        if self.holds(g, parts):
+            return _ALLOWED
+        return ConstraintVerdict(False, tuple(
+            n for n, ok in zip(self.names, self.verdicts(g, parts)) if not ok))
+
+
+def _literal(form: Poly, relation: str) -> str:
+    """Python source of the atom `form relation 0`: the terms of the
+    linear form compared with minus its constant."""
+    text, constant = "", 0
+    for monomial, c in form.terms.items():
+        if not monomial:
+            constant = c
+        else:
+            text += (" - " if c < 0 else " + ") + (
+                "%d * %s" % (abs(c), monomial[0][0]) if abs(c) != 1
+                else monomial[0][0])
+    text = "0" if not text else text[3:] if text[1] == "+" else "-" + text[3:]
+    return "%s %s %d" % (text, relation, -constant)
 
 
 _ALLOWED = ConstraintVerdict(True, ())
@@ -498,7 +530,7 @@ def strata_report(records: Sequence[StratumRecord]) -> dict:
 
 
 def strata_report_json(records: Sequence[StratumRecord]) -> str:
-    return json.dumps(strata_report(records), indent=2)
+    return jsontext.dumps(strata_report(records))
 
 
 def _prefix_sums(records: Sequence[StratumRecord]) -> Tuple[list, list]:
@@ -580,7 +612,9 @@ def hasse(records: Sequence[StratumRecord]) -> Tuple[List[Tuple[str, str]], str]
 
 
 def star_union_check(records: Sequence[StratumRecord], n: int) -> dict:
-    """Check the expected codimension of the union of strata with e1 = n."""
+    """Check the expected codimension of the union of strata with e1 = n.
+    An n that is not an integer raises TypeError."""
+    n = operator.index(n)
     members = [r for r in records if r.e.parts[0] == n]
     if members:
         degree = members[0].e.degree()

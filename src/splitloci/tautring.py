@@ -21,11 +21,12 @@ lies in the ideal.
 
 from __future__ import annotations
 
-import json
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from . import jsontext
 from .linalg import Echelon, integer_row, rank
 from .polynomial import Poly
 
@@ -319,8 +320,10 @@ def builtin_ideal(g: int, interpretation: Optional[str] = None) -> WeightedIdeal
     These are the coefficients that Faber's top-degree proportionalities
     (tests/test_tautring.py::TestFaberSocleOracle) single out: with them,
     every generator vanishes in R*(M_g), and the quotient is Gorenstein
-    with socle in degree g-2.
+    with socle in degree g-2. A genus that is not an integer raises
+    TypeError.
     """
+    g = operator.index(g)
     if g == 7:
         k1, k2 = _k(1), _k(2)
         g1 = 2423 * k1 ** 2 * k2 - 52632 * k2 ** 2
@@ -401,7 +404,7 @@ class QuotientReport:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return jsontext.dumps(self.to_dict())
 
 
 def quotient_report(g: int,

@@ -2,7 +2,6 @@
 relation-matrix verification reports."""
 
 import itertools
-import random
 from fractions import Fraction
 
 import pytest
@@ -261,26 +260,49 @@ class TestSplittingPrincipleDisplays:
                           + F2 * F2 * F1) * C2)
 
 
-def random_poly_matrix(rng, n, nvars=2, max_terms=2):
-    names = ["x%d" % i for i in range(nvars)]
-    def rand_poly():
-        p = Poly()
-        for _ in range(rng.randint(0, max_terms)):
-            term = Poly.const(rng.randint(-4, 4))
-            for name in names:
-                term = term * Poly.var(name, rng.randint(0, 2))
-            p = p + term
-        return p
-    return [[rand_poly() for _ in range(n)] for _ in range(n)]
+# up to two terms c * x0^a * x1^b, c in [-4, 4] and a, b in [0, 2]
+small_polys = st.lists(
+    st.tuples(st.integers(-4, 4), st.integers(0, 2), st.integers(0, 2)),
+    max_size=2).map(lambda terms: sum(
+        (c * Poly.var("x0", a) * Poly.var("x1", b) for c, a, b in terms),
+        Poly()))
+
+
+@st.composite
+def poly_matrices(draw):
+    n = draw(st.integers(1, 5))
+    return [[draw(small_polys) for _ in range(n)] for _ in range(n)]
+
+
+@st.composite
+def triangular_factors(draw):
+    """(L, U): L unit lower and U upper triangular, n <= 5, with small
+    polynomial entries off L's diagonal and on and above U's."""
+    n = draw(st.integers(1, 5))
+    lower = [[draw(small_polys) if j < i else _1 if j == i else _0
+              for j in range(n)] for i in range(n)]
+    upper = [[draw(small_polys) if j >= i else _0 for j in range(n)]
+             for i in range(n)]
+    return lower, upper
 
 
 class TestDeterminants:
-    def test_engines_agree_on_random_matrices(self):
-        rng = random.Random(7)
-        for n in (1, 2, 3, 4, 5):
-            for _ in range(5):
-                m = random_poly_matrix(rng, n)
-                assert cs.det_bareiss(m) == cs.det_cofactor(m)
+    @given(poly_matrices())
+    def test_engines_agree_on_random_matrices(self, m):
+        assert cs.det_bareiss(m) == cs.det_cofactor(m)
+
+    @given(triangular_factors())
+    def test_a_product_l_u_has_the_determinant_of_u(self, factors):
+        # det(L.U) = det(L) det(U) = 1 * (U11 * ... * Unn)
+        lower, upper = factors
+        n = len(lower)
+        product = [[sum((lower[i][k] * upper[k][j] for k in range(n)), Poly())
+                    for j in range(n)] for i in range(n)]
+        diagonal = Poly.const(1)
+        for i in range(n):
+            diagonal = diagonal * upper[i][i]
+        assert cs.det_bareiss(product) == diagonal
+        assert cs.det_cofactor(product) == diagonal
 
     def test_singular_matrix(self):
         row = [Poly.var("a"), Poly.var("b")]
@@ -413,6 +435,13 @@ class TestRankFormulas:
         assert cs.quadric_count(7) == 10
         with pytest.raises(ValueError):
             cs.quadric_count(3)
+
+    @pytest.mark.parametrize("genus", [9.0, "9", None])
+    def test_quadric_count_of_a_genus_that_is_not_an_integer_raises(
+            self, genus):
+        # 9.0 returned the float 21.0
+        with pytest.raises(TypeError):
+            cs.quadric_count(genus)
 
     def test_sym2_chern_identity(self):
         result = cs.sym2_chern_check()

@@ -269,3 +269,9 @@ class TestTable:
         assert lines[1] == "---  ----"
         assert lines[2] == "xxx  y"
         assert lines[3] == "z    wwww"
+
+    @pytest.mark.parametrize("row", [["x"], ["x", "y", "z"]])
+    def test_a_ragged_row_raises(self, row):
+        # a longer row raised IndexError, a shorter one was padded
+        with pytest.raises(ValueError, match="%d cells for 2 headers" % len(row)):
+            cli._table(["a", "bb"], [["xxx", "y"], row])

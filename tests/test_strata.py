@@ -14,7 +14,7 @@ from splitloci import chowsym as cs
 from splitloci import splitbundle as sb
 from splitloci import strata
 from splitloci.polynomial import Poly
-from splitloci.strata import E1, E2
+from splitloci.strata import E1, E2, G
 
 
 def by_label(records):
@@ -231,6 +231,7 @@ class TestConstraintTable:
     def test_violated_names_match_the_reference(self, degree, genera,
                                                 reference, size):
         check = strata.tet_check if degree == 4 else strata.pent_check
+        holds = strata.CHECKS[degree].holds
         fired = set()
         cases = 0
         for g, e, f in window(degree, genera):
@@ -238,6 +239,7 @@ class TestConstraintTable:
             verdict = check(g, e, f)
             assert verdict.violated == violated, (g, e, f)
             assert verdict.allowed == (not violated)
+            assert holds(g, e + f) is (not violated), (g, e, f)
             fired.update(violated)
             cases += 1
         # every constraint fires somewhere in the window
@@ -259,6 +261,8 @@ class TestConstraintTable:
                     expected = REFERENCE_HYPOTHESES[lemma_id](
                         genus, r.e.parts, r.f.parts)
                     assert table.check(genus, r.e, r.f).allowed == expected
+                    assert table.holds(
+                        genus, r.e.parts + r.f.parts) is expected
                     accepted += expected
             assert accepted, lemma_id
 
@@ -280,6 +284,30 @@ class TestConstraintTable:
     def test_an_atom_that_is_not_integer_linear_raises(self, atom):
         with pytest.raises(ValueError):
             strata.Table(4, {"BAD": (atom,)})
+
+    @pytest.mark.parametrize("empty", [(), strata.AnyOf()])
+    def test_a_constraint_with_no_atoms_raises(self, empty):
+        with pytest.raises(ValueError, match="no atoms"):
+            strata.Table(4, {"EMPTY": empty})
+
+    def test_the_predicate_is_the_and_of_the_constraints(self):
+        table = strata.Table(4, {
+            "A": ((E1 - 1, ">="), (E2 - E1, "!=")),
+            "B": strata.AnyOf([(E1 - 3, "=="), (G - 2 * E2, ">=")])})
+        for g, e1, e2 in [(9, 1, 2), (9, 3, 3), (9, 2, 3), (5, 2, 3),
+                          (9, 0, 2), (9, 2, 2), (5, 3, 4)]:
+            a = e1 >= 1 and e2 != e1
+            b = e1 == 3 or g >= 2 * e2
+            assert table.holds(g, (e1, e2, 9, 1, 1)) is (a and b)
+            assert table.verdicts(g, (e1, e2, 9, 1, 1)) == [a, b]
+            verdict = table.check(g, (e1, e2, 9), (1, 1))
+            assert verdict.violated == ("A",) * (not a) + ("B",) * (not b)
+
+    def test_a_table_with_no_constraints_allows_every_stratum(self):
+        table = strata.Table(4, {})
+        assert table.holds(9, (0,) * 5)
+        assert table.verdicts(9, (0,) * 5) == []
+        assert table.check(9, (0, 0, 0), (0, 0)).allowed
 
 
 class TestDegree4Fixtures:
@@ -668,6 +696,12 @@ class TestStarUnion:
         members = {(tuple(m["e"]), tuple(m["f"])) for m in result["members"]}
         assert members == {((2, 4, 6), (4, 8)), ((2, 5, 5), (4, 8))}
         assert result["all_match"]
+
+    @pytest.mark.parametrize("n", [2.0, "2", None])
+    def test_an_n_that_is_not_an_integer_raises(self, n):
+        # 2.0 reported expected_codim 4.0
+        with pytest.raises(TypeError):
+            strata.star_union_check(strata.enumerate_strata(4, 9), n)
 
 
 def least_fixpoint_coincidence(records):

@@ -257,6 +257,21 @@ class TestBuiltinIdeals:
         with pytest.raises(ValueError):
             tr.builtin_ideal(10)
 
+    @pytest.mark.parametrize("genus", [9.0, "9", None])
+    def test_a_genus_that_is_not_an_integer_raises(self, genus,
+                                                   monkeypatch):
+        # 9.0 returned the genus-9 ideal, and quotient_report(9.0) failed
+        # later, inside range
+        with pytest.raises(TypeError):
+            tr.builtin_ideal(genus)
+
+        def unreachable(*args):
+            raise AssertionError("built a quotient for genus %r" % (genus,))
+
+        monkeypatch.setattr(tr, "GradedQuotient", unreachable)
+        with pytest.raises(TypeError):
+            tr.quotient_report(genus)
+
     def test_genus9_shape(self):
         ideal = tr.builtin_ideal(9)
         assert ideal.weights == (1, 2, 3)
