@@ -150,11 +150,20 @@ def _pack_matrix(mat) -> Tuple[Packing, List[List[Dict[int, Scalar]]]]:
 def det_cofactor(rows: Sequence[Sequence[Poly]]) -> Poly:
     """Laplace expansion along the rows, each minor computed once.
 
-    Working up from the last row, minors[S] is the minor on the trailing
-    rows and the column set S (a bitmask), expanded along its first row;
-    an n x n matrix takes n * 2^(n-1) products instead of n!. Only
-    multiplication and addition are used, never a division or a pivot
-    choice, so it shares no step with `det_bareiss` and stays an
+    The rows are taken in increasing order of their largest entry
+    degree, read off the packed keys; ties keep the bottom-up order.
+    Working through that order, minors[S] is the minor on the rows taken
+    so far and the column set S (a bitmask), expanded along the row just
+    taken; an n x n matrix takes n * 2^(n-1) products instead of n!.
+    Taking the rows of lowest degree first keeps the minors small until
+    the last steps, which is where most of the products are formed.
+
+    Proof: let B be the matrix whose rows, from the bottom up, are the
+    rows of A in the order taken, so B's rows are A's permuted by some
+    pi. The loop is then the bottom-up Laplace expansion of B, and
+    det A = sign(pi) det B; the sign is applied once, to the result.
+    Only multiplication and addition are used, never a division or a
+    pivot choice, so it shares no step with `det_bareiss` and stays an
     independent check of it. The matrix is packed once and the minors
     are kept packed.
     """
@@ -162,8 +171,16 @@ def det_cofactor(rows: Sequence[Sequence[Poly]]) -> Poly:
     if any(len(row) != n for row in rows):
         raise ValueError("matrix is not square")
     packing, packed = _pack_matrix(rows)
+    top = packing.top
+    # a zero row has degree -1, so it is taken first and ends the loop
+    degree = [max((max(entry) // top for entry in row if entry), default=-1)
+              for row in packed]
+    order = sorted(range(n), key=lambda i: (degree[i], -i))
+    # B's rows from the top are `order` reversed, so each inversion of
+    # pi is a pair taken in increasing row order
+    inversions = sum(a < b for k, a in enumerate(order) for b in order[k + 1:])
     minors = {0: {0: 1}}  # the minor on no rows: the packed constant 1
-    for i in range(n - 1, -1, -1):
+    for i in order:
         expanded: Dict[int, Dict[int, Scalar]] = {}
         for cols, minor in minors.items():
             for j, entry in enumerate(packed[i]):
@@ -179,7 +196,8 @@ def det_cofactor(rows: Sequence[Sequence[Poly]]) -> Poly:
             terms = {k: c for k, c in terms.items() if c}
             if terms:
                 minors[cols] = terms
-    return packing.unpack(minors.get((1 << n) - 1, {}))
+    value = packing.unpack(minors.get((1 << n) - 1, {}))
+    return -value if inversions % 2 else value
 
 
 def _bareiss(rows: Sequence[Sequence[Poly]]) -> Tuple[int, Poly]:
@@ -189,8 +207,10 @@ def _bareiss(rows: Sequence[Sequence[Poly]]) -> Tuple[int, Poly]:
     a square matrix of full rank that is its determinant. Each entry
     below the pivots is, after step k, a (k+1)-minor of the matrix, so
     dividing by the previous pivot is exact even where a column without
-    a pivot is skipped. The matrix is packed once (see `_pack_matrix`
-    for the radix) and every step runs on packed entries.
+    a pivot is skipped. At the first step the previous pivot is the
+    constant 1, so that division is the identity and only drops the
+    cancelled terms. The matrix is packed once (see `_pack_matrix` for
+    the radix) and every step runs on packed entries.
     """
     packing, m = _pack_matrix(rows)
     ncols = len(m[0]) if m else 0
@@ -212,7 +232,8 @@ def _bareiss(rows: Sequence[Sequence[Poly]]) -> Tuple[int, Poly]:
                 numerator: Dict[int, Scalar] = {}
                 packing.mul_add(numerator, pivot, row[j])
                 packing.mul_add(numerator, lead, pivot_row[j], -1)
-                row[j] = packing.divide(numerator, prev)
+                row[j] = (packing.divide(numerator, prev) if rank else
+                          {key: v for key, v in numerator.items() if v})
             row[c] = {}
         prev = pivot
         rank += 1
@@ -633,10 +654,14 @@ def _null_vector(rows: List[List[Fraction]]) -> Optional[List[Fraction]]:
 
 def _rowspaces_agree(rows_a, rows_b) -> bool:
     """Whether two polynomial matrices have the same row space over
-    Q(parameters): equal ranks, and stacking them adds nothing."""
+    Q(parameters): equal ranks, and stacking them adds nothing. Two row
+    spaces of full column rank are both the whole space, so then the
+    stacked matrix is not eliminated."""
     rank_a = _bareiss(rows_a)[0]
-    return (rank_a == _bareiss(rows_b)[0]
-            == _bareiss(list(rows_a) + list(rows_b))[0])
+    if rank_a != _bareiss(rows_b)[0]:
+        return False
+    return (rank_a == (len(rows_a[0]) if rows_a else 0)
+            or rank_a == _bareiss(list(rows_a) + list(rows_b))[0])
 
 
 @dataclass

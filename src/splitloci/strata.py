@@ -182,8 +182,10 @@ class Table:
     def check(self, g: int, e, f) -> ConstraintVerdict:
         """The verdict on the stratum (e, f) of genus g; e and f are
         SplittingTypes or sequences of parts. A genus or part that is not
-        an integer raises TypeError."""
-        g = operator.index(g)
+        an integer raises TypeError. The enumerator passes an int genus and
+        SplittingTypes it built, which skip the conversions."""
+        if type(g) is not int:
+            g = operator.index(g)
         e = e if isinstance(e, SplittingType) else SplittingType(e)
         f = f if isinstance(f, SplittingType) else SplittingType(f)
         if (len(e.parts), len(f.parts)) != self.ranks or g < self.genus_min:

@@ -64,7 +64,9 @@ class WeightedIdeal:
         if not all(isinstance(w, int) and w >= 1 for w in self.weights):
             raise ValueError("weights must be ints >= 1, got %r"
                              % (self.weights,))
-        self.generators = [g for g in generators]
+        # tuples: degrees and homogeneous are computed here, once, so a
+        # generator appended later would be left out of both
+        self.generators = tuple(generators)
         if any(g.is_zero() for g in self.generators):
             raise ValueError("zero generator")
         wmap = {_var(i): w for i, w in enumerate(self.weights)}
@@ -74,7 +76,7 @@ class WeightedIdeal:
                 raise ValueError("generator variables %s outside k1..k%d"
                                  % (sorted(foreign), self.nvars))
         parts = [g.homogeneous_parts(wmap) for g in self.generators]
-        self.degrees = [max(p) for p in parts]
+        self.degrees = tuple(max(p) for p in parts)
         self.homogeneous = all(len(p) == 1 for p in parts)
 
     @property

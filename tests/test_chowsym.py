@@ -642,3 +642,26 @@ class TestExactRowSpaces:
         for spec in cs.LEMMAS.values():
             if spec.reconstructed_rows is not None:
                 assert cs._rowspaces_agree(spec.rows, spec.reconstructed_rows)
+
+    def _counting_bareiss(self, monkeypatch):
+        calls = []
+        bareiss = cs._bareiss
+
+        def counting(rows):
+            calls.append(len(rows))
+            return bareiss(rows)
+
+        monkeypatch.setattr(cs, "_bareiss", counting)
+        return calls
+
+    def test_full_rank_pair_skips_the_stacked_elimination(self, monkeypatch):
+        calls = self._counting_bareiss(monkeypatch)
+        assert cs._rowspaces_agree([[_1, E1], [_0, E2]], [[E2, _0], [_1, _1]])
+        assert calls == [2, 2]
+
+    def test_equal_lower_ranks_still_stack(self, monkeypatch):
+        calls = self._counting_bareiss(monkeypatch)
+        # rank 1 each, in a 2-column space: the stacked rank decides
+        assert not cs._rowspaces_agree([[_1, E1]], [[E2, _1]])
+        assert cs._rowspaces_agree([[_1, E1]], [[E2, E1 * E2]])
+        assert calls == [1, 1, 2, 1, 1, 2]

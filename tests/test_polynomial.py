@@ -391,17 +391,61 @@ def square_matrices(draw):
     return mat
 
 
+@st.composite
+def mixed_degree_matrices(draw):
+    """Rows of different largest degrees in one variable, so that
+    det_cofactor takes them in an order other than bottom-up."""
+    n = draw(st.integers(2, 5))
+    return [[draw(univariate(draw(st.integers(0, 3)))) for _ in range(n)]
+            for _ in range(n)]
+
+
+def _monomial(*exps, c=1):
+    return {exps: Fraction(c)}
+
+
+# a row of degree 0 among rows of degree 2, and two rows of degree 1
+_LOW = [_monomial(0, 0, 0, c=2), _monomial(0, 0, 0, c=-1), _monomial(0, 0, 0, c=3)]
+_HIGH = [[_monomial(2, 0, 0), _monomial(1, 1, 0, c=3), _monomial(0, 2, 0)],
+         [_monomial(0, 1, 1), {}, _monomial(2, 0, 0, c=-2)]]
+_TIED = [[_monomial(1, 0, 0), _monomial(0, 1, 0), _monomial(0, 0, 1)],
+         [_monomial(0, 0, 1, c=2), _monomial(1, 0, 0), _monomial(0, 1, 0, c=-1)]]
+
+
 class TestCofactorAgainstLeibniz:
     @settings(max_examples=60, deadline=None)
     @given(square_matrices())
+    @example([[{(1, 1, 0): Fraction(-3)}]])
+    @example([])
     def test_cofactor_is_leibniz_sum(self, mat):
         rows = [[to_poly(e) for e in row] for row in mat]
         assert from_poly(cs.det_cofactor(rows)) == leibniz(mat)
 
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_degree_matrices())
+    def test_rows_of_mixed_degrees(self, mat):
+        rows = [[to_poly(e) for e in row] for row in mat]
+        assert from_poly(cs.det_cofactor(rows)) == leibniz(mat)
+
+    @pytest.mark.parametrize("mat", [
+        [_LOW] + _HIGH, [_HIGH[0], _LOW, _HIGH[1]], _HIGH + [_LOW],
+        [_LOW] + _TIED, _TIED + [_LOW], [_TIED[0], _LOW, _TIED[1]],
+        _TIED[::-1] + [_LOW], [_HIGH[0], _TIED[0], _LOW],
+    ], ids=["low-first", "low-middle", "low-last", "ties-after-low",
+            "ties-before-low", "ties-around-low", "ties-swapped",
+            "three-degrees"])
+    def test_lowest_degree_row_anywhere(self, mat):
+        rows = [[to_poly(e) for e in row] for row in mat]
+        want = leibniz(mat)
+        assert want
+        assert from_poly(cs.det_cofactor(rows)) == want
+
     def test_zero_row_gives_zero(self):
         x = {(1, 0, 0): Fraction(1)}
-        mat = [[x, x, {}], [{}, {}, {}], [x, {}, x]]
-        assert cs.det_cofactor([[to_poly(e) for e in row] for row in mat]).is_zero()
+        for zero in range(3):
+            mat = [[x, x, {}], [x, {}, x], [{}, x, _monomial(0, 2, 0)]]
+            mat[zero] = [{}, {}, {}]
+            assert cs.det_cofactor([[to_poly(e) for e in row] for row in mat]).is_zero()
 
 
 # ---------------------------------------------------------------------------

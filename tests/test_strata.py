@@ -106,6 +106,34 @@ class TestConstraints:
         with pytest.raises(ValueError):
             strata.enumerate_strata(5, True)
 
+    def test_only_enumerator_arguments_skip_the_conversions(self, monkeypatch):
+        indexed, built = [], []
+        index, init = strata.operator.index, sb.SplittingType.__init__
+
+        class Operator:
+            @staticmethod
+            def index(x):
+                indexed.append(x)
+                return index(x)
+
+        def counting_init(self, parts):
+            built.append(tuple(parts))
+            init(self, parts)
+
+        monkeypatch.setattr(strata, "operator", Operator)
+        monkeypatch.setattr(sb.SplittingType, "__init__", counting_init)
+        e, f = sb.SplittingType((3, 4, 5)), sb.SplittingType((6, 6))
+        built.clear()
+        # an int genus and SplittingTypes, as the enumerator passes them
+        assert strata.tet_check(9, e, f).allowed
+        assert indexed == built == []
+        # anything else is converted as before
+        assert strata.tet_check(9, [5, 3, 4], (6, 6)).allowed
+        assert indexed == [] and built == [(5, 3, 4), (6, 6)]
+        with pytest.raises(ValueError):
+            strata.tet_check(True, e, f)
+        assert indexed == [True]
+
 
 # The checks and lemma hypotheses as hand-written predicates, frozen from
 # before the atom table and sharing no code with it: the reference the

@@ -77,6 +77,18 @@ class TestWeightedIdeal:
         ideal = tr.WeightedIdeal((1, 2), [k(1, 4), k(2, 2), k(1) * k(2)])
         assert ideal.generator_degrees() == [4, 4, 3]
 
+    def test_generators_cannot_be_appended(self):
+        # the degrees are computed once, so an appended generator would
+        # be left out of the quotient: <k1^3> + k1 gave Hilbert 1,1,1,0,0
+        gens = [k(1, 3)]
+        ideal = tr.WeightedIdeal((1,), gens)
+        with pytest.raises(AttributeError):
+            ideal.generators.append(k(1))
+        gens.append(k(1))
+        assert ideal.generators == (k(1, 3),)
+        assert tr.hilbert(ideal, 4) == [1, 1, 1, 0, 0]
+        assert tr.hilbert(tr.WeightedIdeal((1,), gens), 4) == [1, 0, 0, 0, 0]
+
 
 class TestClassicalOracles:
     """Rings whose invariants are textbook facts."""
