@@ -17,8 +17,10 @@ Inserting a row touches only the entries that are there:
    the entry at its least column, the new pivot, is positive;
 3. only the stored rows that hold that column are back-reduced by it.
 
-With `reindexed` and `merge`, `tautring` carries the rows of lower
-degrees to the columns of the next and folds them into its form.
+With `shifted` and `merge`, `tautring` carries the rows of lower
+degrees to the columns of the next, all moved by one constant (its
+columns are monomial keys, and multiplying by a variable adds a
+constant to every key), and folds them into its form.
 `echelon` and `rank` are dense wrappers: each row is scaled by the lcm
 of its denominators and inserted in turn.
 """
@@ -105,15 +107,13 @@ class Echelon:
         else:
             self.rows = dict(other.rows)
 
-    def reindexed(self, cols: Sequence[int],
-                  pivots: Iterable[int]) -> "Echelon":
-        """The rows with the given pivots, column c moved to cols[c]. The
-        map must be strictly increasing, so that each pivot stays its
-        row's least column and the rows stay reduced."""
-        if any(a >= b for a, b in zip(cols, cols[1:])):
-            raise ValueError("column map is not increasing")
+    def shifted(self, offset: int, pivots: Iterable[int]) -> "Echelon":
+        """The rows with the given pivots, every column c moved to
+        c + offset. A constant shift keeps the order of the columns, so
+        each pivot stays its row's least column and the rows stay
+        reduced."""
         form = Echelon()
-        form.rows = {cols[p]: {cols[c]: x for c, x in self.rows[p].items()}
+        form.rows = {p + offset: {c + offset: x for c, x in self.rows[p].items()}
                      for p in pivots}
         return form
 

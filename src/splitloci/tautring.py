@@ -9,14 +9,23 @@ Each public call builds one GradedQuotient and drops it on return. It
 echelons each degree once, in increasing order, in one sparse
 fraction-free `linalg.Echelon`: I_d = sum_i k_i * I_{d-w_i}, which is
 (m.I)_d, plus the generators of degree d. The stored rows of each
-I_{d-w_i} go in re-indexed to the monomials of degree d, less those
-whose pivot is k_j times a pivot of I_{d-w_i-w_j} for a j < i, which
-would add nothing to the span; then the generators go in, so the rank
-they add on top counts the minimal generators of degree d. It stops at
-the first max(weight) consecutive degrees where the quotient vanishes:
-a monomial of higher degree sheds one variable at a time, losing at
-most max(weight) each step, so it has a divisor in that window, which
-lies in the ideal.
+I_{d-w_i} go in shifted by k_i, less those whose pivot is k_j times a
+pivot of I_{d-w_i-w_j} for a j < i, which would add nothing to the
+span; then the generators go in, so the rank they add on top counts
+the minimal generators of degree d. It stops at the first max(weight)
+consecutive degrees where the quotient vanishes: a monomial of higher
+degree sheds one variable at a time, losing at most max(weight) each
+step, so it has a divisor in that window, which lies in the ideal.
+
+Columns are monomial keys: k^e in n variables is the int
+-sum_i e_i * R^(n-1-i), R = RADIX. While every exponent is below R, the
+exponents are the base-R digits of -key, so keys are distinct and int
+order is decreasing lex order; multiplying by k_i subtracts the
+constant R^(n-1-i), which moves every column of a row alike and keeps
+its pivot least, and the key of a product is the sum of the keys. An
+exponent at degree d is at most d/min(weight) <= d, every weight being
+at least 1, so the keys of degree d are exact for d < R, and building a
+degree d >= R raises RuntimeError.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import jsontext
-from .linalg import Echelon, integer_row, rank
+from .linalg import Echelon, Row, integer_row, rank
 from .polynomial import Poly
 
 Exponents = Tuple[int, ...]
@@ -87,76 +96,87 @@ class WeightedIdeal:
         return list(self.degrees)
 
 
-def _exponents(mono, nvars: int) -> Exponents:
-    exps = dict(mono)
-    return tuple(exps.get(_var(i), 0) for i in range(nvars))
-
-
-def _mul(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _times(mono: Exponents, var_index: int) -> Exponents:
-    return mono[:var_index] + (mono[var_index] + 1,) + mono[var_index + 1:]
-
-
 class _Degree:
     """I_d in sparse echelon form over the monomials of degree d, built
-    from the degrees below: the rows k_i * I_{d-w_i}, re-indexed, span
+    from the degrees below: the rows k_i * I_{d-w_i}, shifted, span
     (m.I)_d, and the rank the generators of degree d add to them,
-    `new_generators`, is dim I_d/(m.I)_d. The monomials of the non-pivot
+    `new_generators`, is dim I_d/(m.I)_d. `basis` holds the keys of the
+    monomials of degree d in increasing order; the keys of the non-pivot
     columns, `free`, are a basis of the quotient R_d."""
 
-    def __init__(self, ideal: WeightedIdeal, d: int, below: Sequence["_Degree"]):
-        if not ideal.homogeneous:
+    def __init__(self, q: "GradedQuotient", d: int, below: Sequence["_Degree"]):
+        if not q.ideal.homogeneous:
             raise ValueError("homogenize first")
-        self.basis = monomials(d, ideal.weights)
-        self.index = {m: i for i, m in enumerate(self.basis)}
+        if d >= RADIX:
+            raise RuntimeError("degree %d does not fit monomial keys of "
+                               "radix %d" % (d, RADIX))
+        basis = [0] if d == 0 else []
         self.form = Echelon()
         # the first i with k_i times a pivot of I_{d-w_i} at each column
         self.shifted_by: Dict[int, int] = {}
-        for i, w in enumerate(ideal.weights):
-            if d >= w:
-                lower = below[d - w]
-                cols = [self.index[_times(m, i)] for m in lower.basis]
-                # Rows of I_{d-w_i} whose pivot is k_j times a pivot of
-                # I_{d-w_i-w_j} for some j < i are left out. The rows kept
-                # and the spaces k_j * I_{d-w_i-w_j}, j < i, still span
-                # I_{d-w_i}: their leading monomials cover every pivot.
-                # And k_i k_j * I_{d-w_i-w_j} lies in k_j * I_{d-w_j},
-                # inserted before.
-                kept = []
-                for p in lower.form.rows:
-                    if lower.shifted_by.get(p, i) >= i:
-                        kept.append(p)
-                    self.shifted_by.setdefault(cols[p], i)
-                # k_i keeps the order of monomials, so cols increases
-                self.form.merge(lower.form.reindexed(cols, kept))
+        for i, (w, place) in enumerate(zip(q.ideal.weights, q.places)):
+            if d < w:
+                continue
+            lower = below[d - w]
+            # a monomial of degree d whose first variable is k_{i+1} is
+            # k_{i+1} times one of degree d - w_i free of k_1..k_i, whose
+            # key lies above -R * places[i]; block by block, the keys of
+            # degree d come in increasing order
+            floor = -RADIX * place
+            basis += [m - place for m in lower.basis if m > floor]
+            # Rows of I_{d-w_i} whose pivot is k_j times a pivot of
+            # I_{d-w_i-w_j} for some j < i are left out. The rows kept
+            # and the spaces k_j * I_{d-w_i-w_j}, j < i, still span
+            # I_{d-w_i}: their leading monomials cover every pivot. And
+            # k_i k_j * I_{d-w_i-w_j} lies in k_j * I_{d-w_j}, inserted
+            # before.
+            kept = []
+            for p in lower.form.rows:
+                if lower.shifted_by.get(p, i) >= i:
+                    kept.append(p)
+                self.shifted_by.setdefault(p - place, i)
+            self.form.merge(lower.form.shifted(-place, kept))
         products = len(self.form)
-        for g, dg in zip(ideal.generators, ideal.degrees):
-            if dg == d:
-                self.form.insert(integer_row(
-                    {self.index[_exponents(mono, ideal.nvars)]: c
-                     for mono, c in g.terms.items()}))
+        for row in q.generator_rows.get(d, ()):
+            self.form.insert(row)
         self.new_generators = len(self.form) - products
-        self.free = [c for c in range(len(self.basis)) if c not in self.form.rows]
+        self.basis = basis
+        self.free = [m for m in basis if m not in self.form.rows]
 
-    def normal_form(self, mono: Exponents) -> List[Fraction]:
-        """Coordinates of a monomial modulo I_d over the basis `free`."""
-        col = self.index[mono]
-        row = self.form.rows.get(col)
+    def normal_form(self, key: int) -> List[Fraction]:
+        """Coordinates of the monomial with this key modulo I_d over the
+        basis `free`."""
+        row = self.form.rows.get(key)
         if row is None:
-            return [int(f == col) for f in self.free]
-        return [Fraction(-row.get(f, 0), row[col]) for f in self.free]
+            return [int(f == key) for f in self.free]
+        return [Fraction(-row.get(f, 0), row[key]) for f in self.free]
+
+
+# the base of the monomial keys: degrees below it are exact
+RADIX = 1 << 20
 
 
 class GradedQuotient:
     """R = Q[k1..kw]/I, each degree eliminated once, in increasing order,
-    up to the first max(weight) consecutive degrees where R vanishes."""
+    up to the first max(weight) consecutive degrees where R vanishes.
+    Its columns are monomial keys; multiplying by k_i subtracts
+    places[i]."""
 
     def __init__(self, ideal: WeightedIdeal):
         self.ideal = ideal
+        n = ideal.nvars
+        self.places = [RADIX ** (n - 1 - i) for i in range(n)]
+        self._place = {_var(i): p for i, p in enumerate(self.places)}
+        # each generator's row over the keys, grouped by its degree
+        self.generator_rows: Dict[int, List[Row]] = {}
+        for g, dg in zip(ideal.generators, ideal.degrees):
+            self.generator_rows.setdefault(dg, []).append(integer_row(
+                {self._key(mono): c for mono, c in g.terms.items()}))
         self._degrees: List[_Degree] = []
+
+    def _key(self, mono) -> int:
+        """The key of a Poly monomial ((name, exponent), ...)."""
+        return -sum(self._place[v] * e for v, e in mono)
 
     def _vanished(self) -> bool:
         w = max(self.ideal.weights)
@@ -166,9 +186,11 @@ class GradedQuotient:
     def degree(self, d: int) -> Optional[_Degree]:
         """The echelon form of I_d, or None where R_d = 0 past the
         vanishing window."""
+        if d < 0:
+            raise ValueError("negative degree")
         while len(self._degrees) <= d and not self._vanished():
             self._degrees.append(
-                _Degree(self.ideal, len(self._degrees), self._degrees))
+                _Degree(self, len(self._degrees), self._degrees))
         return self._degrees[d] if d < len(self._degrees) else None
 
     def ideal_rank(self, d: int) -> int:
@@ -212,10 +234,10 @@ def socle(ideal: IdealOrQuotient, d_max: int) -> Tuple[List[int], List[int]]:
         images = []
         for f in deg.free:
             image: List[Fraction] = []
-            for i, w in enumerate(weights):
+            for w, place in zip(weights, q.places):
                 target = q.degree(d + w)
                 if target is not None:
-                    image += target.normal_form(_times(deg.basis[f], i))
+                    image += target.normal_form(f - place)
             images.append(image)
         dim_socle = len(deg.free) - rank(images)
         if dim_socle:
@@ -232,12 +254,17 @@ def artinian_check(ideal: IdealOrQuotient, g: int,
     q = _quotient(ideal)
     if d_max is None:
         d_max = g + 6
-    w = max(q.ideal.weights)
-    h = hilbert(q, d_max)
-    for start in range(g - 1, d_max - w + 2):
+    window = _vanishing_window(hilbert(q, d_max), g, max(q.ideal.weights))
+    return window is not None, window
+
+
+def _vanishing_window(h: Sequence[int], g: int,
+                      w: int) -> Optional[Tuple[int, int]]:
+    """The first w consecutive zeros of h starting at g-1 or above."""
+    for start in range(g - 1, len(h) - w + 1):
         if all(h[start + i] == 0 for i in range(w)):
-            return True, (start, start + w - 1)
-    return False, None
+            return start, start + w - 1
+    return None
 
 
 def gorenstein_check(ideal: IdealOrQuotient, g: int,
@@ -264,7 +291,7 @@ def gorenstein_check(ideal: IdealOrQuotient, g: int,
     ok = True
     for i in range(top // 2 + 1):
         deg_i, deg_j = q.degree(i), q.degree(top - i)
-        pairing = [[deg_top.normal_form(_mul(deg_i.basis[ci], deg_j.basis[cj]))[0]
+        pairing = [[deg_top.normal_form(ci + cj)[0]
                     for cj in deg_j.free]
                    for ci in deg_i.free]
         full = rank(pairing) == len(deg_i.free)
@@ -416,8 +443,10 @@ def quotient_report(g: int,
     quotient = GradedQuotient(ideal)
     gor = gorenstein_check(quotient, g, d_max)
     degrees, dims = gor["socle_degrees"], gor["socle_dims"]
-    art, window = artinian_check(quotient, g, d_max)
+    h = hilbert(quotient, d_max)
+    window = _vanishing_window(h, g, max(ideal.weights))
     mingens = minimal_generators(quotient)
+    count = sum(mingens.values())
     notes = []
     if degrees == [g - 2] and dims == [1]:
         notes.append("socle sits in degree g-2 = %d with dimension 1" % (g - 2))
@@ -429,14 +458,14 @@ def quotient_report(g: int,
         interpretation=interpretation,
         weights=list(ideal.weights),
         generator_degrees=ideal.generator_degrees(),
-        hilbert=hilbert(quotient, d_max),
+        hilbert=h,
         socle_degrees=degrees,
         socle_dims=dims,
         gorenstein=gor["gorenstein"],
-        artinian=art,
+        artinian=window is not None,
         artinian_window=None if window is None else list(window),
-        minimal_generator_count=sum(mingens.values()),
+        minimal_generator_count=count,
         minimal_generators_by_degree=mingens,
-        ci_verdict=ci_verdict(quotient),
+        ci_verdict=count <= ideal.nvars,
         notes=notes,
     )

@@ -127,15 +127,21 @@ def test_rows_are_primitive_integers():
     assert echelon([[Fraction(-3, 4), Fraction(3, 2), 0]]) == ([[1, -2, 0]], [0])
 
 
-def test_reindexed_and_merged_forms():
+def test_shifted_and_merged_forms():
     form = Echelon()
     form.insert({0: 2, 2: 4, 3: 1})
     form.insert({1: 3, 3: -3})
-    # column c goes to column 2c + 1, and only the row with pivot 1 moves
-    moved = form.reindexed([1, 3, 5, 7], [1])
-    assert moved.rows == {3: {3: 1, 7: -1}}
-    with pytest.raises(ValueError, match="not increasing"):
-        form.reindexed([0, 2, 1, 3], [0, 1])
+    # every column moves by 2, and only the row with pivot 1 moves
+    moved = form.shifted(2, [1])
+    assert moved.rows == {3: {3: 1, 5: -1}}
+    # a shift to negative columns keeps the rows reduced: inserted afresh
+    # they come back unchanged
+    down = form.shifted(-3, [0, 1])
+    assert down.rows == {-3: {-3: 2, -1: 4, 0: 1}, -2: {-2: 1, 0: -1}}
+    fresh = Echelon()
+    for row in down.rows.values():
+        fresh.insert(row)
+    assert fresh.rows == down.rows
     # merging into an empty form takes the rows as they are; into a
     # nonempty one inserts and back-reduces them
     target = Echelon()
@@ -143,9 +149,9 @@ def test_reindexed_and_merged_forms():
     assert target.rows == moved.rows
     target.merge(Echelon())
     other = Echelon()
-    other.insert({1: 1, 7: 1})
+    other.insert({1: 1, 5: 1})
     target.merge(other)
-    assert target.rows == {1: {1: 1, 7: 1}, 3: {3: 1, 7: -1}}
+    assert target.rows == {1: {1: 1, 5: 1}, 3: {3: 1, 5: -1}}
     other.insert({3: 2})
     target.merge(other)
-    assert target.rows == {1: {1: 1}, 3: {3: 1}, 7: {7: 1}}
+    assert target.rows == {1: {1: 1}, 3: {3: 1}, 5: {5: 1}}

@@ -9,7 +9,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from splitloci import tautring as tr
 from splitloci.polynomial import Poly
@@ -223,13 +223,39 @@ def homogeneous_ideals(draw):
     return weights, gens
 
 
+def _mono(e):
+    """The Poly monomial with exponent tuple e."""
+    return tuple(("k%d" % (i + 1), x) for i, x in enumerate(e) if x)
+
+
+def _ideal(weights, gens):
+    return tr.WeightedIdeal(weights, [
+        Poly({_mono(e): c for e, c in terms.items()}) for _, terms in gens])
+
+
+def _check_degree(quotient, deg, basis, rref, pivots):
+    """The quotient basis and each monomial's coordinates over it, the
+    reference's exponent tuples read through the quotient's keys."""
+    free = [c for c in range(len(basis)) if c not in pivots]
+    key = [quotient._key(_mono(e)) for e in basis]
+    assert deg.basis == key
+    assert deg.free == [key[c] for c in free]
+    for col in range(len(basis)):
+        if col in pivots:
+            want = [-rref[pivots.index(col)][f] for f in free]
+        else:
+            want = [int(f == col) for f in free]
+        assert deg.normal_form(key[col]) == want
+
+
 @settings(max_examples=80, deadline=None)
 @given(homogeneous_ideals())
+# k1*k2 and k1*k3 share their top digit and differ in the two low ones
+@example(((1, 1, 1), [(2, {(1, 1, 0): 1, (1, 0, 1): -1}), (2, {(0, 1, 1): 3}),
+                      (3, {(0, 0, 3): 2, (0, 2, 1): 1})]))
 def test_ranks_and_minimal_generators_match_direct_span(drawn):
     weights, gens = drawn
-    polys = [Poly({tuple(("k%d" % (i + 1), x) for i, x in enumerate(e) if x): c
-                   for e, c in terms.items()}) for _, terms in gens]
-    ideal = tr.WeightedIdeal(weights, polys)
+    ideal = _ideal(weights, gens)
     quotient = tr.GradedQuotient(ideal)
     d_max = max(dg for dg, _ in gens) + max(weights)
     expected = {}
@@ -239,18 +265,46 @@ def test_ranks_and_minimal_generators_match_direct_span(drawn):
         if len(pivots) > products:
             expected[d] = len(pivots) - products
         deg = quotient.degree(d)
-        if deg is None:
-            continue
-        # the quotient basis and each monomial's coordinates over it
-        free = [c for c in range(len(basis)) if c not in pivots]
-        assert (deg.basis, deg.free) == (basis, free)
-        for col, mono in enumerate(basis):
-            if col in pivots:
-                want = [-rref[pivots.index(col)][f] for f in free]
-            else:
-                want = [int(f == col) for f in free]
-            assert deg.normal_form(mono) == want
+        if deg is not None:
+            _check_degree(quotient, deg, basis, rref, pivots)
     assert tr.minimal_generators(ideal, d_max) == expected
+
+
+@pytest.mark.parametrize("weights,gens", [
+    ((1,), [(10, {(10,): 1})]),
+    ((1, 1), [(2, {(1, 1): 1, (0, 2): -2}), (10, {(10, 0): 1})]),
+])
+def test_degrees_below_the_radix_are_exact_and_the_radix_raises(
+        weights, gens, monkeypatch):
+    # keys hold exponents below the radix, and an exponent at degree d is
+    # at most d; no degree near the real radix is built
+    monkeypatch.setattr(tr, "RADIX", 4)
+    quotient = tr.GradedQuotient(_ideal(weights, gens))
+    for d in range(4):
+        basis, rref, pivots, _ = _reference(weights, gens, d)
+        deg = quotient.degree(d)
+        assert len(deg.form) == len(pivots)
+        _check_degree(quotient, deg, basis, rref, pivots)
+    with pytest.raises(RuntimeError, match="radix 4"):
+        quotient.degree(4)
+
+
+class TestNegativeDegree:
+    def test_fresh_quotient(self):
+        # it raised IndexError
+        with pytest.raises(ValueError, match="negative degree"):
+            tr.graded_ideal_rank(tr.builtin_ideal(9), -1)
+
+    def test_built_quotient(self):
+        # with degrees 0..5 built, degree -1 read I_5 and -2 read I_4
+        quotient = tr.GradedQuotient(tr.builtin_ideal(9))
+        assert quotient.ideal_rank(5) == 3
+        for d in (-1, -2):
+            with pytest.raises(ValueError, match="negative degree"):
+                quotient.ideal_rank(d)
+            with pytest.raises(ValueError, match="negative degree"):
+                quotient.degree(d)
+        assert tr.hilbert(quotient, -1) == []
 
 
 class TestBuiltinIdeals:
@@ -350,6 +404,21 @@ class TestQuotientReports:
         assert report.artinian
         assert report.minimal_generator_count == 5
         assert not report.ci_verdict
+
+    @pytest.mark.parametrize("g,interpretation", [
+        (7, "emended"), (7, "printed-split"), (8, None), (8, "corrected"),
+        (9, None), (9, "corrected")])
+    def test_report_reads_the_public_checks(self, g, interpretation):
+        # the report derives these from one Hilbert function and one
+        # minimal-generator count; each public check builds its own
+        report = tr.quotient_report(g, interpretation)
+        ideal = tr.builtin_ideal(g, interpretation)
+        artinian, window = tr.artinian_check(ideal, g, g + 6)
+        assert report.hilbert == tr.hilbert(ideal, g + 6)
+        assert report.artinian == artinian
+        assert report.artinian_window == (None if window is None else list(window))
+        assert report.ci_verdict == tr.ci_verdict(ideal)
+        assert report.minimal_generators_by_degree == tr.minimal_generators(ideal)
 
     def test_genus8_corrected_quotient(self):
         report = tr.quotient_report(8, "corrected")
