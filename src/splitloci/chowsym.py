@@ -20,7 +20,7 @@ from math import comb
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import jsontext, strata
-from .linalg import echelon
+from .linalg import Echelon, integer_row
 from .polynomial import Packing, Poly, Scalar
 from .strata import E, E1, E2, E3, E4, F, F1, F2, F3, F4, F5, G
 
@@ -126,10 +126,11 @@ def chern_total(bundle: FilteredBundle) -> List[ZPair]:
 # ---------------------------------------------------------------------------
 # determinants
 
-def _pack_matrix(mat) -> Tuple[Packing, List[List[Dict[int, Scalar]]]]:
+def _pack_matrix(mat) -> Tuple[Packing, List[List[Dict[int, Scalar]]], List[int]]:
     """One graded packing for a matrix and every product its determinant
-    and Pfaffian engines form, and the matrix packed with it. The radix
-    is 2D+1, where D is the sum of the rows' largest total degrees.
+    and Pfaffian engines form, the matrix packed with it, and each row's
+    largest entry degree, -1 for a zero row. The radix is 2D+1, where D
+    is the sum of the rows' largest total degrees.
 
     A minor on rows R has total degree at most the sum over R of those
     rows' largest degrees, so at most D. Each cofactor product is an
@@ -141,17 +142,18 @@ def _pack_matrix(mat) -> Tuple[Packing, List[List[Dict[int, Scalar]]]]:
     degree at most the numerator's. So no product reaches the radix.
     """
     rows = [[_to_poly(x) for x in row] for row in mat]
-    bound = sum(max((entry.total_degree() for entry in row), default=0)
-                for row in rows)
+    degrees = [max((entry.total_degree() for entry in row
+                    if not entry.is_zero()), default=-1) for row in rows]
+    bound = sum(max(d, 0) for d in degrees)
     packing = Packing([entry for row in rows for entry in row], 2 * bound + 1)
-    return packing, [[packing.pack(entry) for entry in row] for row in rows]
+    return packing, [[packing.pack(entry) for entry in row] for row in rows], degrees
 
 
 def det_cofactor(rows: Sequence[Sequence[Poly]]) -> Poly:
     """Laplace expansion along the rows, each minor computed once.
 
     The rows are taken in increasing order of their largest entry
-    degree, read off the packed keys; ties keep the bottom-up order.
+    degree; ties keep the bottom-up order.
     Working through that order, minors[S] is the minor on the rows taken
     so far and the column set S (a bitmask), expanded along the row just
     taken; an n x n matrix takes n * 2^(n-1) products instead of n!.
@@ -170,11 +172,8 @@ def det_cofactor(rows: Sequence[Sequence[Poly]]) -> Poly:
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix is not square")
-    packing, packed = _pack_matrix(rows)
-    top = packing.top
+    packing, packed, degree = _pack_matrix(rows)
     # a zero row has degree -1, so it is taken first and ends the loop
-    degree = [max((max(entry) // top for entry in row if entry), default=-1)
-              for row in packed]
     order = sorted(range(n), key=lambda i: (degree[i], -i))
     # B's rows from the top are `order` reversed, so each inversion of
     # pi is a pair taken in increasing row order
@@ -212,7 +211,7 @@ def _bareiss(rows: Sequence[Sequence[Poly]]) -> Tuple[int, Poly]:
     cancelled terms. The matrix is packed once (see `_pack_matrix` for
     the radix) and every step runs on packed entries.
     """
-    packing, m = _pack_matrix(rows)
+    packing, m, _ = _pack_matrix(rows)
     ncols = len(m[0]) if m else 0
     rank = 0
     sign = 1
@@ -288,7 +287,7 @@ def pfaffian4(mat) -> Poly:
     _check_skew(mat)
     if len(mat) != 4:
         raise ValueError("expected a 4x4 matrix")
-    return _pfaffian4(*_pack_matrix(mat), 0, 1, 2, 3)
+    return _pfaffian4(*_pack_matrix(mat)[:2], 0, 1, 2, 3)
 
 
 def principal_minor(mat, drop: int):
@@ -304,7 +303,7 @@ def pfaffians(mat) -> Tuple[Poly, ...]:
     _check_skew(mat)
     if len(mat) != 5:
         raise ValueError("expected a 5x5 matrix")
-    packing, m = _pack_matrix(mat)
+    packing, m, _ = _pack_matrix(mat)
     return tuple(_pfaffian4(packing, m, *(j for j in range(5) if j != i))
                  for i in range(5))
 
@@ -641,14 +640,16 @@ def _stratum_values(g: int, e, f) -> Dict[str, int]:
 
 def _null_vector(rows: List[List[Fraction]]) -> Optional[List[Fraction]]:
     """A nonzero rational kernel vector of a square matrix, or None."""
-    reduced, pivots = echelon(rows)
-    free = next((c for c in range(len(rows)) if c not in pivots), None)
+    form = Echelon()
+    for row in rows:
+        form.insert(integer_row(dict(enumerate(row))))
+    free = next((c for c in range(len(rows)) if c not in form.rows), None)
     if free is None:
         return None
     vec = [Fraction(0)] * len(rows)
     vec[free] = Fraction(1)
-    for row, c in zip(reduced, pivots):
-        vec[c] = Fraction(-row[free], row[c])
+    for c, row in form.rows.items():
+        vec[c] = Fraction(-row.get(free, 0), row[c])
     return vec
 
 

@@ -20,16 +20,16 @@ Inserting a row touches only the entries that are there:
 With `shifted` and `merge`, `tautring` carries the rows of lower
 degrees to the columns of the next, all moved by one constant (its
 columns are monomial keys, and multiplying by a variable adds a
-constant to every key), and folds them into its form.
-`echelon` and `rank` are dense wrappers: each row is scaled by the lcm
-of its denominators and inserted in turn.
+constant to every key), and folds them into its form. A rational row
+goes in through `integer_row`; that is how the socle and pairing ranks
+of `tautring` and the null vector of `chowsym` use the form.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
 from numbers import Rational
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Mapping
 
 Row = Dict[int, int]
 
@@ -117,32 +117,3 @@ class Echelon:
                      for p in pivots}
         return form
 
-
-def _inserted(rows: Sequence[Sequence[Rational]]) -> Echelon:
-    if len({len(row) for row in rows}) > 1:
-        raise ValueError("rows have unequal lengths")
-    form = Echelon()
-    for row in rows:
-        form.insert(integer_row(dict(enumerate(row))))
-    return form
-
-
-def echelon(rows: Sequence[Sequence[Rational]]) -> Tuple[List[List[int]], List[int]]:
-    """Reduced row echelon form of a matrix of ints or Fractions.
-
-    Returns (reduced, pivots), one primitive integer row per pivot:
-    reduced[k] has a positive entry in column pivots[k], its first
-    nonzero column, and column pivots[k] is zero in every other row.
-    The reduced-row-echelon entry (k, c) is
-    Fraction(reduced[k][c], reduced[k][pivots[k]]); the rank is
-    len(pivots).
-    """
-    form = _inserted(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = sorted(form.rows)
-    return [[form.rows[p].get(c, 0) for c in range(ncols)]
-            for p in pivots], pivots
-
-
-def rank(rows: Sequence[Sequence[Rational]]) -> int:
-    return len(_inserted(rows))

@@ -471,6 +471,7 @@ def _make_record(g: int, cover_degree: int, e: SplittingType,
 
 
 def enumerate_strata(cover_degree: int, g: int) -> List[StratumRecord]:
+    cover_degree = operator.index(cover_degree)
     if cover_degree not in (4, 5):
         raise ValueError("cover degree must be 4 or 5")
     g = operator.index(g)

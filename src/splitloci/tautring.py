@@ -26,6 +26,9 @@ its pivot least, and the key of a product is the sum of the keys. An
 exponent at degree d is at most d/min(weight) <= d, every weight being
 at least 1, so the keys of degree d are exact for d < R, and building a
 degree d >= R raises RuntimeError.
+
+The socle and the Gorenstein pairings are ranks of multiplication maps,
+one sparse row of product coordinates per free monomial, in an `Echelon`.
 """
 
 from __future__ import annotations
@@ -33,34 +36,16 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Rational
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import jsontext
-from .linalg import Echelon, Row, integer_row, rank
+from .linalg import Echelon, Row, integer_row
 from .polynomial import Poly
-
-Exponents = Tuple[int, ...]
 
 
 def _var(i: int) -> str:
     return "k%d" % (i + 1)
-
-
-def monomials(d: int, weights: Sequence[int]) -> List[Exponents]:
-    """All exponent vectors of weighted degree exactly d, in strictly
-    decreasing lex order."""
-    if d < 0:
-        raise ValueError("negative degree")
-    if not weights:
-        return [()] if d == 0 else []
-    # (exponents so far, degree left), one list per variable but the last,
-    # whose exponent the degree left fixes
-    partial: List[Tuple[Exponents, int]] = [((), d)]
-    for w in weights[:-1]:
-        partial = [(acc + (e,), left - e * w) for acc, left in partial
-                   for e in range(left // w, -1, -1)]
-    w = weights[-1]
-    return [acc + (left // w,) for acc, left in partial if left % w == 0]
 
 
 class WeightedIdeal:
@@ -91,9 +76,6 @@ class WeightedIdeal:
     @property
     def nvars(self) -> int:
         return len(self.weights)
-
-    def generator_degrees(self) -> List[int]:
-        return list(self.degrees)
 
 
 class _Degree:
@@ -143,13 +125,15 @@ class _Degree:
         self.basis = basis
         self.free = [m for m in basis if m not in self.form.rows]
 
-    def normal_form(self, key: int) -> List[Fraction]:
-        """Coordinates of the monomial with this key modulo I_d over the
-        basis `free`."""
+    def normal_form(self, key: int) -> Dict[int, Rational]:
+        """The nonzero coordinates of the monomial with this key modulo
+        I_d over the basis `free`, keyed by free key: a pivot row is zero
+        at every other pivot, so its other entries are all free."""
         row = self.form.rows.get(key)
         if row is None:
-            return [int(f == key) for f in self.free]
-        return [Fraction(-row.get(f, 0), row[key]) for f in self.free]
+            return {key: 1}
+        p = row[key]
+        return {c: Fraction(-x, p) for c, x in row.items() if c != key}
 
 
 # the base of the monomial keys: degrees below it are exact
@@ -193,11 +177,24 @@ class GradedQuotient:
                 _Degree(self, len(self._degrees), self._degrees))
         return self._degrees[d] if d < len(self._degrees) else None
 
-    def ideal_rank(self, d: int) -> int:
-        deg = self.degree(d)
-        if deg is None:
-            return len(monomials(d, self.ideal.weights))
-        return len(deg.form)
+    def _image_rank(self, keys: Sequence[int],
+                    targets: Sequence[Tuple[int, Optional[_Degree]]]) -> int:
+        """The rank over Q of f -> the normal forms of f + shift in each
+        target degree, over the keys f. Target j's coordinate at free key
+        c is column c + j * R^n: every key lies in (-R^n, 0], so columns
+        stay distinct where two targets are one degree, as with weights
+        (1, 1), and go target by target."""
+        span = RADIX * self.places[0]
+        form = Echelon()
+        for f in keys:
+            image: Dict[int, Rational] = {}
+            offset = 0
+            for shift, target in targets:
+                for c, x in target.normal_form(f + shift).items():
+                    image[c + offset] = x
+                offset += span
+            form.insert(integer_row(image))
+        return len(form)
 
 
 # The checks below take a WeightedIdeal, or the GradedQuotient of one so
@@ -207,10 +204,6 @@ IdealOrQuotient = Union[WeightedIdeal, GradedQuotient]
 
 def _quotient(ideal: IdealOrQuotient) -> GradedQuotient:
     return ideal if isinstance(ideal, GradedQuotient) else GradedQuotient(ideal)
-
-
-def graded_ideal_rank(ideal: WeightedIdeal, d: int) -> int:
-    return GradedQuotient(ideal).ideal_rank(d)
 
 
 def hilbert(ideal: IdealOrQuotient, d_max: int) -> List[int]:
@@ -231,15 +224,10 @@ def socle(ideal: IdealOrQuotient, d_max: int) -> Tuple[List[int], List[int]]:
         deg = q.degree(d)
         if deg is None:
             break
-        images = []
-        for f in deg.free:
-            image: List[Fraction] = []
-            for w, place in zip(weights, q.places):
-                target = q.degree(d + w)
-                if target is not None:
-                    image += target.normal_form(f - place)
-            images.append(image)
-        dim_socle = len(deg.free) - rank(images)
+        # d + w_i is past the vanishing window (None) only if R_d = 0
+        targets = [(-place, q.degree(d + w))
+                   for w, place in zip(weights, q.places)]
+        dim_socle = len(deg.free) - q._image_rank(deg.free, targets)
         if dim_socle:
             degrees.append(d)
             dims.append(dim_socle)
@@ -286,15 +274,14 @@ def gorenstein_check(ideal: IdealOrQuotient, g: int,
         report["diagnostic"] = "hilbert function is not symmetric"
         return report
 
-    # R^top = R^0 is one-dimensional, so each product is one coordinate
+    # R^top = R^0 is one-dimensional, so each product c_i * c_j is one
+    # coordinate, and c_i goes to its products with every c_j
     deg_top = q.degree(top)
     ok = True
     for i in range(top // 2 + 1):
         deg_i, deg_j = q.degree(i), q.degree(top - i)
-        pairing = [[deg_top.normal_form(ci + cj)[0]
-                    for cj in deg_j.free]
-                   for ci in deg_i.free]
-        full = rank(pairing) == len(deg_i.free)
+        pairing = [(cj, deg_top) for cj in deg_j.free]
+        full = q._image_rank(deg_i.free, pairing) == len(deg_i.free)
         ok = ok and full
         report["pairings"].append({"degree": i, "dim": len(deg_i.free),
                                    "full_rank": full})
@@ -309,7 +296,7 @@ def minimal_generators(ideal: IdealOrQuotient,
     monomial there has a proper divisor in the ideal."""
     q = _quotient(ideal)
     if d_max is None:
-        d_max = max(q.ideal.degrees)
+        d_max = max(q.ideal.degrees, default=0)
     out: Dict[int, int] = {}
     for d in range(d_max + 1):
         deg = q.degree(d)
@@ -457,7 +444,7 @@ def quotient_report(g: int,
         genus=g,
         interpretation=interpretation,
         weights=list(ideal.weights),
-        generator_degrees=ideal.generator_degrees(),
+        generator_degrees=list(ideal.degrees),
         hilbert=h,
         socle_degrees=degrees,
         socle_dims=dims,

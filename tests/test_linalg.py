@@ -2,12 +2,12 @@
 Fraction Gauss-Jordan reference kept here."""
 
 from fractions import Fraction
+from math import gcd
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from splitloci import chowsym as cs
-from splitloci.linalg import Echelon, echelon, rank
+from splitloci.linalg import Echelon, integer_row
 
 
 def reference_rref(rows):
@@ -66,17 +66,34 @@ def matrices(draw, square=False):
     return rows
 
 
+def inserted(rows):
+    """The Echelon form of a dense matrix of ints and Fractions."""
+    form = Echelon()
+    for row in rows:
+        form.insert(integer_row(dict(enumerate(row))))
+    return form
+
+
+def assert_matches_reference(form, rows):
+    """The pivots and, scaled to pivot 1, the rows of the reference; each
+    stored row primitive, in ints, positive at its pivot, its least
+    column."""
+    ref, ref_pivots = reference_rref(rows)
+    assert sorted(form.rows) == ref_pivots
+    assert len(form) == len(ref_pivots)
+    for p, ref_row in zip(ref_pivots, ref):
+        row = form.rows[p]
+        assert all(type(x) is int and x for x in row.values())
+        assert gcd(*row.values()) == 1
+        assert row[p] > 0 and min(row) == p
+        assert {c: Fraction(x, row[p]) for c, x in row.items()} == {
+            c: x for c, x in enumerate(ref_row) if x}
+
+
 @settings(max_examples=200, deadline=None)
 @given(matrices())
 def test_echelon_matches_fraction_gauss_jordan(rows):
-    ref, ref_pivots = reference_rref(rows)
-    reduced, pivots = echelon(rows)
-    assert pivots == ref_pivots
-    assert rank(rows) == len(ref_pivots)
-    for row, ref_row, p in zip(reduced, ref, pivots):
-        assert all(isinstance(x, int) for x in row)
-        assert row[p] > 0
-        assert [Fraction(x, row[p]) for x in row] == ref_row
+    assert_matches_reference(inserted(rows), rows)
 
 
 @settings(max_examples=200, deadline=None)
@@ -86,12 +103,9 @@ def test_echelon_does_not_depend_on_row_order(data):
     # so inserting the rows in any order gives the same rows
     rows = data.draw(matrices())
     shuffled = data.draw(st.permutations(rows))
-    ref, ref_pivots = reference_rref(rows)
-    reduced, pivots = echelon(shuffled)
-    assert (reduced, pivots) == echelon(rows)
-    assert pivots == ref_pivots
-    for row, ref_row, p in zip(reduced, ref, pivots):
-        assert [Fraction(x, row[p]) for x in row] == ref_row
+    form = inserted(shuffled)
+    assert form.rows == inserted(rows).rows
+    assert_matches_reference(form, rows)
 
 
 @settings(max_examples=200, deadline=None)
@@ -105,26 +119,21 @@ def test_null_vector_matches_reference(rows):
 
 
 def test_empty_and_degenerate_shapes():
-    assert echelon([]) == ([], [])
-    assert echelon([[], []]) == ([], [])
-    assert echelon([[0, 0, 0], [0, 0, 0]]) == ([], [])
+    assert inserted([]).rows == {}
+    assert inserted([[], []]).rows == {}
+    assert inserted([[0, 0, 0], [0, 0, 0]]).rows == {}
     assert cs._null_vector([]) is None
     assert cs._null_vector([[0, 0], [0, 0]]) == [Fraction(1), Fraction(0)]
 
 
-@pytest.mark.parametrize("rows", [[[0, 0], [0, 0, 1]], [[1], [0, 1]]])
-def test_ragged_rows_raise(rows):
-    with pytest.raises(ValueError, match="unequal lengths"):
-        echelon(rows)
-    with pytest.raises(ValueError, match="unequal lengths"):
-        rank(rows)
-
-
 def test_rows_are_primitive_integers():
-    reduced, pivots = echelon([[Fraction(1, 2), Fraction(1, 3)],
-                               [Fraction(-2, 5), 4]])
-    assert (reduced, pivots) == ([[1, 0], [0, 1]], [0, 1])
-    assert echelon([[Fraction(-3, 4), Fraction(3, 2), 0]]) == ([[1, -2, 0]], [0])
+    # integer_row scales by the lcm of the denominators and drops zeros
+    assert integer_row({0: Fraction(1, 2), 1: 0, 2: Fraction(-1, 3)}) == {0: 3, 2: -2}
+    assert integer_row({}) == {}
+    form = inserted([[Fraction(1, 2), Fraction(1, 3)], [Fraction(-2, 5), 4]])
+    assert form.rows == {0: {0: 1}, 1: {1: 1}}
+    form = inserted([[Fraction(-3, 4), Fraction(3, 2), 0]])
+    assert form.rows == {0: {0: 1, 1: -2}}
 
 
 def test_shifted_and_merged_forms():

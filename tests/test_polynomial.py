@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from splitloci import chowsym as cs
-from splitloci.linalg import rank
+from splitloci.linalg import Echelon, integer_row
 from splitloci.polynomial import ONE_MONO, Packing, Poly
 
 NAMES = ("x", "y", "z")
@@ -447,6 +447,16 @@ class TestCofactorAgainstLeibniz:
             mat[zero] = [{}, {}, {}]
             assert cs.det_cofactor([[to_poly(e) for e in row] for row in mat]).is_zero()
 
+    def test_packing_reports_each_rows_largest_degree(self):
+        # a zero entry does not count, a zero row reads -1, and the radix
+        # is 2D + 1 for D the sum of the other rows' degrees
+        x, y = Poly.var("x"), Poly.var("y")
+        packing, _, degrees = cs._pack_matrix(
+            [[x * y, Poly(), Poly.const(1)], [Poly()] * 3,
+             [Poly.const(3), y, Poly()], [Poly.const(2)] * 3])
+        assert degrees == [2, -1, 1, 0]
+        assert packing.radix == 2 * 3 + 1
+
 
 # ---------------------------------------------------------------------------
 # the packed engines against the reference
@@ -483,6 +493,14 @@ def high_first_row(draw):
         lambda d: {m: Fraction(c) for m, c in d.items()})
     return ([[draw(top) for _ in range(3)]]
             + [[draw(univariate(1)) for _ in range(3)] for _ in range(2)])
+
+
+def rank(rows):
+    """The rank over Q of a matrix of Fractions."""
+    form = Echelon()
+    for row in rows:
+        form.insert(integer_row(dict(enumerate(row))))
+    return len(form)
 
 
 def generic_rank(mat):

@@ -1,0 +1,71 @@
+"""No dead public API: every public module-level function and class under
+src/splitloci is named somewhere under src/ outside its own definition,
+or is on the allow-list below with the reason it has no caller there.
+Names are matched as identifiers, not resolved, so an attribute or a
+method of the same name elsewhere counts as a reference."""
+
+import ast
+import pathlib
+from collections import Counter
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "splitloci"
+
+# functions whose only callers are tests/test_acceptance.py (criterion
+# N) or the bench, until a CLI command runs them
+ALLOWED = {
+    "splitbundle.dominates": "criterion 10: the dominance order's axioms",
+    "strata.star_union_check": "criterion 3: the codimension of a star union",
+    "strata.single_locus_coincidence": "criterion 4; bench/workloads.py",
+    "chowsym.chern_total": "criterion 7: the splitting-principle displays",
+    "chowsym.pfaffian4": "criterion 5: each 4x4 minor's Pfaffian",
+    "chowsym.principal_minor": "criterion 5: the 4x4 minors",
+    "chowsym.pfaffians": "criterion 5; bench/workloads.py",
+    "chowsym.generic_skew5": "criterion 5: the generic skew matrix",
+    "chowsym.ce_rank": "criterion 8: the syzygy bundle ranks",
+    "chowsym.quadric_count": "criterion 8: quadrics through a canonical curve",
+    "chowsym.sym2_chern_check": "criterion 8; bench/workloads.py",
+    "tautring.artinian_check": "bench/workloads.py; quotient_report reads "
+                               "the window off its own Hilbert function",
+}
+
+
+def _names(node):
+    """Every identifier a node and its children refer to, as a name or
+    an attribute."""
+    return Counter(x.id if isinstance(x, ast.Name) else x.attr
+                   for x in ast.walk(node)
+                   if isinstance(x, (ast.Name, ast.Attribute)))
+
+
+def unreferenced(src=SRC):
+    """The public module-level functions and classes that nothing under
+    src refers to outside their own definitions, as "module.name"."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(src.glob("*.py"))}
+    everywhere = sum((_names(tree) for tree in trees.values()), Counter())
+    return sorted(
+        "%s.%s" % (module, node.name)
+        for module, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef))
+        and not node.name.startswith("_")
+        and everywhere[node.name] == _names(node)[node.name])
+
+
+def test_every_public_definition_has_a_caller_or_a_reason():
+    dead = unreferenced()
+    assert [name for name in dead if name not in ALLOWED] == [], (
+        "no caller under src/: delete it, or allow-list it with a reason")
+    assert [name for name in ALLOWED if name not in dead] == [], (
+        "allow-listed but now called, or gone: drop the entry")
+
+
+def test_a_definition_named_only_by_itself_is_dead(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def used():\n    return 1\n\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else used()\n\n"
+        "class Shadow:\n    def used(self):\n        return self.used\n",
+        encoding="utf-8")
+    (tmp_path / "b.py").write_text("from . import a\nx = a.Shadow\n",
+                                    encoding="utf-8")
+    assert unreferenced(tmp_path) == ["a.recursive"]

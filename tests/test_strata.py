@@ -106,6 +106,14 @@ class TestConstraints:
         with pytest.raises(ValueError):
             strata.enumerate_strata(5, True)
 
+    @pytest.mark.parametrize("degree", [4.0, 5.0, "4", None])
+    def test_a_cover_degree_that_is_not_an_integer_raises(self, degree):
+        # 4.0 passed the `in (4, 5)` check and enumerated 10 records
+        with pytest.raises(TypeError):
+            strata.enumerate_strata(degree, 9)
+        with pytest.raises(ValueError, match="cover degree must be 4 or 5"):
+            strata.enumerate_strata(3, 9)
+
     def test_only_enumerator_arguments_skip_the_conversions(self, monkeypatch):
         indexed, built = [], []
         index, init = strata.operator.index, sb.SplittingType.__init__
