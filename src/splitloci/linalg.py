@@ -21,8 +21,10 @@ With `shifted` and `merge`, `tautring` carries the rows of lower
 degrees to the columns of the next, all moved by one constant (its
 columns are monomial keys, and multiplying by a variable adds a
 constant to every key), and folds them into its form. A rational row
-goes in through `integer_row`; that is how the socle and pairing ranks
-of `tautring` and the null vector of `chowsym` use the form.
+goes in through `integer_row`: the generators of `tautring` and the
+rows of the null vector of `chowsym` do. The socle and pairing ranks of
+`tautring` insert integer rows that they scale themselves, each over
+the lcm of its pivots.
 """
 
 from __future__ import annotations

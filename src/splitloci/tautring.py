@@ -29,14 +29,15 @@ degree d >= R raises RuntimeError.
 
 The socle and the Gorenstein pairings are ranks of multiplication maps,
 one sparse row of product coordinates per free monomial, in an `Echelon`.
+Each coordinate is an integer over its target's pivot, and each row is
+scaled to the lcm of those pivots, so no fraction is formed.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
-from numbers import Rational
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import jsontext
@@ -125,15 +126,16 @@ class _Degree:
         self.basis = basis
         self.free = [m for m in basis if m not in self.form.rows]
 
-    def normal_form(self, key: int) -> Dict[int, Rational]:
-        """The nonzero coordinates of the monomial with this key modulo
-        I_d over the basis `free`, keyed by free key: a pivot row is zero
-        at every other pivot, so its other entries are all free."""
+    def normal_form(self, key: int) -> Tuple[Row, int]:
+        """(x, p): the monomial with this key is sum_c x[c]/p * c modulo
+        I_d over the basis `free`, with x its nonzero coordinates keyed
+        by free key and p > 0. A free key is itself, over 1; a pivot row
+        is zero at every other pivot, so its other entries, negated, are
+        the coordinates over its pivot."""
         row = self.form.rows.get(key)
         if row is None:
-            return {key: 1}
-        p = row[key]
-        return {c: Fraction(-x, p) for c, x in row.items() if c != key}
+            return {key: 1}, 1
+        return {c: -x for c, x in row.items() if c != key}, row[key]
 
 
 # the base of the monomial keys: degrees below it are exact
@@ -160,7 +162,10 @@ class GradedQuotient:
 
     def _key(self, mono) -> int:
         """The key of a Poly monomial ((name, exponent), ...)."""
-        return -sum(self._place[v] * e for v, e in mono)
+        key = 0
+        for v, e in mono:
+            key -= self._place[v] * e
+        return key
 
     def _vanished(self) -> bool:
         w = max(self.ideal.weights)
@@ -183,17 +188,22 @@ class GradedQuotient:
         target degree, over the keys f. Target j's coordinate at free key
         c is column c + j * R^n: every key lies in (-R^n, 0], so columns
         stay distinct where two targets are one degree, as with weights
-        (1, 1), and go target by target."""
+        (1, 1), and go target by target. Each row is the image of f
+        times the lcm of its targets' denominators, a nonzero multiple,
+        so the rank is the image's."""
         span = RADIX * self.places[0]
         form = Echelon()
         for f in keys:
-            image: Dict[int, Rational] = {}
+            forms = [target.normal_form(f + shift) for shift, target in targets]
+            scale = lcm(*(p for _, p in forms))
+            image: Row = {}
             offset = 0
-            for shift, target in targets:
-                for c, x in target.normal_form(f + shift).items():
-                    image[c + offset] = x
+            for coords, p in forms:
+                m = scale // p
+                for c, x in coords.items():
+                    image[c + offset] = m * x
                 offset += span
-            form.insert(integer_row(image))
+            form.insert(image)
         return len(form)
 
 
@@ -315,13 +325,16 @@ def ci_verdict(ideal: IdealOrQuotient) -> bool:
 # ---------------------------------------------------------------------------
 # built-in ideals
 
-def _k(i: int, e: int = 1) -> Poly:
-    return Poly.var(_var(i - 1), e)
+def _poly(*terms: Tuple[int, Tuple[int, ...]]) -> Poly:
+    """The sum of the terms c * k1^e1 * k2^e2 * ..., given as (c, e)."""
+    return Poly({tuple((_var(i), x) for i, x in enumerate(e) if x): c
+                 for c, e in terms})
 
 
 def builtin_ideal(g: int, interpretation: Optional[str] = None) -> WeightedIdeal:
     """The printed kappa-class ideals for g in {7, 8, 9}, and readings of
-    them.
+    them. Each generator is written as its printed terms, in printed
+    order, each a coefficient and the exponents of k1, k2[, k3].
 
     Genus 7 has no default: its third generator mixes weighted degrees 4
     and 5 as printed, so a reading must be chosen. "printed-split"
@@ -341,13 +354,12 @@ def builtin_ideal(g: int, interpretation: Optional[str] = None) -> WeightedIdeal
     """
     g = operator.index(g)
     if g == 7:
-        k1, k2 = _k(1), _k(2)
-        g1 = 2423 * k1 ** 2 * k2 - 52632 * k2 ** 2
-        g2 = 1152000 * k2 ** 2 - 2423 * k1 ** 4
+        g1 = _poly((2423, (2, 1)), (-52632, (0, 2)))
+        g2 = _poly((1152000, (0, 2)), (-2423, (4, 0)))
         if interpretation == "printed-split":
-            gens = [g1, g2, 16000 * k1 ** 3 * k2, -731 * k1 ** 4]
+            gens = [g1, g2, _poly((16000, (3, 1))), _poly((-731, (4, 0)))]
         elif interpretation == "emended":
-            gens = [g1, g2, 16000 * k1 ** 3 * k2 - 731 * k1 ** 5]
+            gens = [g1, g2, _poly((16000, (3, 1)), (-731, (5, 0)))]
         else:
             raise ValueError("unknown interpretation")
         return WeightedIdeal((1, 2), gens)
@@ -355,26 +367,24 @@ def builtin_ideal(g: int, interpretation: Optional[str] = None) -> WeightedIdeal
         raise ValueError("unknown interpretation")
     corrected = interpretation == "corrected"
     if g == 8:
-        k1, k2 = _k(1), _k(2)
         c22 = -714894336 if corrected else 714894336
         gens = [
-            c22 * k2 ** 2 + 55211328 * k1 ** 2 * k2 - 1058587 * k1 ** 4,
-            62208000 * k1 * k2 ** 2 - 95287 * k1 ** 5,
-            144000 * k1 ** 3 * k2 - 5617 * k1 ** 5,
+            _poly((c22, (0, 2)), (55211328, (2, 1)), (-1058587, (4, 0))),
+            _poly((62208000, (1, 2)), (-95287, (5, 0))),
+            _poly((144000, (3, 1)), (-5617, (5, 0))),
         ]
         return WeightedIdeal((1, 2), gens)
     if g == 9:
-        k1, k2, k3 = _k(1), _k(2), _k(3)
         c312 = 1142345520 if corrected else 114345520
         gens = [
-            5195 * k1 ** 4 + 3644694 * k1 * k3 + 749412 * k2 ** 2
-            - 265788 * k1 ** 2 * k2,
-            33859814400 * k2 * k3 - 95311440 * k1 ** 3 * k2
-            + 2288539 * k1 ** 5,
-            19151377 * k1 ** 5 + 16929907200 * k1 * k2 ** 2
-            - c312 * k1 ** 3 * k2,
-            1422489600 * k3 ** 2 - 983 * k1 ** 6,
-            1185408000 * k2 ** 3 - 47543 * k1 ** 6,
+            _poly((5195, (4, 0, 0)), (3644694, (1, 0, 1)),
+                  (749412, (0, 2, 0)), (-265788, (2, 1, 0))),
+            _poly((33859814400, (0, 1, 1)), (-95311440, (3, 1, 0)),
+                  (2288539, (5, 0, 0))),
+            _poly((19151377, (5, 0, 0)), (16929907200, (1, 2, 0)),
+                  (-c312, (3, 1, 0))),
+            _poly((1422489600, (0, 0, 2)), (-983, (6, 0, 0))),
+            _poly((1185408000, (0, 3, 0)), (-47543, (6, 0, 0))),
         ]
         return WeightedIdeal((1, 2, 3), gens)
     raise ValueError("no built-in ideal for genus %d" % g)

@@ -129,6 +129,24 @@ class TestClassicalOracles:
         artinian, window = tr.artinian_check(ideal, 4, d_max=12)
         assert not artinian and window is None
 
+    def test_pairing_without_full_rank(self):
+        # Q[k1,k2,k3]/(k1k2, k2^2, k1^3, k1^2k3), weights (1, 1, 4): R_2
+        # is spanned by k1^2, and k2 * R_1 = 0, so the pairing
+        # R_1 x R_1 -> R_2 is degenerate; k2 is still no socle element,
+        # since k2k3 != 0, and the powers of k3 keep it from being
+        # Artinian
+        ideal = tr.WeightedIdeal((1, 1, 4), [k(1) * k(2), k(2, 2), k(1, 3),
+                                             k(1, 2) * k(3)])
+        assert tr.hilbert(ideal, 12) == [1, 2, 1, 0, 1, 2, 0, 0, 1, 2, 0, 0, 1]
+        assert tr.socle(ideal, 12) == ([2], [1])
+        report = tr.gorenstein_check(ideal, 4, 12)
+        assert report["pairings"] == [
+            {"degree": 0, "dim": 1, "full_rank": True},
+            {"degree": 1, "dim": 2, "full_rank": False}]
+        assert not report["gorenstein"]
+        assert "diagnostic" not in report
+        assert tr.artinian_check(ideal, 4, 12) == (False, None)
+
 
 # ---------------------------------------------------------------------------
 # I_d and (m.I)_d spanned directly by the products m*g_j and reduced by a
@@ -228,7 +246,9 @@ def _normal_forms(basis, rref, pivots):
 
 def _check_degree(quotient, deg, basis, rref, pivots):
     """The quotient basis and each monomial's coordinates over it, the
-    reference's exponent tuples read through the quotient's keys."""
+    reference's exponent tuples read through the quotient's keys; the
+    quotient gives the coordinates as integers over one positive
+    denominator."""
     def key(e):
         return quotient._key(_mono(e))
 
@@ -236,7 +256,10 @@ def _check_degree(quotient, deg, basis, rref, pivots):
     assert deg.basis == [key(e) for e in basis]
     assert deg.free == [key(e) for e in free]
     for e, form in forms.items():
-        assert deg.normal_form(key(e)) == {key(f): x for f, x in form.items()}
+        coords, denominator = deg.normal_form(key(e))
+        assert denominator > 0
+        assert ({c: Fraction(x, denominator) for c, x in coords.items()}
+                == {key(f): x for f, x in form.items()})
 
 
 @settings(max_examples=80, deadline=None)
@@ -275,6 +298,11 @@ def _plus(a, b):
 # Gorenstein with a socle of degree 3 and non-unit pivots
 @example(((1, 2), [(2, {(2, 0): 2, (0, 1): Fraction(3, 2)}),
                    (4, {(0, 2): 5})]))
+# k1^2 = k2^2/2 and k1*k2 = -k2^2/3 reduce over the pivots 2 and 3, so
+# the image of k1, (1/2, -1/3), goes in over their lcm as (3, -2), and
+# that of k2, (-1/3, 1), as (-1, 3); unscaled, the two integer rows
+# (1, -1) and (-1, 1) would be dependent
+@example(((1, 1), [(2, {(2, 0): 2, (0, 2): -1}), (2, {(1, 1): 3, (0, 2): 1})]))
 def test_socle_and_pairings_match_dense_reference(drawn):
     # the socle of R_d is the kernel of x -> (k_1 x, ..., k_w x), and
     # each Gorenstein pairing R_i x R_{D-i} -> R_D a matrix, both built
@@ -406,6 +434,47 @@ class TestBuiltinIdeals:
                    for m in a if a[m] != b[m]]
         assert changed == [(index, mono)]
         assert (old[index][mono], new[index][mono]) == (printed, corrected)
+
+    @pytest.mark.parametrize("g,interpretation", [
+        (7, "printed-split"), (7, "emended"), (8, "printed"),
+        (8, "corrected"), (9, "printed"), (9, "corrected")])
+    def test_generators_as_printed(self, g, interpretation):
+        # the generators in Poly arithmetic, as printed: the same terms
+        # in the same order, and the same degrees
+        ideal = tr.builtin_ideal(g, interpretation)
+        k1, k2, k3 = k(1), k(2), k(3)
+        corrected = interpretation == "corrected"
+        if g == 7:
+            g1 = 2423 * k1 ** 2 * k2 - 52632 * k2 ** 2
+            g2 = 1152000 * k2 ** 2 - 2423 * k1 ** 4
+            if interpretation == "printed-split":
+                printed = [g1, g2, 16000 * k1 ** 3 * k2, -731 * k1 ** 4]
+            else:
+                printed = [g1, g2, 16000 * k1 ** 3 * k2 - 731 * k1 ** 5]
+        elif g == 8:
+            c22 = -714894336 if corrected else 714894336
+            printed = [
+                c22 * k2 ** 2 + 55211328 * k1 ** 2 * k2 - 1058587 * k1 ** 4,
+                62208000 * k1 * k2 ** 2 - 95287 * k1 ** 5,
+                144000 * k1 ** 3 * k2 - 5617 * k1 ** 5,
+            ]
+        else:
+            c312 = 1142345520 if corrected else 114345520
+            printed = [
+                5195 * k1 ** 4 + 3644694 * k1 * k3 + 749412 * k2 ** 2
+                - 265788 * k1 ** 2 * k2,
+                33859814400 * k2 * k3 - 95311440 * k1 ** 3 * k2
+                + 2288539 * k1 ** 5,
+                19151377 * k1 ** 5 + 16929907200 * k1 * k2 ** 2
+                - c312 * k1 ** 3 * k2,
+                1422489600 * k3 ** 2 - 983 * k1 ** 6,
+                1185408000 * k2 ** 3 - 47543 * k1 ** 6,
+            ]
+        assert ([list(p.terms.items()) for p in ideal.generators]
+                == [list(p.terms.items()) for p in printed])
+        weights = (1, 2, 3) if g == 9 else (1, 2)
+        assert ideal.weights == weights
+        assert ideal.degrees == tr.WeightedIdeal(weights, printed).degrees
 
     def test_genus7_has_no_corrected_reading(self):
         with pytest.raises(ValueError, match="unknown interpretation"):
