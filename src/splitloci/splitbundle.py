@@ -30,6 +30,16 @@ class SplittingType:
             raise ValueError("empty splitting type")
         self.parts = tup
 
+    @classmethod
+    def _from_sorted(cls, parts: tuple) -> "SplittingType":
+        """The splitting type of parts without the constructor's checks.
+        Precondition: parts is a non-empty, weakly increasing tuple of
+        ints, as the strata enumerator's tuple generator makes them; any
+        other argument gives an object that breaks the class's contract."""
+        self = object.__new__(cls)
+        self.parts = parts
+        return self
+
     def rank(self) -> int:
         return len(self.parts)
 

@@ -374,29 +374,41 @@ def _weakly_increasing_tuples(length: int, total: int, lo: int, hi: int,
     last = length - 1
     # the pair bounds between the last two slots ask remaining >= need;
     # 2 * lo is no bound, as the last two entries are at least lo
-    need = max([2 * lo] + [c for _, c in raises[last - 1]])
+    need = 2 * lo
+    for _, c in raises[last - 1]:
+        if c > need:
+            need = c
+    later_slots = [tuple(range(slot + 1, length)) for slot in range(length)]
     no_slopes = [0] * length
     tuples: List[Tuple[int, ...]] = []
 
-    def rec(prefix, floors, remaining):
-        slot = len(prefix)
+    def rec(prefix, slot, previous, floors, remaining):
         # the entry before and the slot's floor bound its value below
-        first = max(prefix[-1:] + (floors[slot],))
+        first = floors[slot]
+        if previous > first:
+            first = previous
         if slot == last - 1:
             if remaining >= need:
-                tuples.extend([prefix + (v, remaining - v) for v in range(
-                    max(first, remaining - hi),
-                    min(remaining // 2, remaining - floors[last]) + 1)])
+                start, stop = remaining - hi, remaining - floors[last]
+                if first > start:
+                    start = first
+                if remaining // 2 < stop:
+                    stop = remaining // 2
+                tuples.extend([prefix + (v, remaining - v)
+                               for v in range(start, stop + 1)])
             return
         later = last - slot
         # the later entries lie in [value, hi], which bounds value
-        value = max(first, remaining - hi * later)
-        end = min(hi, remaining // (later + 1))
-        bounds = raises[slot]
+        value, end = remaining - hi * later, remaining // (later + 1)
+        if first > value:
+            value = first
+        if hi < end:
+            end = hi
+        bounds, following, after = raises[slot], later_slots[slot], slot + 1
+        raised, slopes = floors, no_slopes
         while value <= end:
-            raised, slopes = floors, no_slopes
             if bounds:
-                raised, slopes = list(floors), [0] * length
+                raised, slopes = floors[:], no_slopes[:]
                 for b, c in bounds:
                     if c - value > raised[b]:
                         raised[b], slopes[b] = c - value, -1
@@ -404,7 +416,7 @@ def _weakly_increasing_tuples(length: int, total: int, lo: int, hi: int,
             # largest slope among the pieces that attain each maximum
             least = top = value
             slope = top_slope = 1
-            for k in range(slot + 1, length):
+            for k in following:
                 floor = raised[k]
                 if floor > top:
                     top, top_slope = floor, slopes[k]
@@ -413,14 +425,14 @@ def _weakly_increasing_tuples(length: int, total: int, lo: int, hi: int,
                 least += top
                 slope += top_slope
             if least <= remaining:
-                rec(prefix + (value,), raised, remaining - value)
+                rec(prefix + (value,), after, value, raised, remaining - value)
                 value += 1
             elif slope < 0:
                 value -= (least - remaining) // slope
             else:
                 return
 
-    rec((), [lo] * length, total)
+    rec((), 0, lo, [lo] * length, total)
     return tuples
 
 
@@ -438,9 +450,11 @@ def _positive_part_sum(tops: Sequence[int], sums: Sequence[int]) -> int:
 
 
 def _make_record(g: int, cover_degree: int, e: SplittingType,
-                 f: SplittingType, xe: Optional[int] = None) -> StratumRecord:
-    """The record of a pair the enumerator has accepted; xe, when given,
-    is expected_codim(e), which the enumerator computes once per e. The
+                 f: SplittingType, xf: Optional[int] = None,
+                 xe: Optional[int] = None) -> StratumRecord:
+    """The record of a pair the enumerator has accepted; xf and xe, when
+    given, are expected_codim(f) and expected_codim(e), which the
+    enumerator computes once per distinct f and once per e. The
     correction
     is h1(f^dual (x) Sym2 e) in degree 4 and h1(e (x) Wedge2 f (x)
     O(-g-4)) in degree 5, summed over the parts by h1(O(a)) =
@@ -449,7 +463,8 @@ def _make_record(g: int, cover_degree: int, e: SplittingType,
     (j < l) of max(0, g + 3 - e_i - (f_j + f_l))."""
     if xe is None:
         xe = sb.expected_codim(e)
-    xf = sb.expected_codim(f)
+    if xf is None:
+        xf = sb.expected_codim(f)
     if cover_degree == 4:
         corr = _positive_part_sum(
             [fj - 1 for fj in f.parts],
@@ -471,6 +486,38 @@ def _make_record(g: int, cover_degree: int, e: SplittingType,
 
 
 def enumerate_strata(cover_degree: int, g: int) -> List[StratumRecord]:
+    """The record of every admissible pair (e, f) of the cover degree and
+    genus g, in increasing lexicographic order of (e parts, f parts).
+
+    Each candidate pair goes through `tet_check` or `pent_check` once,
+    and only the pairs it allows are recorded. The bounds below are read
+    off the constraints, so they only spare building candidates that the
+    check would reject; the parts are 1-based, and each sum is fixed
+    (TOTALDEG, SUM_E, SUM_F).
+
+    Degree 4. The entries of e lie in [1, (g + 3) // 2] (E1MIN, E3MAX).
+    f = (f1, g + 3 - f1) with f1 <= f2, so f1 <= (g + 3) // 2; NO0 gives
+    f1 <= 2 * e1 and Q12VAN f1 >= g + 3 - 2 * e2. CONDITIONAL asks
+    f2 <= e1 + e3, that is f1 >= g + 3 - e1 - e3 = e2, unless
+    f1 = 2 * e1. So f1 runs from max(g + 3 - 2 * e2, e2) to
+    min(2 * e1, (g + 3) // 2); when that range is empty, f1 = 2 * e1
+    alone is left if it lies in [g + 3 - 2 * e2, (g + 3) // 2].
+
+    Degree 5. The entries of e lie in [ceil((g + 4) / 10),
+    (2 * g + 8) // 5] (E1RANGE's lower end and E4MAX); its upper end
+    4 * e1 <= g + 4 holds for any sorted e of sum g + 4. TOPF caps every
+    entry of f at 2 * e4, so SUM_F puts each at least 2 * g + 8 - 8 * e4,
+    and L1..L7 are pair bounds of the f generator. Three consequences of
+    L1..L7 skip each e that admits no f at all:
+      D1: 4 * e2 + e3 >= g + 4. L6 + L7 with SUM_F give f3 <= 2 * e2,
+          and L3 with f2 <= f3 gives 2 * f3 >= g + 4 - e3.
+      D2: 3 * e1 + 2 * e4 >= g + 4. L1 + L4 with SUM_F give
+          f4 <= e1 + e4, and L5 with f3 <= f4 gives 2 * f4 >= g + 4 - e1.
+      D3: 2 * e1 + 3 * e3 >= g + 4. L2 + L4 with SUM_F give
+          f3 <= e1 + e3, and L3 bounds 2 * f3 below as in D1.
+
+    Each distinct f is built once per call, with its expected
+    codimension; nothing is kept between calls."""
     cover_degree = operator.index(cover_degree)
     if cover_degree not in (4, 5):
         raise ValueError("cover degree must be 4 or 5")
@@ -478,40 +525,45 @@ def enumerate_strata(cover_degree: int, g: int) -> List[StratumRecord]:
     if not GENUS_MIN[cover_degree] <= g <= GENUS_MAX:
         raise ValueError("genus out of range for degree-%d enumeration"
                          % cover_degree)
-
-    # Both branches generate each pair once, in increasing (e, f) order.
+    check = tet_check if cover_degree == 4 else pent_check
     records: List[StratumRecord] = []
+    made: Dict[Tuple[int, ...], Tuple[SplittingType, int]] = {}
+    # the generator's tuples are sorted int tuples, as _from_sorted needs
+    for e_parts, fs in _candidates(cover_degree, g):
+        e = SplittingType._from_sorted(e_parts)
+        xe = sb.expected_codim(e)
+        for f_parts in fs:
+            if f_parts not in made:
+                f = SplittingType._from_sorted(f_parts)
+                made[f_parts] = f, sb.expected_codim(f)
+            f, xf = made[f_parts]
+            if check(g, e, f).allowed:
+                records.append(_make_record(g, cover_degree, e, f, xf, xe))
+    return records
+
+
+def _candidates(cover_degree: int, g: int):
+    """Each e that the bounds of `enumerate_strata` leave, in increasing
+    order, with the list of its candidate f, also in increasing order."""
     if cover_degree == 4:
         total = g + 3
-        # E1MIN and E3MAX bound every entry of e to [1, (g + 3) // 2].
         for e_parts in _weakly_increasing_tuples(3, total, 1, total // 2):
-            e = SplittingType(e_parts)
-            xe = sb.expected_codim(e)
-            # Q12VAN bounds f2 above, which bounds f1 below; f1 <= f2
-            # caps f1 at total // 2.
-            for f1 in range(total - 2 * e.parts[1],
-                            min(2 * e.parts[0], total // 2) + 1):
-                f = SplittingType((f1, total - f1))
-                if tet_check(g, e, f).allowed:
-                    records.append(_make_record(g, 4, e, f, xe))
+            e1, e2, _ = e_parts
+            low, top = total - 2 * e2, min(2 * e1, total // 2)
+            start = max(low, e2)
+            if start > top and top == 2 * e1 >= low:
+                start = top  # only f1 = 2 * e1 meets CONDITIONAL
+            yield e_parts, [(f1, total - f1) for f1 in range(start, top + 1)]
     else:
-        ftotal = 2 * g + 8
-        # E1RANGE's lower end and E4MAX bound every entry of e; its upper
-        # end 4 * e1 <= g + 4 holds for any sorted e of sum g + 4.
-        for e_parts in _weakly_increasing_tuples(4, g + 4, -(-(g + 4) // 10),
+        g4, ftotal = g + 4, 2 * g + 8
+        for e_parts in _weakly_increasing_tuples(4, g4, -(-g4 // 10),
                                                  ftotal // 5):
-            e = SplittingType(e_parts)
-            xe = sb.expected_codim(e)
-            e4 = e_parts[3]
-            # TOPF caps every entry of f at 2 * e4, so the sum puts each
-            # at least ftotal - 8 * e4; L1..L7 are the pair bounds.
-            linear = [(a, b, g + 4 - e_parts[k]) for _, a, b, k in PENT_LINEAR]
-            for f_parts in _weakly_increasing_tuples(
-                    5, ftotal, ftotal - 8 * e4, 2 * e4, linear):
-                f = SplittingType(f_parts)
-                if pent_check(g, e, f).allowed:
-                    records.append(_make_record(g, 5, e, f, xe))
-    return records
+            e1, e2, e3, e4 = e_parts
+            if 4 * e2 + e3 < g4 or 3 * e1 + 2 * e4 < g4 or 2 * e1 + 3 * e3 < g4:
+                continue  # D1, D2 or D3 fails: no f
+            linear = [(a, b, g4 - e_parts[k]) for _, a, b, k in PENT_LINEAR]
+            yield e_parts, _weakly_increasing_tuples(
+                5, ftotal, ftotal - 8 * e4, 2 * e4, linear)
 
 
 def strata_report(records: Sequence[StratumRecord]) -> dict:

@@ -52,6 +52,15 @@ def test_parse_run_rejects_other_output(stdout, message):
         bj.parse_run(stdout)
 
 
+def tier1(walls, files=None):
+    """A tree's tier-1 record from runs of the given wall times, each
+    exiting 0, with the per-file times of the last run."""
+    return bj.tier1_summary([
+        {"wall_s": w, "exit_code": 0, "summary": "690 passed",
+         "file_s": files or {"tests/test_a.py": 1.5, "tests/test_b.py": 0.0}}
+        for w in walls])
+
+
 def document():
     """A full document: every workload and seed, on two trees; the
     kappa-rings pass_cal of seed s is 0.050 + s/1000 on the parent and
@@ -68,7 +77,7 @@ def document():
     return {"format": bj.FORMAT, "seconds": 40, "seeds": list(range(1, 11)),
             "workloads": ["kappa-rings", "strata-sweep", "lemma-verify"],
             "trees": {label: {"source_sha256": sha,
-                              "tier1": {"wall_s": 40.0, "summary": "650 passed"}}
+                              "tier1": tier1([40.0, 38.5, 41.0])}
                       for label, sha in (("parent", "aa"), ("change", "bb"))},
             "units": {"pass_cal": "loops", "ok_frac": "ratio"},
             "runs": runs, "medians": bj.medians(runs)}
@@ -132,12 +141,52 @@ def _unknown_unit(doc):
     doc["runs"][0]["metrics"]["new"] = 1.0
 
 
+def _tier1_failed(doc):
+    doc["trees"]["change"]["tier1"]["runs"][1]["exit_code"] = 1
+
+
+def _tier1_exit_code_missing(doc):
+    del doc["trees"]["change"]["tier1"]["runs"][2]["exit_code"]
+
+
+def _tier1_not_the_median(doc):
+    doc["trees"]["parent"]["tier1"]["wall_s"] = 38.5
+
+
+def _tier1_two_runs(doc):
+    tier1 = doc["trees"]["parent"]["tier1"]
+    tier1["runs"].pop()
+    tier1["wall_s"] = 40.0
+
+
+def _tier1_negative_file_time(doc):
+    doc["trees"]["parent"]["tier1"]["file_s"]["tests/test_b.py"] = -0.1
+
+
+def _tier1_file_time_not_a_number(doc):
+    doc["trees"]["change"]["tier1"]["file_s"]["tests/test_a.py"] = "1.5"
+
+
+def _tier1_no_file_times(doc):
+    doc["trees"]["change"]["tier1"]["file_s"] = {}
+
+
+def _legacy_tier1_failed(doc):
+    doc["trees"]["parent"]["tier1"] = {"wall_s": 29.7, "exit_code": 2,
+                                       "summary": "1 failed, 679 passed"}
+
+
 @pytest.mark.parametrize("breaks,message", [
     (_break_medians, "medians"), (_drop_run, "missing"),
     (_subset_of_workloads, "workloads are not"), (_three_seeds, "seeds are not"),
     (_short_runs, "seconds are not"), (_per_pass_list, "no scalar provenance"),
     (_repeat_run, "repeated"), (_swap_tree, "another tree"),
     (_no_tier1, "tier-1"), (_unknown_unit, "no unit"),
+    (_tier1_failed, "exited 1"), (_tier1_exit_code_missing, "exited None"),
+    (_tier1_not_the_median, "not the median"), (_tier1_two_runs, "not 3"),
+    (_tier1_negative_file_time, "file times"),
+    (_tier1_file_time_not_a_number, "file times"),
+    (_tier1_no_file_times, "file times"), (_legacy_tier1_failed, "exited 2"),
 ])
 def test_validate_rejects_a_broken_document(breaks, message):
     doc = document()
@@ -156,3 +205,80 @@ def test_validate_command(tmp_path, capsys):
     assert bj.main(["validate", str(good), str(bad)]) == 1
     assert "runs missing" in capsys.readouterr().err
 
+
+
+def test_validate_accepts_one_tier1_run_per_tree_as_in_older_files():
+    # the layout of BENCH_22.json to BENCH_24.json
+    doc = document()
+    for label, wall in (("parent", 29.7), ("change", 38.9)):
+        doc["trees"][label]["tier1"] = {"wall_s": wall, "exit_code": 0,
+                                        "summary": "687 passed in 38.35s"}
+    bj.validate(doc)
+
+
+def test_file_seconds_sums_the_testcases_of_each_file():
+    report = """<?xml version="1.0" encoding="utf-8"?><testsuites>
+<testsuite name="pytest" tests="4">
+<testcase classname="tests.test_a" name="test_x" file="tests/test_a.py"
+ line="3" time="0.125" />
+<testcase classname="tests.test_a.TestY" name="test_z" file="tests/test_a.py"
+ line="9" time="1.250"><failure message="no">trace</failure></testcase>
+<testcase classname="tests.test_b" name="test_w" file="tests/test_b.py"
+ line="1" time="0.000" />
+<testcase classname="tests.test_c" name="test_v" time="0.5" />
+</testsuite></testsuites>"""
+    assert bj.file_seconds(report) == {"tests/test_a.py": 1.375,
+                                       "tests/test_b.py": 0.0,
+                                       "tests.test_c": 0.5}
+
+
+def test_tier1_summary_keeps_each_run_and_takes_medians():
+    runs = [{"wall_s": w, "exit_code": 0, "summary": "s%d" % i,
+             "file_s": {"a.py": w / 10, "b.py": 1.0}}
+            for i, w in enumerate((30.0, 44.0, 29.0))]
+    assert bj.tier1_summary(runs) == {
+        "runs": [{"wall_s": 30.0, "exit_code": 0, "summary": "s0"},
+                 {"wall_s": 44.0, "exit_code": 0, "summary": "s1"},
+                 {"wall_s": 29.0, "exit_code": 0, "summary": "s2"}],
+        "wall_s": 30.0, "file_s": {"a.py": 3.0, "b.py": 1.0}}
+
+
+def test_run_times_tier1_in_alternating_pairs(monkeypatch):
+    walls = {"parent": iter([30.0, 44.5, 29.7]),
+             "change": iter([38.9, 43.8, 31.0])}
+    order = []
+
+    def bench(tree, label, workload, seed):
+        run = {"label": label, "workload": workload, "seed": seed}
+        run.update(bj.parse_run(canned(tree, 0.05, workload=workload,
+                                       seed=seed)))
+        return run
+
+    def tier1(tree):
+        order.append(tree)
+        return {"wall_s": next(walls[tree]), "exit_code": 0,
+                "summary": "690 passed", "file_s": {"tests/test_a.py": 1.0}}
+
+    monkeypatch.setattr(bj, "_bench", bench)
+    monkeypatch.setattr(bj, "_tier1", tier1)
+    doc = bj.run({"parent": "parent", "change": "change"})
+    assert order == ["parent", "change", "change", "parent", "parent",
+                     "change"]
+    assert doc["trees"]["parent"]["tier1"]["wall_s"] == 30.0
+    assert doc["trees"]["change"]["tier1"]["wall_s"] == 38.9
+    assert [r["wall_s"] for r in doc["trees"]["change"]["tier1"]["runs"]] \
+        == [38.9, 43.8, 31.0]
+    bj.validate(doc)
+
+
+def test_run_command_writes_the_file_before_validating_it(tmp_path,
+                                                          monkeypatch,
+                                                          capsys):
+    doc = document()
+    _tier1_failed(doc)
+    monkeypatch.setattr(bj, "run", lambda trees: doc)
+    out = tmp_path / "BENCH_9.json"
+    assert bj.main(["run", "--parent", "p", "--change", "c",
+                    "--out", str(out)]) == 1
+    assert json.loads(out.read_text()) == doc
+    assert "exited 1" in capsys.readouterr().err

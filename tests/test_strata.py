@@ -705,7 +705,7 @@ class TestClosedForms:
         if g <= strata.GENUS_MAX:
             assert (e.parts, f.parts) in pairs(enumerated(degree, g))
 
-    @pytest.mark.parametrize("degree,genus", [(4, 24), (5, 24)])
+    @pytest.mark.parametrize("degree,genus", STRATA_WINDOWS)
     def test_each_candidate_is_checked_once(self, degree, genus,
                                             monkeypatch):
         name = "tet_check" if degree == 4 else "pent_check"
@@ -719,9 +719,108 @@ class TestClosedForms:
         monkeypatch.setattr(strata, name, counted)
         records = strata.enumerate_strata(degree, genus)
         assert len(calls) == len(set(calls))
-        if degree == 5:
-            # the f generator yields only admissible f
-            assert calls == [(r.e.parts, r.f.parts) for r in records]
+        # the f generator yields only admissible f, and the degree-4 f1
+        # range only f1 that meet CONDITIONAL
+        assert calls == [(r.e.parts, r.f.parts) for r in records]
+
+    @pytest.mark.parametrize("degree,genus", STRATA_WINDOWS)
+    def test_parts_are_those_the_checking_constructor_builds(self, degree,
+                                                             genus):
+        # the enumerator builds e and f without sorting or converting
+        for r in strata.enumerate_strata(degree, genus):
+            for split in (r.e, r.f):
+                built = sb.SplittingType(list(split.parts))
+                assert type(split) is sb.SplittingType
+                assert type(split.parts) is tuple
+                assert all(type(p) is int for p in split.parts)
+                assert split.parts == built.parts and split == built
+
+
+class TestWholeStratumSet:
+    """`enumerate_strata` against every sorted pair of the right sums in
+    a universe bounded here, kept when the reference check accepts it.
+    Each bound below holds for every admissible pair, by the argument
+    given with it, so the universe holds every admissible pair."""
+
+    @pytest.mark.parametrize("genus", range(5, strata.GENUS_MAX + 1))
+    def test_degree4(self, genus):
+        # E1MIN: e1 >= 1. Then e2 + e3 <= g + 2 with e2 <= e3 gives
+        # 2 * e2 <= g + 2, so Q12VAN puts f2 <= g + 2 and f1 >= 1.
+        total = genus + 3
+        expected = [(e, f) for e in sorted_tuples(3, total, 1, total)
+                    for f in sorted_tuples(2, total, 1, total)
+                    if not reference_tet_check(genus, e, f)]
+        assert [(r.e.parts, r.f.parts)
+                for r in enumerated(4, genus)] == expected
+
+    # every genus up to 20 takes about 2 s on 2 vCPUs
+    @pytest.mark.parametrize("genus", range(7, 21))
+    def test_degree5(self, genus):
+        # E1RANGE: 10 * e1 >= g + 4. TOPF: f5 <= 2 * e4. L1: f1 >= g + 4
+        # - e4 - f3, and f3 <= f5 <= 2 * e4, so f1 >= g + 4 - 3 * e4.
+        expected = [(e, f)
+                    for e in sorted_tuples(4, genus + 4, (genus + 13) // 10,
+                                           genus + 4)
+                    for f in sorted_tuples(5, 2 * genus + 8,
+                                           genus + 4 - 3 * e[3], 2 * e[3])
+                    if not reference_pent_check(genus, e, f)]
+        assert [(r.e.parts, r.f.parts)
+                for r in enumerated(5, genus)] == expected
+
+
+def skip_bounds(g, e):
+    """D1, D2 and D3 of `enumerate_strata`, on the 0-based parts of e."""
+    return (4 * e[1] + e[2] >= g + 4, 3 * e[0] + 2 * e[3] >= g + 4,
+            2 * e[0] + 3 * e[2] >= g + 4)
+
+
+class TestPentagonalSkips:
+    def test_every_enumerated_stratum_meets_the_bounds(self):
+        for genus in range(7, strata.GENUS_MAX + 1):
+            for r in enumerated(5, genus):
+                assert all(skip_bounds(genus, r.e.parts)), (genus, r.e)
+
+    @settings(max_examples=200, deadline=None)
+    @given(genus=st.integers(7, 60), seed=st.integers(0, 2 ** 32))
+    def test_admissible_pairs_meet_the_bounds(self, genus, seed):
+        # past GENUS_MAX too: the bounds follow from L1..L7 and SUM_F
+        e, f = random_admissible_pair(random.Random(seed), 5, genus)
+        assert all(skip_bounds(genus, e.parts)), (genus, e, f)
+
+    def test_each_skipped_e_admits_no_f(self, monkeypatch):
+        generator = strata._weakly_increasing_tuples
+        calls = []
+
+        def recording(length, total, lo, hi, pairs=()):
+            out = generator(length, total, lo, hi, pairs)
+            calls.append((length, pairs, out))
+            return out
+
+        monkeypatch.setattr(strata, "_weakly_increasing_tuples", recording)
+        every_e = f_calls = 0
+        for genus in range(7, strata.GENUS_MAX + 1):
+            calls.clear()
+            strata.enumerate_strata(5, genus)
+            # the e generator runs first, then the f generator per e
+            assert [c[0] for c in calls] == [4] + [5] * (len(calls) - 1)
+            es = calls[0][2]
+            # each f call's pair bounds g + 4 - e[k] name its e
+            called = []
+            for length, pairs, _ in calls[1:]:
+                parts = {k: genus + 4 - c for (_, _, _, k), (_, _, c)
+                         in zip(strata.PENT_LINEAR, pairs)}
+                called.append(tuple(parts[k] for k in range(4)))
+            assert called == [e for e in es if all(skip_bounds(genus, e))]
+            ftotal = 2 * genus + 8
+            for e in es:
+                if e not in called:
+                    linear = [(a, b, genus + 4 - e[k])
+                              for _, a, b, k in strata.PENT_LINEAR]
+                    assert generator(5, ftotal, ftotal - 8 * e[3], 2 * e[3],
+                                     linear) == [], (genus, e)
+            every_e += len(es)
+            f_calls += len(called)
+        assert (every_e, f_calls) == (237, 194)
 
 
 class TestStarUnion:

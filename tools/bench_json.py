@@ -11,13 +11,18 @@ the tier-1 wall time of each tree.
 ten pairs of runs per workload, the parent first for every other seed
 and the change first for the rest, and keeps the scalar provenance
 fields and the metrics from the last two lines that run.py prints. It
-then times the tier-1 tests of each tree. Use two fresh
-copies of the trees, so that neither run reads the other's bytecode or
-test caches.
+then times the tier-1 tests of each tree three times, in alternating
+pairs (parent, change; change, parent; parent, change), keeps each
+run's wall time, exit code and summary, and records their median wall
+time and the median over the runs of each test file's time, read from
+the JUnit XML that pytest writes. Use two fresh copies of the trees, so
+that neither run reads the other's bytecode or test caches.
 
 `validate` checks the layout of each file, by default of every
-BENCH_*.json at the root of this repository, and that its medians are
-those of its runs, made for every workload and seed above at 40 s.
+BENCH_*.json at the root of this repository, that its medians are
+those of its runs, made for every workload and seed above at 40 s, and
+that every tier-1 run exited 0. Files made before the tier-1 runs were
+repeated hold one run per tree, with no per-file times.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
+import xml.etree.ElementTree as ET
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence
 
@@ -39,6 +46,7 @@ WORKLOADS = ["kappa-rings", "strata-sweep", "lemma-verify"]
 SEEDS = list(range(1, 11))
 SECONDS = 40
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+TIER1_RUNS = 3  # per tree
 
 
 def bench_argv(workload: str, seed) -> List[str]:
@@ -86,8 +94,65 @@ def medians(runs: Sequence[dict]) -> Dict[str, Dict[str, Dict[str, float]]]:
             for w, by_label in values.items()}
 
 
+def file_seconds(junit_xml: str) -> Dict[str, float]:
+    """The summed time of the testcases of each test file in a pytest
+    JUnit XML report written with junit_family=xunit1, which names each
+    testcase's file; a testcase with no file counts under its classname."""
+    totals: Dict[str, float] = {}
+    for case in ET.fromstring(junit_xml).iter("testcase"):
+        name = case.get("file") or case.get("classname", "")
+        totals[name] = totals.get(name, 0.0) + float(case.get("time", "0"))
+    return {name: round(t, 3) for name, t in totals.items()}
+
+
+def tier1_summary(runs: Sequence[dict]) -> dict:
+    """One tree's tier-1 record from its runs, each a _tier1 result: the
+    runs' wall times, exit codes and summaries, their median wall time,
+    and the median over the runs of each file's time."""
+    by_file: Dict[str, List[float]] = {}
+    for one in runs:
+        for name, t in one["file_s"].items():
+            by_file.setdefault(name, []).append(t)
+    return {"runs": [{k: one[k] for k in ("wall_s", "exit_code", "summary")}
+                     for one in runs],
+            "wall_s": statistics.median(one["wall_s"] for one in runs),
+            "file_s": {name: statistics.median(t) for name, t in by_file.items()}}
+
+
 def _number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _validate_tier1(label: str, tier1) -> None:
+    """A tree's tier-1 record holds TIER1_RUNS runs that exited 0, their
+    median wall time and non-negative per-file times; or, in files made
+    before the runs were repeated, one run's wall time, exit code 0 and
+    summary."""
+    if not isinstance(tier1, dict) or not _number(tier1.get("wall_s")):
+        raise ValueError("tree %r has no tier-1 wall time" % label)
+    repeated = "runs" in tier1
+    runs = tier1["runs"] if repeated else [tier1]
+    if repeated and (not isinstance(runs, list) or len(runs) != TIER1_RUNS):
+        raise ValueError("tree %r has not %d tier-1 runs" % (label, TIER1_RUNS))
+    for one in runs:
+        if (not isinstance(one, dict) or not _number(one.get("wall_s"))
+                or not isinstance(one.get("summary"), str)):
+            raise ValueError("tree %r has a tier-1 run with no wall time and "
+                             "summary" % label)
+        code = one.get("exit_code")
+        if type(code) is not int or code != 0:
+            raise ValueError("tree %r has a tier-1 run that exited %r"
+                             % (label, code))
+    if not repeated:
+        return
+    if tier1["wall_s"] != statistics.median(one["wall_s"] for one in runs):
+        raise ValueError("tree %r: the tier-1 wall time is not the median "
+                         "of its runs" % label)
+    files = tier1.get("file_s")
+    if not isinstance(files, dict) or not files or not all(
+            _number(t) and t >= 0 for t in files.values()):
+        raise ValueError("tree %r: the tier-1 file times are missing or not "
+                         "non-negative numbers" % label)
 
 
 def validate(doc: dict) -> None:
@@ -105,9 +170,7 @@ def validate(doc: dict) -> None:
     if sorted(doc["trees"]) != sorted(LABELS):
         raise ValueError("trees are not labelled %s" % " and ".join(LABELS))
     for label, tree in doc["trees"].items():
-        tier1 = tree.get("tier1", {})
-        if not _number(tier1.get("wall_s")) or not isinstance(tier1.get("summary"), str):
-            raise ValueError("tree %r has no tier-1 wall time and summary" % label)
+        _validate_tier1(label, tree.get("tier1"))
     expected = {(w, s, label) for w in doc["workloads"] for s in doc["seeds"]
                 for label in LABELS}
     seen = set()
@@ -146,38 +209,57 @@ def _tier1(tree: str) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         ["src"] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    start = perf_counter()
-    proc = subprocess.run(TIER1, cwd=tree, env=env, capture_output=True, text=True)
-    wall = perf_counter() - start
+    with tempfile.TemporaryDirectory() as tmp:
+        report = os.path.join(tmp, "tier1.xml")
+        start = perf_counter()
+        proc = subprocess.run(TIER1 + ["--junitxml", report,
+                                       "-o", "junit_family=xunit1"],
+                              cwd=tree, env=env, capture_output=True, text=True)
+        wall = perf_counter() - start
+        files = {}
+        if os.path.exists(report):
+            with open(report, encoding="utf-8") as fh:
+                files = file_seconds(fh.read())
     lines = proc.stdout.strip().splitlines()
     return {"wall_s": wall, "exit_code": proc.returncode,
-            "summary": lines[-1] if lines else ""}
+            "summary": lines[-1] if lines else "", "file_s": files}
+
+
+def _pair(k: int) -> Sequence[str]:
+    """The order of the k-th pair of runs: the first run alternates, so
+    drift favours neither tree."""
+    return LABELS if k % 2 == 0 else LABELS[::-1]
 
 
 def run(trees: Dict[str, str]) -> dict:
+    """The document of both trees' runs, not yet validated: `main` writes
+    it before validating, so a failed tier-1 run keeps the bench runs."""
     runs, units = [], {}
     for workload in WORKLOADS:
         for k, seed in enumerate(SEEDS):
-            # the first run of each pair alternates, so drift favours neither
-            for label in LABELS if k % 2 == 0 else LABELS[::-1]:
+            for label in _pair(k):
                 print("%s seed %d %s" % (workload, seed, label), file=sys.stderr)
                 one = _bench(trees[label], label, workload, seed)
                 units.update(one.pop("units"))
                 runs.append(one)
+    tier1_runs: Dict[str, List[dict]] = {label: [] for label in LABELS}
+    for k in range(TIER1_RUNS):
+        for label in _pair(k):
+            print("tier-1 %s %d" % (label, k + 1), file=sys.stderr)
+            tier1_runs[label].append(_tier1(trees[label]))
     tree_info = {}
     for label in LABELS:
-        print("tier-1 %s" % label, file=sys.stderr)
         sha = {r["provenance"]["source_sha256"] for r in runs if r["label"] == label}
         if len(sha) != 1:
             raise RuntimeError("the %s tree changed during the runs" % label)
-        tree_info[label] = {"source_sha256": sha.pop(), "tier1": _tier1(trees[label])}
+        tree_info[label] = {"source_sha256": sha.pop(),
+                            "tier1": tier1_summary(tier1_runs[label])}
     doc = {"format": FORMAT,
            "bench_command": " ".join(["python3"] + bench_argv("<workload>", "<seed>")),
            "tier1_command": " ".join(["PYTHONPATH=src", "python3"] + TIER1[1:]),
            "seconds": SECONDS, "seeds": SEEDS,
            "workloads": WORKLOADS, "trees": tree_info, "units": units,
            "runs": runs, "medians": medians(runs)}
-    validate(doc)
     return doc
 
 
@@ -196,8 +278,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=1, sort_keys=True)
             fh.write("\n")
-        return 0
-    files = args.files or sorted(glob.glob(os.path.join(ROOT, "BENCH_*.json")))
+        files = [args.out]
+    else:
+        files = args.files or sorted(glob.glob(os.path.join(ROOT, "BENCH_*.json")))
     if not files:
         print("no BENCH_*.json files", file=sys.stderr)
         return 1
