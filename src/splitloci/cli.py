@@ -272,17 +272,13 @@ def _cmd_strata(args) -> int:
         _, dot = strata.hasse(records)
         _emit(dot, args.out)
     else:
-        rows = []
-        for rec in records:
-            rows.append([
-                rec.label or "-",
-                str(rec.e), str(rec.f), str(rec.codim),
-                str(rec.expected_e), str(rec.expected_f),
-                str(rec.correction),
-                "yes" if rec.in_psi else "no",
-                ";".join(strata.flag_str(f) for f in rec.flags) or "-",
-                "yes" if rec.lower_gonality else "no",
-            ])
+        rows = [[rec.label or "-", e, f, str(rec.codim),
+                 str(rec.expected_e), str(rec.expected_f),
+                 str(rec.correction),
+                 "yes" if rec.in_psi else "no",
+                 ";".join(strata.flag_str(fl) for fl in rec.flags) or "-",
+                 "yes" if rec.lower_gonality else "no"]
+                for rec, (e, f) in zip(records, strata.part_texts(records))]
         text = _table(["label", "e", "f", "codim", "xe", "xf",
                        "corr", "psi", "flags", "lowgon"], rows)
         if args.degree == 4 and args.genus == 5:

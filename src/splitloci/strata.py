@@ -55,6 +55,10 @@ class ConstraintVerdict:
     violated: Tuple[str, ...]
 
 
+# a record's DOT node id, from the texts of its e and f
+NODE_ID = "e=%s|f=%s"
+
+
 @dataclass
 class StratumRecord:
     genus: int
@@ -74,7 +78,7 @@ class StratumRecord:
         return (self.e.parts, self.f.parts)
 
     def node_id(self) -> str:
-        return "e=%s|f=%s" % (self.e, self.f)
+        return NODE_ID % (self.e, self.f)
 
     def to_dict(self) -> dict:
         return {
@@ -437,50 +441,68 @@ def _weakly_increasing_tuples(length: int, total: int, lo: int, hi: int,
 
 
 def _positive_part_sum(tops: Sequence[int], sums: Sequence[int]) -> int:
-    """The sum of max(0, x - s) over x in tops and s in sums. With the
-    sums in increasing order, each inner loop ends at the first s >= x."""
-    ordered = sorted(sums)
+    """The sum of max(0, x - s) over x in tops and s in sums, with the
+    sums in increasing order, so each inner loop ends at the first
+    s >= x."""
     total = 0
     for x in tops:
-        for s in ordered:
+        for s in sums:
             if s >= x:
                 break
             total += x - s
     return total
 
 
+def _e_side(g: int, cover_degree: int, parts: Tuple[int, ...]) -> List[int]:
+    """e's side of the correction term: in degree 4 the sums e_i + e_k
+    (i <= k) in increasing order, in degree 5 the tops g + 3 - e_i."""
+    if cover_degree == 4:
+        return sorted([a + b for a, b in combinations_with_replacement(parts, 2)])
+    return [g + 3 - x for x in parts]
+
+
+def _f_side(g: int, cover_degree: int, parts: Tuple[int, ...]) -> List[int]:
+    """f's side of the correction term: in degree 4 the tops f_j - 1, in
+    degree 5 the sums f_j + f_l (j < l) in increasing order."""
+    if cover_degree == 4:
+        return [x - 1 for x in parts]
+    return sorted([a + b for a, b in combinations(parts, 2)])
+
+
+def _correction(cover_degree: int, e_side: List[int], f_side: List[int]) -> int:
+    """The correction term from the sides of e and f: the tops are f's in
+    degree 4 and e's in degree 5."""
+    if cover_degree == 4:
+        return _positive_part_sum(f_side, e_side)
+    return _positive_part_sum(e_side, f_side)
+
+
 def _make_record(g: int, cover_degree: int, e: SplittingType,
-                 f: SplittingType, xf: Optional[int] = None,
-                 xe: Optional[int] = None) -> StratumRecord:
-    """The record of a pair the enumerator has accepted; xf and xe, when
-    given, are expected_codim(f) and expected_codim(e), which the
-    enumerator computes once per distinct f and once per e. The
-    correction
-    is h1(f^dual (x) Sym2 e) in degree 4 and h1(e (x) Wedge2 f (x)
-    O(-g-4)) in degree 5, summed over the parts by h1(O(a)) =
-    max(0, -a - 1): the sum over f_j and e_i + e_k (i <= k) of
-    max(0, f_j - 1 - (e_i + e_k)), and the sum over e_i and f_j + f_l
-    (j < l) of max(0, g + 3 - e_i - (f_j + f_l))."""
+                 f: SplittingType, xe: Optional[int] = None,
+                 xf: Optional[int] = None,
+                 corr: Optional[int] = None) -> StratumRecord:
+    """The record of a pair the enumerator has accepted; xe, xf and corr,
+    when given, are expected_codim(e), expected_codim(f) and the
+    correction term, which the enumerator computes from values it
+    prepares once per distinct part. The correction is h1(f^dual (x)
+    Sym2 e) in degree 4 and h1(e (x) Wedge2 f (x) O(-g-4)) in degree 5,
+    summed over the parts by h1(O(a)) = max(0, -a - 1): the sum over f_j
+    and e_i + e_k (i <= k) of max(0, f_j - 1 - (e_i + e_k)), and the sum
+    over e_i and f_j + f_l (j < l) of max(0, g + 3 - e_i - (f_j + f_l))."""
     if xe is None:
         xe = sb.expected_codim(e)
     if xf is None:
         xf = sb.expected_codim(f)
-    if cover_degree == 4:
-        corr = _positive_part_sum(
-            [fj - 1 for fj in f.parts],
-            [ei + ek for ei, ek in combinations_with_replacement(e.parts, 2)])
-    else:
-        corr = _positive_part_sum(
-            [g + 3 - ei for ei in e.parts],
-            [fj + fl for fj, fl in combinations(f.parts, 2)])
+    if corr is None:
+        corr = _correction(cover_degree, _e_side(g, cover_degree, e.parts),
+                           _f_side(g, cover_degree, f.parts))
     flags = classify(g, cover_degree, e, f)
     key = (cover_degree, g, e.parts, f.parts)
-    label = FIXTURE_LABELS.get(key)
     lower = bool(flags) or key in LOWER_GONALITY_FIXTURES
-    record = StratumRecord(
-        genus=g, cover_degree=cover_degree, e=e, f=f,
-        codim=xe + xf - corr, expected_e=xe, expected_f=xf, correction=corr,
-        in_psi=(corr == 0), flags=flags, label=label, lower_gonality=lower)
+    # the fields in declaration order, from genus to lower_gonality
+    record = StratumRecord(g, cover_degree, e, f, xe + xf - corr, xe, xf,
+                           corr, corr == 0, flags, FIXTURE_LABELS.get(key),
+                           lower)
     in_psi(record)
     return record
 
@@ -516,8 +538,12 @@ def enumerate_strata(cover_degree: int, g: int) -> List[StratumRecord]:
       D3: 2 * e1 + 3 * e3 >= g + 4. L2 + L4 with SUM_F give
           f3 <= e1 + e3, and L3 bounds 2 * f3 below as in D1.
 
-    Each distinct f is built once per call, with its expected
-    codimension; nothing is kept between calls."""
+    Each e, and each distinct f, is prepared once per call, in one dict
+    keyed by its parts (e and f differ in rank, so their keys never
+    meet): its `SplittingType`, its expected codimension and its side of
+    the correction term (`_e_side`, `_f_side`), so a record only
+    combines them. Records with equal parts share those objects; the
+    dict is local, so nothing outlives the call."""
     cover_degree = operator.index(cover_degree)
     if cover_degree not in (4, 5):
         raise ValueError("cover degree must be 4 or 5")
@@ -527,18 +553,23 @@ def enumerate_strata(cover_degree: int, g: int) -> List[StratumRecord]:
                          % cover_degree)
     check = tet_check if cover_degree == 4 else pent_check
     records: List[StratumRecord] = []
-    made: Dict[Tuple[int, ...], Tuple[SplittingType, int]] = {}
-    # the generator's tuples are sorted int tuples, as _from_sorted needs
+    made: Dict[Tuple[int, ...], Tuple[SplittingType, int, List[int]]] = {}
+
+    def prepare(parts, side):
+        # the generator's tuples are sorted int tuples, as _from_sorted needs
+        split = SplittingType._from_sorted(parts)
+        made[parts] = prepared = (split, sb.expected_codim(split),
+                                  side(g, cover_degree, parts))
+        return prepared
+
     for e_parts, fs in _candidates(cover_degree, g):
-        e = SplittingType._from_sorted(e_parts)
-        xe = sb.expected_codim(e)
+        e, xe, e_side = prepare(e_parts, _e_side)
         for f_parts in fs:
-            if f_parts not in made:
-                f = SplittingType._from_sorted(f_parts)
-                made[f_parts] = f, sb.expected_codim(f)
-            f, xf = made[f_parts]
+            f, xf, f_side = made.get(f_parts) or prepare(f_parts, _f_side)
             if check(g, e, f).allowed:
-                records.append(_make_record(g, cover_degree, e, f, xf, xe))
+                records.append(_make_record(
+                    g, cover_degree, e, f, xe, xf,
+                    _correction(cover_degree, e_side, f_side)))
     return records
 
 
@@ -588,33 +619,57 @@ def strata_report_json(records: Sequence[StratumRecord]) -> str:
     return jsontext.dumps(strata_report(records))
 
 
+def part_texts(records: Sequence[StratumRecord]) -> List[Tuple[str, str]]:
+    """str(e) and str(f) of each record, each distinct part's text
+    written once per call."""
+    texts: Dict[Tuple[int, ...], str] = {}
+
+    def text(split):
+        t = texts.get(split.parts)
+        if t is None:
+            t = texts[split.parts] = str(split)
+        return t
+
+    return [(text(r.e), text(r.f)) for r in records]
+
+
 def _prefix_sums(records: Sequence[StratumRecord]) -> Tuple[list, list]:
-    """Each record's prefix sums of e and of f, without the last entries.
-    Those are the degrees of e and f; unless every record has the same
-    degrees and ranks (the sums' lengths), this raises ValueError."""
-    both = [(tuple(accumulate(r.e.parts)), tuple(accumulate(r.f.parts)))
-            for r in records]
-    if len({(len(e), e[-1], len(f), f[-1]) for e, f in both}) > 1:
-        raise ValueError("incomparable families")
-    return [e[:-1] for e, _ in both], [f[:-1] for _, f in both]
+    """Each record's prefix sums of e and of f, without the last entries,
+    accumulated once per distinct parts tuple. The last entries are the
+    degrees of e and f; unless every record has the same degrees and
+    ranks (the sums' lengths), this raises ValueError."""
+    out = []
+    for column in ([r.e.parts for r in records], [r.f.parts for r in records]):
+        sums = {p: tuple(accumulate(p))[:-1] for p in dict.fromkeys(column)}
+        if len({(len(p), sum(p)) for p in sums}) > 1:
+            raise ValueError("incomparable families")
+        out.append([sums[p] for p in column])
+    return out[0], out[1]
 
 
 def _below_masks(sums: Sequence[Tuple[int, ...]]) -> List[int]:
     """Bit j of the i-th mask is set when every entry of sums[j] is at
-    most the matching entry of sums[i] and sums[j] != sums[i]."""
+    most the matching entry of sums[i] and sums[j] != sums[i].
+
+    Per column, the indices are bucketed by their entry into one bitmask
+    per value; ORing the buckets in increasing value turns each into the
+    mask of the indices whose entry is at most that value. Each mask
+    starts full and is cut down by that mask in every column."""
     n = len(sums)
+    bits = [1 << j for j in range(n)]
     masks = [(1 << n) - 1] * n
     for column in zip(*sums):
-        # at_most[v]: the j whose entry in this column is <= v
-        at_most: Dict[int, int] = {}
+        buckets: Dict[int, int] = {}
+        for v, bit in zip(column, bits):
+            buckets[v] = buckets.get(v, 0) | bit
         mask = 0
-        for j in sorted(range(n), key=column.__getitem__):
-            mask |= 1 << j
-            at_most[column[j]] = mask
-        masks = [m & at_most[v] for m, v in zip(masks, column)]
+        for v in sorted(buckets):
+            mask |= buckets[v]
+            buckets[v] = mask
+        masks = [m & buckets[v] for m, v in zip(masks, column)]
     same: Dict[Tuple[int, ...], int] = {}
-    for j, s in enumerate(sums):
-        same[s] = same.get(s, 0) | 1 << j
+    for s, bit in zip(sums, bits):
+        same[s] = same.get(s, 0) | bit
     return [m & ~same[s] for m, s in zip(masks, sums)]
 
 
@@ -624,13 +679,12 @@ def hasse(records: Sequence[StratumRecord]) -> Tuple[List[Tuple[str, str]], str]
     The pair order is the product of the dominance orders on e and on f.
     Record i lies strictly below record j in it exactly when each prefix
     sum of e and of f of i is at most the matching sum of j and the sums
-    are not all equal. The concatenated prefix sums are computed once per
-    record, and the records are ranked by them in lexicographic order.
-    That ranking is a linear extension of the pair order: if i lies
-    strictly below j, then at the first position where their sums differ
-    the sum of i is the smaller one, so i ranks before j. up[r] is a
-    Python-int bitmask, over ranks, with bit s set when the record of
-    rank s lies strictly above the record of rank r.
+    are not all equal. The records are ranked by their concatenated sums
+    in lexicographic order. That ranking is a linear extension of the
+    pair order: if i lies strictly below j, then at the first position
+    where their sums differ the sum of i is the smaller one, so i ranks
+    before j. up[r] is a Python-int bitmask, over ranks, with bit s set
+    when the record of rank s lies strictly above the record of rank r.
 
     The covers of rank r come from up[r], lowest bit first: the lowest
     remaining bit c is taken as a cover, and c and up[c] are cleared. c
@@ -641,9 +695,11 @@ def hasse(records: Sequence[StratumRecord]) -> Tuple[List[Tuple[str, str]], str]
     above r, so only its own step clears it. Edges come out in
     increasing i, then increasing j, of the input order.
 
-    The masks take O(n log n) integer operations per prefix-sum position,
-    for one set of masks, and the covers O(1) big-int steps per edge,
-    where a scan over every comparable pair took O(n^2).
+    The masks take O(n) big-int operations per prefix-sum position, plus
+    a sort of that position's distinct values, and the covers O(1)
+    big-int steps per edge, where a scan over every comparable pair took
+    O(n^2). Each distinct e and f has its prefix sums and its text
+    (`part_texts`, which also writes the table cells) made once per call.
     """
     sums = [se + sf for se, sf in zip(*_prefix_sums(records))]
     order = sorted(range(len(sums)), key=sums.__getitem__)
@@ -654,7 +710,7 @@ def hasse(records: Sequence[StratumRecord]) -> Tuple[List[Tuple[str, str]], str]
             c = (bits & -bits).bit_length() - 1
             covers[i].append(order[c])
             bits &= ~(1 << c | up[c])
-    ids = [r.node_id() for r in records]
+    ids = [NODE_ID % texts for texts in part_texts(records)]
     edges = [(ids[i], ids[j]) for i, above in enumerate(covers)
              for j in sorted(above)]
     lines = ["digraph strata {"]
@@ -722,10 +778,12 @@ def single_locus_coincidence(record: StratumRecord,
     # per axis and point: (unique, codim matches, surviving strata below);
     # unique means no surviving record but the point itself has its sums
     axes = []
-    for axis, sums in zip(("e", "f"), _prefix_sums(points)):
+    expected = (operator.attrgetter("expected_e"),
+                operator.attrgetter("expected_f"))
+    for expected_codim, sums in zip(expected, _prefix_sums(points)):
         counts = Counter(sums[:n])
         axes.append([(counts[s] == (i < n),
-                      r.codim == getattr(r, "expected_" + axis),
+                      r.codim == expected_codim(r),
                       below & ((1 << n) - 1))
                      for i, (r, s, below) in enumerate(
                          zip(points, sums, _below_masks(sums)))])

@@ -350,21 +350,30 @@ def builtin_ideal(g: int, interpretation: Optional[str] = None) -> WeightedIdeal
     (tests/test_tautring.py::TestFaberSocleOracle) single out: with them,
     every generator vanishes in R*(M_g), and the quotient is Gorenstein
     with socle in degree g-2. A genus that is not an integer raises
-    TypeError.
+    TypeError; any other genus, or a reading the genus does not accept,
+    raises ValueError, whose message names the readings it accepts.
     """
     g = operator.index(g)
+    if g not in (7, 8, 9):
+        raise ValueError("no built-in ideal for genus %d" % g)
+    if g == 7:
+        readings = ("printed-split", "emended")
+        accepts = "printed-split or emended, and has no default"
+    else:
+        readings = (None, "printed", "corrected")
+        accepts = "printed (the default) or corrected"
+    if interpretation not in readings:
+        raise ValueError("unknown interpretation %s for genus %d; genus %d "
+                         "accepts %s" % ("(none given)" if interpretation is None
+                                         else repr(interpretation), g, g, accepts))
     if g == 7:
         g1 = _poly((2423, (2, 1)), (-52632, (0, 2)))
         g2 = _poly((1152000, (0, 2)), (-2423, (4, 0)))
         if interpretation == "printed-split":
             gens = [g1, g2, _poly((16000, (3, 1))), _poly((-731, (4, 0)))]
-        elif interpretation == "emended":
-            gens = [g1, g2, _poly((16000, (3, 1)), (-731, (5, 0)))]
         else:
-            raise ValueError("unknown interpretation")
+            gens = [g1, g2, _poly((16000, (3, 1)), (-731, (5, 0)))]
         return WeightedIdeal((1, 2), gens)
-    if interpretation not in (None, "printed", "corrected"):
-        raise ValueError("unknown interpretation")
     corrected = interpretation == "corrected"
     if g == 8:
         c22 = -714894336 if corrected else 714894336
@@ -374,20 +383,18 @@ def builtin_ideal(g: int, interpretation: Optional[str] = None) -> WeightedIdeal
             _poly((144000, (3, 1)), (-5617, (5, 0))),
         ]
         return WeightedIdeal((1, 2), gens)
-    if g == 9:
-        c312 = 1142345520 if corrected else 114345520
-        gens = [
-            _poly((5195, (4, 0, 0)), (3644694, (1, 0, 1)),
-                  (749412, (0, 2, 0)), (-265788, (2, 1, 0))),
-            _poly((33859814400, (0, 1, 1)), (-95311440, (3, 1, 0)),
-                  (2288539, (5, 0, 0))),
-            _poly((19151377, (5, 0, 0)), (16929907200, (1, 2, 0)),
-                  (-c312, (3, 1, 0))),
-            _poly((1422489600, (0, 0, 2)), (-983, (6, 0, 0))),
-            _poly((1185408000, (0, 3, 0)), (-47543, (6, 0, 0))),
-        ]
-        return WeightedIdeal((1, 2, 3), gens)
-    raise ValueError("no built-in ideal for genus %d" % g)
+    c312 = 1142345520 if corrected else 114345520
+    gens = [
+        _poly((5195, (4, 0, 0)), (3644694, (1, 0, 1)),
+              (749412, (0, 2, 0)), (-265788, (2, 1, 0))),
+        _poly((33859814400, (0, 1, 1)), (-95311440, (3, 1, 0)),
+              (2288539, (5, 0, 0))),
+        _poly((19151377, (5, 0, 0)), (16929907200, (1, 2, 0)),
+              (-c312, (3, 1, 0))),
+        _poly((1422489600, (0, 0, 2)), (-983, (6, 0, 0))),
+        _poly((1185408000, (0, 3, 0)), (-47543, (6, 0, 0))),
+    ]
+    return WeightedIdeal((1, 2, 3), gens)
 
 
 @dataclass

@@ -205,7 +205,26 @@ class TestMain:
 
     def test_taut_genus7_needs_interpretation(self, capsys):
         assert cli.main(["taut", "--genus", "7"]) == 2
-        assert "unknown interpretation" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "unknown interpretation (none given) for genus 7; genus 7 "
+            "accepts printed-split or emended, and has no default\n")
+        assert captured.out == ""
+        assert cli.main(["taut", "--genus", "7",
+                         "--interpretation", "corrected"]) == 2
+        assert capsys.readouterr().err == (
+            "unknown interpretation 'corrected' for genus 7; genus 7 "
+            "accepts printed-split or emended, and has no default\n")
+
+    @pytest.mark.parametrize("genus", [8, 9])
+    def test_taut_genus8_and_9_name_their_readings(self, genus, capsys):
+        assert cli.main(["taut", "--genus", str(genus),
+                         "--interpretation", "emended"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "unknown interpretation 'emended' for genus %d; genus %d "
+            "accepts printed (the default) or corrected\n" % (genus, genus))
+        assert captured.out == ""
 
     def test_taut_genus8_and_9_fail_expectations(self, capsys):
         assert cli.main(["taut", "--genus", "8"]) == 1

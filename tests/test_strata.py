@@ -562,6 +562,31 @@ class TestHasse:
         assert " -> " not in dot
 
 
+@st.composite
+def sum_lists(draw):
+    """0-40 tuples of one length, 1-7, with small entries, negative ones
+    included, so that ties within a column and repeated tuples occur."""
+    width = draw(st.integers(1, 7))
+    return draw(st.lists(st.tuples(*[st.integers(-3, 3)] * width),
+                         max_size=40))
+
+
+class TestBelowMasks:
+    @settings(max_examples=300, deadline=None)
+    @given(sums=sum_lists())
+    @example(sums=[])
+    @example(sums=[(0,), (0,), (-1,)])
+    @example(sums=[(1, -2), (1, -2), (0, 3), (2, -2)])
+    def test_bits_are_the_strictly_smaller_tuples(self, sums):
+        masks = strata._below_masks(sums)
+        assert len(masks) == len(sums)
+        for i, (mask, si) in enumerate(zip(masks, sums)):
+            assert mask >> len(sums) == 0
+            for j, sj in enumerate(sums):
+                below = all(a <= b for a, b in zip(sj, si)) and sj != si
+                assert bool(mask >> j & 1) == below, (i, j)
+
+
 def constructive_correction(g, degree, e, f):
     """The correction term as h1 of the bundle built part by part."""
     if degree == 4:
@@ -734,6 +759,38 @@ class TestClosedForms:
                 assert type(split.parts) is tuple
                 assert all(type(p) is int for p in split.parts)
                 assert split.parts == built.parts and split == built
+
+
+class TestPerCallSharing:
+    """`enumerate_strata` prepares each distinct e and f once per call and
+    keeps nothing between calls."""
+
+    @pytest.mark.parametrize("degree,genus", [(4, 24), (5, 24), (5, 9)])
+    def test_equal_parts_share_one_splitting_type(self, degree, genus):
+        records = strata.enumerate_strata(degree, genus)
+        for axis in ("e", "f"):
+            objects = {}
+            for r in records:
+                split = getattr(r, axis)
+                assert objects.setdefault(split.parts, split) is split
+            assert len(objects) < len(records)
+
+    @pytest.mark.parametrize("degree,genus", [(4, 24), (5, 24)])
+    def test_two_calls_share_no_object(self, degree, genus):
+        first = strata.enumerate_strata(degree, genus)
+        second = strata.enumerate_strata(degree, genus)
+        assert [r.to_dict() for r in first] == [r.to_dict() for r in second]
+        ids = {id(x) for r in first for x in (r, r.e, r.f)}
+        assert not ids & {id(x) for r in second for x in (r, r.e, r.f)}
+
+    @pytest.mark.parametrize("degree,genus", STRATA_WINDOWS)
+    def test_corrections_match_a_standalone_record(self, degree, genus):
+        for r in enumerated(degree, genus):
+            alone = strata._make_record(genus, degree,
+                                        sb.SplittingType(r.e.parts),
+                                        sb.SplittingType(r.f.parts))
+            assert r.correction == alone.correction
+            assert r == alone
 
 
 class TestWholeStratumSet:
