@@ -16,7 +16,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, lcm, prod
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import jsontext, strata
@@ -126,11 +126,10 @@ def chern_total(bundle: FilteredBundle) -> List[ZPair]:
 # ---------------------------------------------------------------------------
 # determinants
 
-def _pack_matrix(mat) -> Tuple[Packing, List[List[Dict[int, Scalar]]], List[int]]:
-    """One graded packing for a matrix and every product its determinant
-    and Pfaffian engines form, the matrix packed with it, and each row's
-    largest entry degree, -1 for a zero row. The radix is 2D+1, where D
-    is the sum of the rows' largest total degrees.
+def _pack_matrix(mat) -> Tuple[Packing, List[List[Dict[int, Scalar]]]]:
+    """One graded packing for a matrix and every product that Bareiss
+    and the Pfaffians form, and the matrix packed with it. The radix is
+    2D+1, where D is the sum of the rows' largest total degrees.
 
     A minor on rows R has total degree at most the sum over R of those
     rows' largest degrees, so at most D. Each cofactor product is an
@@ -142,15 +141,78 @@ def _pack_matrix(mat) -> Tuple[Packing, List[List[Dict[int, Scalar]]], List[int]
     degree at most the numerator's. So no product reaches the radix.
     """
     rows = [[_to_poly(x) for x in row] for row in mat]
-    degrees = [max((entry.total_degree() for entry in row
-                    if not entry.is_zero()), default=-1) for row in rows]
-    bound = sum(max(d, 0) for d in degrees)
+    bound = sum(max((entry.total_degree() for entry in row), default=0)
+                for row in rows)
     packing = Packing([entry for row in rows for entry in row], 2 * bound + 1)
-    return packing, [[packing.pack(entry) for entry in row] for row in rows], degrees
+    return packing, [[packing.pack(entry) for entry in row] for row in rows]
+
+
+def _slot_pack_matrix(mat) -> Tuple[Packing, List[List[Dict[int, int]]], List[int],
+                                     Optional[str], int, int]:
+    """A matrix packed for `det_cofactor`, with one variable v moved into
+    the coefficients: the packing, the packed rows, each row's largest
+    entry degree (-1 for a zero row), v, the slot width W and the product
+    of the rows' scales.
+
+    Row i is scaled by the lcm s_i of its denominators, and a scaled
+    term c * m * v^j packs to the key of m with coefficient c * 2^(W*j),
+    summed over j. The packing keeps a digit for v, for the decoded
+    result. Its radix is D+1, for D the sum of the rows' largest total
+    degrees, which bounds the degree of every cofactor product (see
+    `_pack_matrix`).
+    """
+    rows = [[_to_poly(x) for x in row] for row in mat]
+    bounds: Dict[str, int] = {}
+    degrees, scales = [], []
+    bound = 1
+    for row in rows:
+        largest: Dict[str, int] = {}
+        degree = -1
+        norm = 0
+        scale = 1
+        for entry in row:
+            for mono, c in entry.terms.items():
+                total = 0
+                for var, exp in mono:
+                    total += exp
+                    if exp > largest.get(var, 0):
+                        largest[var] = exp
+                degree = max(degree, total)
+                norm += abs(c)
+                if type(c) is Fraction:
+                    scale = lcm(scale, c.denominator)
+        for var, exp in largest.items():
+            bounds[var] = bounds.get(var, 0) + exp
+        degrees.append(degree)
+        scales.append(scale)
+        bound *= norm * scale
+    slot = min(bounds, key=lambda var: (-bounds[var], var), default=None)
+    width = int(bound).bit_length() + 1
+    packing = Packing([entry for row in rows for entry in row],
+                      sum(max(d, 0) for d in degrees) + 1)
+    places = packing.places
+    packed = []
+    for row, scale in zip(rows, scales):
+        out = []
+        for entry in row:
+            terms: Dict[int, int] = {}
+            for mono, c in entry.terms.items():
+                c = int(c * scale)
+                key = 0
+                for var, exp in mono:
+                    if var == slot:
+                        c <<= width * exp
+                    else:
+                        key += exp * places[var]
+                terms[key] = terms.get(key, 0) + c
+            out.append(terms)
+        packed.append(out)
+    return packing, packed, degrees, slot, width, prod(scales)
 
 
 def det_cofactor(rows: Sequence[Sequence[Poly]]) -> Poly:
-    """Laplace expansion along the rows, each minor computed once.
+    """Laplace expansion along the rows, each minor computed once, with
+    one variable packed into the coefficients.
 
     The rows are taken in increasing order of their largest entry
     degree; ties keep the bottom-up order.
@@ -160,22 +222,46 @@ def det_cofactor(rows: Sequence[Sequence[Poly]]) -> Poly:
     Taking the rows of lowest degree first keeps the minors small until
     the last steps, which is where most of the products are formed.
 
-    Proof: let B be the matrix whose rows, from the bottom up, are the
-    rows of A in the order taken, so B's rows are A's permuted by some
-    pi. The loop is then the bottom-up Laplace expansion of B, and
-    det A = sign(pi) det B; the sign is applied once, to the result.
+    Proof: let P be the matrix whose rows, from the bottom up, are the
+    rows of A in the order taken, so P's rows are A's permuted by some
+    pi. The loop is then the bottom-up Laplace expansion of P, and
+    det A = sign(pi) det P; the sign is applied once, to the result.
     Only multiplication and addition are used, never a division or a
     pivot choice, so it shares no step with `det_bareiss` and stays an
     independent check of it. The matrix is packed once and the minors
     are kept packed.
+
+    Slot packing (Kronecker substitution in one variable). The slot
+    variable v is the one with the largest degree bound, the sum over
+    the rows of v's largest exponent in the row; ties go to the first
+    name. Row i is scaled to integer coefficients by the lcm s_i of its
+    denominators, so det A = det A' / prod s_i for the scaled A'. Each
+    entry of A' is then read as a polynomial in the other variables
+    whose coefficients are the integers f(2^W), f in Z[v]: setting
+    v = 2^W is a ring map from Z[v][others] to Z[others], so the
+    expansion, which only adds and multiplies, yields det A' with
+    v = 2^W, and each product of coefficients is one int multiply. The
+    map is undone on the result alone: each coefficient f(2^W) is read
+    off in balanced base-2^W digits, each in [-2^(W-1), 2^(W-1)), which
+    gives back f when every coefficient c of det A' has |c| < 2^(W-1).
+
+    Bound: let B = prod_i sum_j |a'_ij|, |a| the sum of the absolute
+    values of a's coefficients. By Leibniz, det A' is the sum over the
+    permutations s of sign(s) prod_i a'_i,s(i), and a product's
+    coefficients have absolute values summing to at most the product of
+    its factors' sums, so by the triangle inequality every coefficient
+    of det A' is at most sum_s prod_i |a'_i,s(i)| <= B in absolute value
+    (expand the product of sums). W = bitlength(B) + 1 gives
+    B < 2^(W-1). B is 0 only for a zero row, whose determinant is 0;
+    otherwise W >= 2, and the digits of every int are finitely many.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix is not square")
-    packing, packed, degree = _pack_matrix(rows)
+    packing, packed, degree, slot, width, scale = _slot_pack_matrix(rows)
     # a zero row has degree -1, so it is taken first and ends the loop
     order = sorted(range(n), key=lambda i: (degree[i], -i))
-    # B's rows from the top are `order` reversed, so each inversion of
+    # P's rows from the top are `order` reversed, so each inversion of
     # pi is a pair taken in increasing row order
     inversions = sum(a < b for k, a in enumerate(order) for b in order[k + 1:])
     minors = {0: {0: 1}}  # the minor on no rows: the packed constant 1
@@ -195,8 +281,22 @@ def det_cofactor(rows: Sequence[Sequence[Poly]]) -> Poly:
             terms = {k: c for k, c in terms.items() if c}
             if terms:
                 minors[cols] = terms
-    value = packing.unpack(minors.get((1 << n) - 1, {}))
-    return -value if inversions % 2 else value
+    # undo the slot packing: digit j of the value at the key of m is
+    # the coefficient of m * v^j, whose key is m's plus j * v's place
+    sign = -1 if inversions % 2 else 1
+    step = packing.places[slot] if slot is not None else 0
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    terms: Dict[int, Scalar] = {}
+    for key, value in minors.get((1 << n) - 1, {}).items():
+        value *= sign
+        while value:
+            digit = ((value + half) & mask) - half
+            if digit:
+                terms[key] = Fraction(digit, scale) if scale > 1 else digit
+            value = (value - digit) >> width
+            key += step
+    return packing.unpack(terms)
 
 
 def _bareiss(rows: Sequence[Sequence[Poly]]) -> Tuple[int, Poly]:
@@ -211,7 +311,7 @@ def _bareiss(rows: Sequence[Sequence[Poly]]) -> Tuple[int, Poly]:
     cancelled terms. The matrix is packed once (see `_pack_matrix` for
     the radix) and every step runs on packed entries.
     """
-    packing, m, _ = _pack_matrix(rows)
+    packing, m = _pack_matrix(rows)
     ncols = len(m[0]) if m else 0
     rank = 0
     sign = 1
@@ -287,7 +387,7 @@ def pfaffian4(mat) -> Poly:
     _check_skew(mat)
     if len(mat) != 4:
         raise ValueError("expected a 4x4 matrix")
-    return _pfaffian4(*_pack_matrix(mat)[:2], 0, 1, 2, 3)
+    return _pfaffian4(*_pack_matrix(mat), 0, 1, 2, 3)
 
 
 def principal_minor(mat, drop: int):
@@ -303,7 +403,7 @@ def pfaffians(mat) -> Tuple[Poly, ...]:
     _check_skew(mat)
     if len(mat) != 5:
         raise ValueError("expected a 5x5 matrix")
-    packing, m, _ = _pack_matrix(mat)
+    packing, m = _pack_matrix(mat)
     return tuple(_pfaffian4(packing, m, *(j for j in range(5) if j != i))
                  for i in range(5))
 

@@ -33,6 +33,7 @@ or a string, would not stay exact, and raises TypeError.
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
@@ -196,23 +197,31 @@ class Packing:
         lows = [(place, div_lead // place % radix) for _, place in self.digits
                 if div_lead // place % radix]
         quotient: Dict[int, Scalar] = {}
-        while remainder:
-            lead = max(remainder)
+        # the remainder's keys in increasing order, so each lead is the
+        # last; a cancelled term stays as a zero until it is reached
+        keys = sorted(remainder)
+        while keys:
+            lead = keys.pop()
+            lead_coeff = remainder.pop(lead)
+            if not lead_coeff:
+                continue
             # lead - div_lead borrows, and the lead is not divisible,
             # iff a digit of the lead is below the divisor lead's
             for place, low in lows:
                 if lead // place % radix < low:
                     raise ValueError("inexact polynomial division")
             mono = lead - div_lead
-            coeff = quotient[mono] = _quotient(remainder.pop(lead), div_lead_coeff)
-            # subtract coeff * mono * divisor; its lead term cancels exactly
+            coeff = quotient[mono] = _quotient(lead_coeff, div_lead_coeff)
+            # subtract coeff * mono * divisor; its lead term cancels
+            # exactly, and every other term lies below the lead
             for m, c in rest:
                 prod = m + mono
-                left = remainder.get(prod, 0) - c * coeff
-                if left:
-                    remainder[prod] = left
+                left = remainder.get(prod)
+                if left is None:
+                    remainder[prod] = -c * coeff
+                    insort(keys, prod)
                 else:
-                    remainder.pop(prod, None)
+                    remainder[prod] = left - c * coeff
         return quotient
 
 

@@ -185,6 +185,20 @@ class TestPolyAgainstReference:
             with pytest.raises(ValueError, match="inexact"):
                 dividend.divide_exact(divisor)
 
+    def test_inexact_division_fails_after_several_quotient_terms(self):
+        # (x + y)^4 + rest over x + y: every term of rest is below those
+        # of (x + y)^4, so the quotient terms x^3, 3x^2*y, 3x*y^2 and y^3
+        # come first, and only then does a lead fail to divide
+        x, y = Poly.var("x"), Poly.var("y")
+        power = (x + y) ** 4
+        assert power.divide_exact(x + y) == (x + y) ** 3
+        for rest in (y, y * y, 5 * y - 2, x * y ** 2 - y ** 3):
+            with pytest.raises(ValueError, match="inexact"):
+                (power + rest).divide_exact(x + y)
+        # the last quotient term y^3 cancels -y^4, and the zero left
+        # in the remainder is skipped
+        assert ((x - y) ** 3 * (x + y)).divide_exact(x - y) == (x - y) ** 2 * (x + y)
+
     def test_division_by_zero_raises(self):
         with pytest.raises(ZeroDivisionError):
             Poly.var("x").divide_exact(Poly())
@@ -449,13 +463,145 @@ class TestCofactorAgainstLeibniz:
 
     def test_packing_reports_each_rows_largest_degree(self):
         # a zero entry does not count, a zero row reads -1, and the radix
-        # is 2D + 1 for D the sum of the other rows' degrees
+        # is 2D + 1 for D the sum of the other rows' degrees, or D + 1
+        # for the cofactor expansion alone
         x, y = Poly.var("x"), Poly.var("y")
-        packing, _, degrees = cs._pack_matrix(
-            [[x * y, Poly(), Poly.const(1)], [Poly()] * 3,
-             [Poly.const(3), y, Poly()], [Poly.const(2)] * 3])
-        assert degrees == [2, -1, 1, 0]
+        mat = [[x * y, Poly(), Poly.const(1)], [Poly()] * 3,
+               [Poly.const(3), y, Poly()], [Poly.const(2)] * 3]
+        packing, _ = cs._pack_matrix(mat)
         assert packing.radix == 2 * 3 + 1
+        packing, _, degrees, _, _, _ = cs._slot_pack_matrix(mat)
+        assert degrees == [2, -1, 1, 0]
+        assert packing.radix == 3 + 1
+
+
+# ---------------------------------------------------------------------------
+# the slot packing of det_cofactor at its boundaries
+
+
+def _row_bound(mat):
+    """B = prod_i sum_j |a_ij|, for reference rows of integer entries."""
+    bound = 1
+    for row in mat:
+        bound *= sum(abs(c) for e in row for c in e.values())
+    return int(bound)
+
+
+def _cofactor_is_leibniz(mat):
+    rows = [[to_poly(e) for e in row] for row in mat]
+    want = leibniz(mat)
+    assert from_poly(cs.det_cofactor(rows)) == want
+    return want
+
+
+class TestSlotPacking:
+    @pytest.mark.parametrize("signs", [(1, 1, 1), (1, -1, 1), (-1, -1, -1)])
+    def test_a_coefficient_reaching_the_bound(self, signs):
+        # a diagonal of single terms: det = +-B * x^3 * y, so the one
+        # coefficient is as large as the bound allows, and a width one
+        # bit narrower would decode it wrongly
+        mat = [[_monomial(1, 0, 0, c=3 * signs[0]), {}, {}],
+               [{}, _monomial(2, 1, 0, c=5 * signs[1]), {}],
+               [{}, {}, _monomial(0, 0, 0, c=7 * signs[2])]]
+        want = _cofactor_is_leibniz(mat)
+        bound = _row_bound(mat)
+        assert [abs(c) for c in want.values()] == [bound]
+        _, _, _, slot, width, scale = cs._slot_pack_matrix(
+            [[to_poly(e) for e in row] for row in mat])
+        assert (slot, width, scale) == ("x", bound.bit_length() + 1, 1)
+
+    @pytest.mark.parametrize("mat", [
+        # x^2 - x - y^2: negative digits below a positive one
+        [[_monomial(1, 0, 0), _monomial(0, 1, 0)],
+         [_monomial(0, 1, 0), r_add(_monomial(1, 0, 0), _monomial(0, 0, 0), -1)]],
+        # -x^2 + 2x - 1 and -(x - 1) * y: every digit negative or a
+        # negative one between positive ones
+        [[r_add(_monomial(1, 0, 0), _monomial(0, 0, 0), -1), _monomial(0, 1, 0)],
+         [_monomial(0, 0, 0), r_add(_monomial(0, 0, 0), _monomial(1, 0, 0), -1)]],
+        [[r_add(_monomial(2, 0, 0), _monomial(0, 0, 0)), _monomial(1, 0, 0, c=3)],
+         [_monomial(1, 0, 0), _monomial(0, 0, 0, c=2)]],
+    ], ids=["below-positive", "all-negative", "between-positive"])
+    def test_negative_digits_borrow_across_slots(self, mat):
+        want = _cofactor_is_leibniz(mat)
+        assert any(c < 0 for c in want.values())
+
+    @pytest.mark.parametrize("mat", [
+        [[r_add(_monomial(1, 0, 0), _monomial(0, 1, 0)),
+          r_add(_monomial(1, 0, 0), _monomial(0, 1, 0), -1)]] * 2,
+        [[_monomial(1, 0, 0), _monomial(0, 1, 0)],
+         [_monomial(1, 0, 0, c=Fraction(2, 3)), _monomial(0, 1, 0, c=Fraction(2, 3))]],
+        [[_monomial(2, 0, 0), _monomial(1, 1, 0)],
+         [_monomial(1, 0, 1), _monomial(0, 1, 1)]],
+    ], ids=["equal-rows", "fraction-multiple", "x-times-z"])
+    def test_a_determinant_that_cancels_to_zero(self, mat):
+        assert _cofactor_is_leibniz(mat) == {}
+
+    def test_fraction_rows_with_different_denominators(self):
+        mat = [[_monomial(1, 0, 0, c=Fraction(1, 2)), _monomial(0, 0, 0, c=Fraction(1, 3)),
+                _monomial(0, 1, 0, c=Fraction(-5, 6))],
+               [_monomial(0, 1, 0, c=Fraction(1, 5)),
+                r_add(_monomial(1, 0, 0, c=Fraction(1, 7)), _monomial(0, 0, 0, c=Fraction(3, 4))),
+                {}],
+               [_monomial(0, 0, 0, c=2), _monomial(2, 0, 0, c=Fraction(-9, 4)),
+                _monomial(0, 0, 1, c=Fraction(1, 9))]]
+        want = _cofactor_is_leibniz(mat)
+        assert any(c.denominator > 1 for c in want.values())
+        _, _, _, _, _, scale = cs._slot_pack_matrix(
+            [[to_poly(e) for e in row] for row in mat])
+        assert scale == 6 * 140 * 36
+
+    @pytest.mark.parametrize("mat", [
+        [[_monomial(0, 0, 0, c=2), _monomial(0, 0, 0, c=3)],
+         [_monomial(0, 0, 0, c=5), _monomial(0, 0, 0, c=7)]],
+        [[_monomial(0, 0, 0, c=Fraction(1, 2)), _monomial(0, 0, 0, c=-3)],
+         [_monomial(0, 0, 0, c=4), _monomial(0, 0, 0, c=Fraction(5, 3))]],
+    ], ids=["int", "fraction"])
+    def test_a_constant_matrix(self, mat):
+        assert _cofactor_is_leibniz(mat)
+        assert cs._slot_pack_matrix([[to_poly(e) for e in row] for row in mat])[3] is None
+
+    def test_slot_variable_missing_from_some_rows(self):
+        # x has the degree bound 2 + 0 + 1 and y 1 + 1 + 0, and row 1
+        # has no x at all
+        mat = [[_monomial(2, 0, 0), _monomial(1, 0, 0, c=-1), _monomial(0, 1, 0)],
+               [_monomial(0, 1, 0, c=2), _monomial(0, 0, 0, c=3), {}],
+               [_monomial(0, 0, 0, c=-1), _monomial(0, 0, 1), _monomial(1, 0, 0, c=4)]]
+        assert _cofactor_is_leibniz(mat)
+        assert cs._slot_pack_matrix([[to_poly(e) for e in row] for row in mat])[3] == "x"
+
+    def test_ties_go_to_the_first_name(self):
+        # y and z both have the degree bound 2, and x 1
+        mat = [[_monomial(0, 0, 1), _monomial(0, 1, 0)],
+               [_monomial(1, 1, 0), _monomial(0, 0, 1, c=-1)]]
+        assert _cofactor_is_leibniz(mat)
+        assert cs._slot_pack_matrix([[to_poly(e) for e in row] for row in mat])[3] == "y"
+
+    def test_coefficients_around_ten_to_the_forty(self):
+        big = 10 ** 40
+        mat = [[r_add(_monomial(1, 0, 0, c=big), _monomial(0, 0, 0, c=1)),
+                _monomial(0, 1, 0, c=-big), _monomial(2, 0, 0, c=big + 7)],
+               [_monomial(0, 0, 0, c=3), r_add(_monomial(1, 0, 0, c=big), _monomial(0, 0, 0, c=-7)),
+                _monomial(1, 0, 0, c=Fraction(big, 3))],
+               [_monomial(0, 1, 0, c=-big + 1), _monomial(1, 0, 0, c=2), _monomial(0, 0, 0, c=big)]]
+        want = _cofactor_is_leibniz(mat)
+        assert max(abs(c) for c in want.values()) > big ** 2
+
+    def test_a_zero_row(self):
+        # the bound is 0 with a zero row, so the width is 1 bit, and
+        # 2 - x packs to 2 - 1 * 2^1 = 0
+        mat = [[r_add(_monomial(0, 0, 0, c=2), _monomial(1, 0, 0), -1), _monomial(0, 1, 0)],
+               [{}, {}]]
+        assert _cofactor_is_leibniz(mat) == {}
+        assert cs._slot_pack_matrix([[to_poly(e) for e in row] for row in mat])[4] == 1
+
+    @pytest.mark.parametrize("mat", [
+        [],
+        [[{}]],
+        [[_monomial(0, 0, 0, c=Fraction(-3, 2))]],
+        [[r_add(_monomial(2, 1, 0, c=Fraction(3, 2)), _monomial(0, 0, 0, c=-5))]],
+    ], ids=["0x0", "1x1-zero", "1x1-constant", "1x1"])
+    def test_the_smallest_matrices(self, mat):
+        _cofactor_is_leibniz(mat)
 
 
 # ---------------------------------------------------------------------------
@@ -585,19 +731,51 @@ def lu_factors(draw, n=5):
     return lower, upper
 
 
+def lu_product(lower, upper, one):
+    """(L.U, the product of U's diagonal) in the reference form."""
+    n = len(lower)
+    a = [[{} for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                a[i][j] = r_add(a[i][j], r_mul(lower[i][k], upper[k][j]))
+    want = {one: Fraction(1)}
+    for i in range(n):
+        want = r_mul(want, upper[i][i])
+    return a, want
+
+
+# the nonzero coefficients of the fixed affine entries in x, y, z
+_FIXED_COEFFS = (1, -2, 3, -1, 2, -3, 4)
+
+
+def fixed_affine(i, j, salt):
+    """1, x, y, z with coefficients that depend on the entry, none 0."""
+    return {m: Fraction(_FIXED_COEFFS[(salt + 2 * i + 3 * j + 5 * t) % 7])
+            for t, m in enumerate([ONE, (1, 0, 0), (0, 1, 0), (0, 0, 1)])}
+
+
 class TestDetOnLU:
     @settings(max_examples=4, deadline=None)
     @given(lu_factors())
     def test_det_is_product_of_u_diagonal(self, factors):
-        lower, upper = factors
-        n = len(lower)
-        a = [[{} for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    a[i][j] = r_add(a[i][j], r_mul(lower[i][k], upper[k][j]))
-        want = {(0, 0, 0, 0): Fraction(1)}
-        for i in range(n):
-            want = r_mul(want, upper[i][i])
+        a, want = lu_product(*factors, (0, 0, 0, 0))
         rows = [[to_poly(e, NAMES4) for e in row] for row in a]
         assert from_poly(cs.det(rows), NAMES4) == want
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_fixed_factors_at_the_benchmark_sizes(self, n):
+        # L unit lower triangular and U upper triangular, every entry
+        # off L's diagonal and on or above U's an affine form in x, y, z
+        # with four nonzero coefficients, as the benchmark's L.U
+        # matrices are
+        one = {ONE: Fraction(1)}
+        lower = [[one if i == j else fixed_affine(i, j, 0) if i > j else {}
+                  for j in range(n)] for i in range(n)]
+        upper = [[fixed_affine(i, j, 1) if i <= j else {} for j in range(n)]
+                 for i in range(n)]
+        a, want = lu_product(lower, upper, ONE)
+        assert all(len(e) == 4 for row in upper for e in row if e)
+        rows = [[to_poly(e) for e in row] for row in a]
+        for engine in (cs.det, cs.det_bareiss, cs.det_cofactor):
+            assert from_poly(engine(rows)) == want, engine.__name__
