@@ -127,39 +127,60 @@ def chern_total(bundle: FilteredBundle) -> List[ZPair]:
 # determinants
 
 def _pack_matrix(mat) -> Tuple[Packing, List[List[Dict[int, Scalar]]]]:
-    """One graded packing for a matrix and every product that Bareiss
-    and the Pfaffians form, and the matrix packed with it. The radix is
-    2D+1, where D is the sum of the rows' largest total degrees.
-
-    A minor on rows R has total degree at most the sum over R of those
-    rows' largest degrees, so at most D. Each cofactor product is an
-    entry times a minor on other rows, and each Pfaffian product takes
-    its two entries from four distinct rows, so both stay within D.
-    Each Bareiss entry is a minor, and the numerator before each exact
-    division is a difference of products of two minors, of total degree
-    at most 2D; every monomial the division's remainder reaches has
-    degree at most the numerator's. So no product reaches the radix.
+    """One graded packing for a skew matrix and every product that the
+    Pfaffians form, and the matrix packed with it. The radix is D+1,
+    where D is the sum of the rows' largest total degrees: each Pfaffian
+    product takes its two entries from four distinct rows, so no
+    product reaches the radix.
     """
     rows = [[_to_poly(x) for x in row] for row in mat]
     bound = sum(max((entry.total_degree() for entry in row), default=0)
                 for row in rows)
-    packing = Packing([entry for row in rows for entry in row], 2 * bound + 1)
+    packing = Packing([entry for row in rows for entry in row], bound + 1)
     return packing, [[packing.pack(entry) for entry in row] for row in rows]
 
 
 def _slot_pack_matrix(mat) -> Tuple[Packing, List[List[Dict[int, int]]], List[int],
                                      Optional[str], int, int]:
-    """A matrix packed for `det_cofactor`, with one variable v moved into
-    the coefficients: the packing, the packed rows, each row's largest
-    entry degree (-1 for a zero row), v, the slot width W and the product
-    of the rows' scales.
+    """A matrix packed for both determinant engines, with one variable v
+    moved into the coefficients (Kronecker substitution in one
+    variable): the packing, the packed rows, each row's largest entry
+    degree (-1 for a zero row), v, the slot width W and the product of
+    the rows' scales.
 
-    Row i is scaled by the lcm s_i of its denominators, and a scaled
-    term c * m * v^j packs to the key of m with coefficient c * 2^(W*j),
-    summed over j. The packing keeps a digit for v, for the decoded
-    result. Its radix is D+1, for D the sum of the rows' largest total
-    degrees, which bounds the degree of every cofactor product (see
-    `_pack_matrix`).
+    Row i is scaled to integer coefficients by the lcm s_i of its
+    denominators, and a scaled term c * m * v^j packs to the key of m
+    with coefficient c * 2^(W*j), summed over j. Setting v = 2^W is a
+    ring map from Z[v][others] to Z[others], so it carries every
+    polynomial identity among the scaled entries, and each product of
+    coefficients is one int multiply; `_slot_unpack` undoes the map on
+    a result. The slot variable v is the one with the largest degree
+    bound, the sum over the rows of v's largest exponent in the row;
+    ties go to the first name.
+
+    Width. Let |a| be the sum of the absolute values of a's
+    coefficients and B' = prod_i max(1, |a'_i|) over the scaled rows
+    a'_i. A minor on rows R is, by Leibniz, a signed sum of products of
+    one entry from each row of R, and a product's coefficients have
+    absolute values summing to at most the product of its factors'
+    sums; by the triangle inequality every coefficient of the minor is
+    at most prod_(i in R) |a'_i| <= B' in absolute value. W =
+    bitlength(B') + 1 gives B' < 2^(W-1), so every minor, the
+    determinant included, is read back exactly, and a minor is 0 exactly
+    when its packed value is. The max(1, .) matters for a zero row:
+    without it B' would be 0 and W 1 bit, too narrow for the minors on
+    the other rows, which Bareiss tests for zero. With B' >= 1, W >= 2,
+    so the decode of every int ends; at W = 1 no digit is positive.
+
+    Radix. D is the sum of the rows' largest total degrees, and the
+    radix is 2D+1. A minor on rows R has total degree at most the sum
+    over R of those rows' largest degrees, so at most D. Each cofactor
+    product is an entry times a minor on other rows, so it stays within
+    D. The numerator before each Bareiss division is a difference of
+    products of two minors, of total degree at most 2D, and every
+    monomial the division's remainder reaches has degree at most the
+    numerator's. So no product reaches the radix. The packing keeps a
+    digit for v, for the decoded results.
     """
     rows = [[_to_poly(x) for x in row] for row in mat]
     bounds: Dict[str, int] = {}
@@ -177,7 +198,8 @@ def _slot_pack_matrix(mat) -> Tuple[Packing, List[List[Dict[int, int]]], List[in
                     total += exp
                     if exp > largest.get(var, 0):
                         largest[var] = exp
-                degree = max(degree, total)
+                if total > degree:
+                    degree = total
                 norm += abs(c)
                 if type(c) is Fraction:
                     scale = lcm(scale, c.denominator)
@@ -185,11 +207,11 @@ def _slot_pack_matrix(mat) -> Tuple[Packing, List[List[Dict[int, int]]], List[in
             bounds[var] = bounds.get(var, 0) + exp
         degrees.append(degree)
         scales.append(scale)
-        bound *= norm * scale
+        bound *= max(1, norm * scale)
     slot = min(bounds, key=lambda var: (-bounds[var], var), default=None)
     width = int(bound).bit_length() + 1
     packing = Packing([entry for row in rows for entry in row],
-                      sum(max(d, 0) for d in degrees) + 1)
+                      2 * sum(max(d, 0) for d in degrees) + 1)
     places = packing.places
     packed = []
     for row, scale in zip(rows, scales):
@@ -197,7 +219,8 @@ def _slot_pack_matrix(mat) -> Tuple[Packing, List[List[Dict[int, int]]], List[in
         for entry in row:
             terms: Dict[int, int] = {}
             for mono, c in entry.terms.items():
-                c = int(c * scale)
+                if scale > 1:
+                    c = int(c * scale)
                 key = 0
                 for var, exp in mono:
                     if var == slot:
@@ -210,9 +233,38 @@ def _slot_pack_matrix(mat) -> Tuple[Packing, List[List[Dict[int, int]]], List[in
     return packing, packed, degrees, slot, width, prod(scales)
 
 
+def _slot_unpack(packing: Packing, packed: Dict[int, Scalar], slot: Optional[str],
+                 width: int, scale: int) -> Poly:
+    """A slot-packed minor of the scaled matrix, divided by scale, as a
+    Poly; both determinant engines decode their result here.
+
+    The value f(2^W) at the key of m is read off in balanced base-2^W
+    digits, each in [-2^(W-1), 2^(W-1)); digit j is the coefficient of
+    m * v^j, whose key is m's plus j times v's place. That gives back f
+    whenever every coefficient of f is below 2^(W-1) in absolute value,
+    which `_slot_pack_matrix` proves for every minor. A packed minor
+    lies in Z[others], so a value that is not an int can only come from
+    a bug, and raises RuntimeError.
+    """
+    step = packing.places[slot] if slot is not None else 0
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    terms: Dict[int, Scalar] = {}
+    for key, value in packed.items():
+        if type(value) is not int:
+            raise RuntimeError("slot-packed value %r is not an integer" % (value,))
+        while value:
+            digit = ((value + half) & mask) - half
+            if digit:
+                terms[key] = Fraction(digit, scale) if scale > 1 else digit
+            value = (value - digit) >> width
+            key += step
+    return packing.unpack(terms)
+
+
 def det_cofactor(rows: Sequence[Sequence[Poly]]) -> Poly:
-    """Laplace expansion along the rows, each minor computed once, with
-    one variable packed into the coefficients.
+    """Laplace expansion along the rows, each minor computed once, on
+    the slot packing of `_slot_pack_matrix`.
 
     The rows are taken in increasing order of their largest entry
     degree; ties keep the bottom-up order.
@@ -226,34 +278,15 @@ def det_cofactor(rows: Sequence[Sequence[Poly]]) -> Poly:
     rows of A in the order taken, so P's rows are A's permuted by some
     pi. The loop is then the bottom-up Laplace expansion of P, and
     det A = sign(pi) det P; the sign is applied once, to the result.
-    Only multiplication and addition are used, never a division or a
-    pivot choice, so it shares no step with `det_bareiss` and stays an
-    independent check of it. The matrix is packed once and the minors
-    are kept packed.
+    The expansion only adds and multiplies, so on the scaled matrix A'
+    packed at v = 2^W it yields det A' at v = 2^W, which `_slot_unpack`
+    decodes and divides by prod s_i: det A = det A' / prod s_i.
 
-    Slot packing (Kronecker substitution in one variable). The slot
-    variable v is the one with the largest degree bound, the sum over
-    the rows of v's largest exponent in the row; ties go to the first
-    name. Row i is scaled to integer coefficients by the lcm s_i of its
-    denominators, so det A = det A' / prod s_i for the scaled A'. Each
-    entry of A' is then read as a polynomial in the other variables
-    whose coefficients are the integers f(2^W), f in Z[v]: setting
-    v = 2^W is a ring map from Z[v][others] to Z[others], so the
-    expansion, which only adds and multiplies, yields det A' with
-    v = 2^W, and each product of coefficients is one int multiply. The
-    map is undone on the result alone: each coefficient f(2^W) is read
-    off in balanced base-2^W digits, each in [-2^(W-1), 2^(W-1)), which
-    gives back f when every coefficient c of det A' has |c| < 2^(W-1).
-
-    Bound: let B = prod_i sum_j |a'_ij|, |a| the sum of the absolute
-    values of a's coefficients. By Leibniz, det A' is the sum over the
-    permutations s of sign(s) prod_i a'_i,s(i), and a product's
-    coefficients have absolute values summing to at most the product of
-    its factors' sums, so by the triangle inequality every coefficient
-    of det A' is at most sum_s prod_i |a'_i,s(i)| <= B in absolute value
-    (expand the product of sums). W = bitlength(B) + 1 gives
-    B < 2^(W-1). B is 0 only for a zero row, whose determinant is 0;
-    otherwise W >= 2, and the digits of every int are finitely many.
+    It shares the packing and its decode with `det_bareiss`, but no
+    algorithmic step: no division and no pivot choice. So `det` still
+    checks the elimination and its exact divisions against it; the
+    shared packing and decode are checked by the Leibniz references in
+    the tests.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
@@ -281,37 +314,38 @@ def det_cofactor(rows: Sequence[Sequence[Poly]]) -> Poly:
             terms = {k: c for k, c in terms.items() if c}
             if terms:
                 minors[cols] = terms
-    # undo the slot packing: digit j of the value at the key of m is
-    # the coefficient of m * v^j, whose key is m's plus j * v's place
-    sign = -1 if inversions % 2 else 1
-    step = packing.places[slot] if slot is not None else 0
-    half = 1 << (width - 1)
-    mask = (1 << width) - 1
-    terms: Dict[int, Scalar] = {}
-    for key, value in minors.get((1 << n) - 1, {}).items():
-        value *= sign
-        while value:
-            digit = ((value + half) & mask) - half
-            if digit:
-                terms[key] = Fraction(digit, scale) if scale > 1 else digit
-            value = (value - digit) >> width
-            key += step
-    return packing.unpack(terms)
+    value = _slot_unpack(packing, minors.get((1 << n) - 1, {}), slot, width, scale)
+    return -value if inversions % 2 else value
 
 
 def _bareiss(rows: Sequence[Sequence[Poly]]) -> Tuple[int, Poly]:
-    """Fraction-free elimination over Q(parameters) (Bareiss 1968).
+    """Fraction-free elimination over Q(parameters) (Bareiss 1968), on
+    the slot packing of `_slot_pack_matrix`.
 
-    Returns the rank and the last pivot, negated once per row swap; for
-    a square matrix of full rank that is its determinant. Each entry
-    below the pivots is, after step k, a (k+1)-minor of the matrix, so
-    dividing by the previous pivot is exact even where a column without
-    a pivot is skipped. At the first step the previous pivot is the
-    constant 1, so that division is the identity and only drops the
-    cancelled terms. The matrix is packed once (see `_pack_matrix` for
-    the radix) and every step runs on packed entries.
+    Returns the rank and, when the rank equals the number of rows, the
+    last pivot divided by the row scales and negated once per row swap:
+    for a square matrix, its determinant. For dependent rows the second
+    value is 0. Each entry below the pivots is, after step k, a
+    (k+1)-minor of the matrix, so dividing by the previous pivot is
+    exact even where a column without a pivot is skipped. At the first
+    step the previous pivot is the constant 1, so that division is the
+    identity and only drops the cancelled terms.
+
+    On the slot packing, every step runs on the scaled matrix A' with
+    v = 2^W, in Z[others]. That map is a ring map, so it carries
+    Sylvester's identity, numerator = previous pivot * new minor, into
+    Z[others]: every division is exact there, with integer lead
+    quotients, whatever W is. W matters only where a packed value is
+    read: the pivot zero tests, which only ever see minors, and the
+    decode of the last pivot, itself a minor. `_slot_pack_matrix`
+    proves both exact for its one bound on the minors. The row scales
+    are divided out only at full rank, where the last pivot is a minor
+    on all rows.
+
+    It shares the packing and its decode with `det_cofactor`, but no
+    algorithmic step, so `det` still checks each against the other.
     """
-    packing, m = _pack_matrix(rows)
+    packing, m, _, slot, width, scale = _slot_pack_matrix(rows)
     ncols = len(m[0]) if m else 0
     rank = 0
     sign = 1
@@ -336,7 +370,9 @@ def _bareiss(rows: Sequence[Sequence[Poly]]) -> Tuple[int, Poly]:
             row[c] = {}
         prev = pivot
         rank += 1
-    last = packing.unpack(prev)
+    if rank < len(m):
+        return rank, Poly()
+    last = _slot_unpack(packing, prev, slot, width, scale)
     return rank, last if sign > 0 else -last
 
 
@@ -346,12 +382,16 @@ def det_bareiss(rows: Sequence[Sequence[Poly]]) -> Poly:
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix is not square")
-    rank, pivot = _bareiss(rows)
-    return pivot if rank == n else Poly()
+    return _bareiss(rows)[1]
 
 
 def det(rows: Sequence[Sequence[Poly]]) -> Poly:
-    """Bareiss determinant cross-checked against cofactor expansion."""
+    """Bareiss determinant cross-checked against cofactor expansion up to
+    6x6. The two engines share the slot packing and its decode, but no
+    algorithmic step, so the check still guards the elimination, its
+    pivot choices and exact divisions, and the cofactor order and signs;
+    the packing and decode are guarded by the Leibniz references in the
+    tests."""
     value = det_bareiss(rows)
     if len(rows) <= 6 and value != det_cofactor(rows):
         raise RuntimeError("determinant engines disagree")

@@ -225,12 +225,6 @@ class Packing:
         return quotient
 
 
-def _mono_key(m: Monomial, varorder: Tuple[str, ...]) -> Tuple:
-    exps = dict(m)
-    total = sum(exps.values())
-    return (total,) + tuple(exps.get(v, 0) for v in varorder)
-
-
 def _demoted(terms: Dict[Monomial, Scalar]) -> Dict[Monomial, Scalar]:
     """terms without its zero coefficients, the integral ones as int."""
     return {m: c if type(c) is int or c.denominator != 1 else c.numerator
@@ -457,25 +451,35 @@ class Poly:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        varorder = tuple(sorted(self.variables()))
-        monos = sorted(self.terms, key=lambda m: _mono_key(m, varorder), reverse=True)
+        # graded order, highest first: the total degree, then the
+        # exponents over the sorted variable names
+        index = {var: i for i, var in enumerate(sorted(self.variables()))}
+        width = len(index)
+
+        def key(mono: Monomial) -> Tuple[int, list]:
+            exps = [0] * width
+            total = 0
+            for var, exp in mono:
+                exps[index[var]] = exp
+                total += exp
+            return total, exps
+
+        terms = self.terms
         pieces = []
-        for mono in monos:
-            coeff = self.terms[mono]
+        for mono in sorted(terms, key=key, reverse=True):
+            coeff = terms[mono]
+            size = -coeff if coeff < 0 else coeff
             factors = ["%s^%d" % (v, e) if e > 1 else v for v, e in mono]
             if not factors:
-                body = str(abs(coeff))
-            elif abs(coeff) == 1:
+                body = str(size)
+            elif size == 1:
                 body = "*".join(factors)
             else:
-                body = "*".join([str(abs(coeff))] + factors)
-            sign = "-" if coeff < 0 else "+"
-            pieces.append((sign, body))
-        first_sign, first_body = pieces[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in pieces[1:]:
-            text += " %s %s" % (sign, body)
-        return text
+                body = "*".join([str(size)] + factors)
+            pieces.append(" - " if coeff < 0 else " + ")
+            pieces.append(body)
+        pieces[0] = "-" if pieces[0] == " - " else ""
+        return "".join(pieces)
 
     def __repr__(self) -> str:
         return "Poly(%s)" % self

@@ -683,17 +683,17 @@ def hasse(records: Sequence[StratumRecord]) -> Tuple[List[Tuple[str, str]], str]
     in lexicographic order. That ranking is a linear extension of the
     pair order: if i lies strictly below j, then at the first position
     where their sums differ the sum of i is the smaller one, so i ranks
-    before j. up[r] is a Python-int bitmask, over ranks, with bit s set
-    when the record of rank s lies strictly above the record of rank r.
+    before j. down[r] is a Python-int bitmask, over ranks, with bit s set
+    when the record of rank s lies strictly below the record of rank r.
 
-    The covers of rank r come from up[r], lowest bit first: the lowest
-    remaining bit c is taken as a cover, and c and up[c] are cleared. c
-    is a cover: a record k strictly between r and c is a bit of up[r]
-    below c, so it was taken as a cover or cleared as lying above one
-    taken before, and c, lying above k and so above that cover, was
-    cleared with it. And every cover is taken: it lies above no record
-    above r, so only its own step clears it. Edges come out in
-    increasing i, then increasing j, of the input order.
+    The lower covers of rank r come from down[r], highest bit first: the
+    highest remaining bit c is taken as a cover, and c and down[c] are
+    cleared. c is a cover: a record k strictly between c and r is a bit
+    of down[r] above c, so it was taken as a cover or cleared as lying
+    below one taken before, and c, lying below k and so below that
+    cover, was cleared with it. And every lower cover is taken: it lies
+    below no record below r, so only its own step clears it. Edges come
+    out in increasing i, then increasing j, of the input order.
 
     The masks take O(n) big-int operations per prefix-sum position, plus
     a sort of that position's distinct values, and the covers O(1)
@@ -703,13 +703,13 @@ def hasse(records: Sequence[StratumRecord]) -> Tuple[List[Tuple[str, str]], str]
     """
     sums = [se + sf for se, sf in zip(*_prefix_sums(records))]
     order = sorted(range(len(sums)), key=sums.__getitem__)
-    up = _below_masks([tuple(-x for x in sums[i]) for i in order])
+    down = _below_masks([sums[i] for i in order])
     covers: List[List[int]] = [[] for _ in order]
-    for i, bits in zip(order, up):
+    for j, bits in zip(order, down):
         while bits:
-            c = (bits & -bits).bit_length() - 1
-            covers[i].append(order[c])
-            bits &= ~(1 << c | up[c])
+            c = bits.bit_length() - 1
+            covers[order[c]].append(j)
+            bits &= ~(1 << c | down[c])
     ids = [NODE_ID % texts for texts in part_texts(records)]
     edges = [(ids[i], ids[j]) for i, above in enumerate(covers)
              for j in sorted(above)]

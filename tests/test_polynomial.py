@@ -4,7 +4,7 @@ multiplied term by term, and determinants as Leibniz permutation sums
 or as the product of U's diagonal for A = L.U."""
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -222,6 +222,48 @@ def polys5(draw, support=None):
 
 X6Y6 = {(6, 0, 0, 0, 0): Fraction(1), (0, 6, 0, 0, 0): Fraction(-2, 3),
         (0, 0, 0, 0, 0): Fraction(5)}
+
+
+def r_str(a, names=NAMES5):
+    """The text of a reference polynomial, written here without Poly:
+    terms in decreasing total degree, then decreasing exponents over
+    the sorted names; each a sign and the coefficient's absolute value,
+    left out when it is 1 before a variable, then name^exponent factors
+    in sorted name order, with ^1 left out."""
+    if not a:
+        return "0"
+    order = sorted(range(len(names)), key=names.__getitem__)
+    text = ""
+    for m in sorted(a, key=lambda m: (sum(m), [m[i] for i in order]), reverse=True):
+        c = a[m]
+        size = abs(c)
+        factors = [names[i] if m[i] == 1 else "%s^%d" % (names[i], m[i])
+                   for i in order if m[i]]
+        number = ("%d" % size.numerator if size.denominator == 1
+                  else "%d/%d" % (size.numerator, size.denominator))
+        body = "*".join(factors if factors and size == 1 else [number] + factors)
+        if not text:
+            text = "-" + body if c < 0 else body
+        else:
+            text += (" - " if c < 0 else " + ") + body
+    return text
+
+
+class TestStr:
+    @settings(max_examples=100)
+    @given(polys5())
+    # a constant 1 and -1, a -1 before a variable, a Fraction and
+    # exponents of 1, in names whose sorted order is not their index
+    @example({(0,) * 5: Fraction(1), (1, 0, 0, 0, 1): Fraction(-1)})
+    @example({(0,) * 5: Fraction(-1), (0, 0, 0, 1, 1): Fraction(2, 3),
+              (0, 0, 0, 2, 0): Fraction(-3), (1, 1, 1, 0, 0): Fraction(1)})
+    def test_matches_a_formatter_written_here(self, a):
+        assert str(to_poly(a, NAMES5)) == r_str(a)
+
+    def test_zero_and_a_constant(self):
+        assert str(Poly()) == r_str({}) == "0"
+        assert str(Poly.const(Fraction(-5, 2))) == "-5/2"
+        assert str(Poly.var("a10", 2) - Poly.var("a2") * Poly.var("x")) == "a10^2 - a2*x"
 
 
 class TestPacking:
@@ -463,52 +505,77 @@ class TestCofactorAgainstLeibniz:
 
     def test_packing_reports_each_rows_largest_degree(self):
         # a zero entry does not count, a zero row reads -1, and the radix
-        # is 2D + 1 for D the sum of the other rows' degrees, or D + 1
-        # for the cofactor expansion alone
+        # is 2D + 1 for D the sum of the other rows' degrees, as Bareiss
+        # needs, or D + 1 for the Pfaffians alone
         x, y = Poly.var("x"), Poly.var("y")
         mat = [[x * y, Poly(), Poly.const(1)], [Poly()] * 3,
                [Poly.const(3), y, Poly()], [Poly.const(2)] * 3]
         packing, _ = cs._pack_matrix(mat)
-        assert packing.radix == 2 * 3 + 1
+        assert packing.radix == 3 + 1
         packing, _, degrees, _, _, _ = cs._slot_pack_matrix(mat)
         assert degrees == [2, -1, 1, 0]
-        assert packing.radix == 3 + 1
+        assert packing.radix == 2 * 3 + 1
 
 
 # ---------------------------------------------------------------------------
-# the slot packing of det_cofactor at its boundaries
+# the slot packing of both determinant engines at its boundaries
 
 
 def _row_bound(mat):
-    """B = prod_i sum_j |a_ij|, for reference rows of integer entries."""
+    """B' = prod_i max(1, sum_j |a_ij|), for reference rows of integer
+    entries."""
     bound = 1
     for row in mat:
-        bound *= sum(abs(c) for e in row for c in e.values())
+        bound *= max(1, sum(abs(c) for e in row for c in e.values()))
     return int(bound)
 
 
-def _cofactor_is_leibniz(mat):
+def minor_rank(mat):
+    """Rank over Q(x, y, z) of reference entries: the largest k with a
+    nonzero k x k minor, each minor a Leibniz sum."""
+    nrows, ncols = len(mat), len(mat[0]) if mat else 0
+    for k in range(min(nrows, ncols), 0, -1):
+        for rows in combinations(range(nrows), k):
+            for cols in combinations(range(ncols), k):
+                if leibniz([[mat[i][j] for j in cols] for i in rows]):
+                    return k
+    return 0
+
+
+def _engines_match_leibniz(mat):
+    """Both engines' determinants against Leibniz, and Bareiss's rank
+    against `minor_rank`; returns the determinant."""
     rows = [[to_poly(e) for e in row] for row in mat]
     want = leibniz(mat)
     assert from_poly(cs.det_cofactor(rows)) == want
+    assert from_poly(cs.det_bareiss(rows)) == want
+    assert cs._bareiss(rows)[0] == minor_rank(mat)
     return want
 
 
+def slot_packed(mat):
+    """(slot, width, scale) of `_slot_pack_matrix` for reference rows."""
+    return tuple(cs._slot_pack_matrix([[to_poly(e) for e in row] for row in mat])[3:])
+
+
 class TestSlotPacking:
+    @pytest.mark.parametrize("swap", [False, True], ids=["diagonal", "row-swap"])
     @pytest.mark.parametrize("signs", [(1, 1, 1), (1, -1, 1), (-1, -1, -1)])
-    def test_a_coefficient_reaching_the_bound(self, signs):
-        # a diagonal of single terms: det = +-B * x^3 * y, so the one
+    def test_a_coefficient_reaching_the_bound(self, signs, swap):
+        # a diagonal of single terms: det = +-B' * x^3 * y, so the one
         # coefficient is as large as the bound allows, and a width one
-        # bit narrower would decode it wrongly
+        # bit narrower would decode it wrongly; with the first two rows
+        # swapped, Bareiss finds column 0 empty in row 0 and swaps back
         mat = [[_monomial(1, 0, 0, c=3 * signs[0]), {}, {}],
                [{}, _monomial(2, 1, 0, c=5 * signs[1]), {}],
                [{}, {}, _monomial(0, 0, 0, c=7 * signs[2])]]
-        want = _cofactor_is_leibniz(mat)
+        if swap:
+            mat[:2] = mat[1::-1]
+        want = _engines_match_leibniz(mat)
         bound = _row_bound(mat)
         assert [abs(c) for c in want.values()] == [bound]
-        _, _, _, slot, width, scale = cs._slot_pack_matrix(
-            [[to_poly(e) for e in row] for row in mat])
-        assert (slot, width, scale) == ("x", bound.bit_length() + 1, 1)
+        assert slot_packed(mat) == ("x", bound.bit_length() + 1, 1)
+        assert from_poly(cs.det([[to_poly(e) for e in row] for row in mat])) == want
 
     @pytest.mark.parametrize("mat", [
         # x^2 - x - y^2: negative digits below a positive one
@@ -522,7 +589,7 @@ class TestSlotPacking:
          [_monomial(1, 0, 0), _monomial(0, 0, 0, c=2)]],
     ], ids=["below-positive", "all-negative", "between-positive"])
     def test_negative_digits_borrow_across_slots(self, mat):
-        want = _cofactor_is_leibniz(mat)
+        want = _engines_match_leibniz(mat)
         assert any(c < 0 for c in want.values())
 
     @pytest.mark.parametrize("mat", [
@@ -534,7 +601,7 @@ class TestSlotPacking:
          [_monomial(1, 0, 1), _monomial(0, 1, 1)]],
     ], ids=["equal-rows", "fraction-multiple", "x-times-z"])
     def test_a_determinant_that_cancels_to_zero(self, mat):
-        assert _cofactor_is_leibniz(mat) == {}
+        assert _engines_match_leibniz(mat) == {}
 
     def test_fraction_rows_with_different_denominators(self):
         mat = [[_monomial(1, 0, 0, c=Fraction(1, 2)), _monomial(0, 0, 0, c=Fraction(1, 3)),
@@ -544,11 +611,9 @@ class TestSlotPacking:
                 {}],
                [_monomial(0, 0, 0, c=2), _monomial(2, 0, 0, c=Fraction(-9, 4)),
                 _monomial(0, 0, 1, c=Fraction(1, 9))]]
-        want = _cofactor_is_leibniz(mat)
+        want = _engines_match_leibniz(mat)
         assert any(c.denominator > 1 for c in want.values())
-        _, _, _, _, _, scale = cs._slot_pack_matrix(
-            [[to_poly(e) for e in row] for row in mat])
-        assert scale == 6 * 140 * 36
+        assert slot_packed(mat)[2] == 6 * 140 * 36
 
     @pytest.mark.parametrize("mat", [
         [[_monomial(0, 0, 0, c=2), _monomial(0, 0, 0, c=3)],
@@ -557,8 +622,8 @@ class TestSlotPacking:
          [_monomial(0, 0, 0, c=4), _monomial(0, 0, 0, c=Fraction(5, 3))]],
     ], ids=["int", "fraction"])
     def test_a_constant_matrix(self, mat):
-        assert _cofactor_is_leibniz(mat)
-        assert cs._slot_pack_matrix([[to_poly(e) for e in row] for row in mat])[3] is None
+        assert _engines_match_leibniz(mat)
+        assert slot_packed(mat)[0] is None
 
     def test_slot_variable_missing_from_some_rows(self):
         # x has the degree bound 2 + 0 + 1 and y 1 + 1 + 0, and row 1
@@ -566,33 +631,43 @@ class TestSlotPacking:
         mat = [[_monomial(2, 0, 0), _monomial(1, 0, 0, c=-1), _monomial(0, 1, 0)],
                [_monomial(0, 1, 0, c=2), _monomial(0, 0, 0, c=3), {}],
                [_monomial(0, 0, 0, c=-1), _monomial(0, 0, 1), _monomial(1, 0, 0, c=4)]]
-        assert _cofactor_is_leibniz(mat)
-        assert cs._slot_pack_matrix([[to_poly(e) for e in row] for row in mat])[3] == "x"
+        assert _engines_match_leibniz(mat)
+        assert slot_packed(mat)[0] == "x"
 
     def test_ties_go_to_the_first_name(self):
         # y and z both have the degree bound 2, and x 1
         mat = [[_monomial(0, 0, 1), _monomial(0, 1, 0)],
                [_monomial(1, 1, 0), _monomial(0, 0, 1, c=-1)]]
-        assert _cofactor_is_leibniz(mat)
-        assert cs._slot_pack_matrix([[to_poly(e) for e in row] for row in mat])[3] == "y"
+        assert _engines_match_leibniz(mat)
+        assert slot_packed(mat)[0] == "y"
 
-    def test_coefficients_around_ten_to_the_forty(self):
+    @pytest.mark.parametrize("swap", [False, True], ids=["no-swap", "row-swap"])
+    def test_coefficients_around_ten_to_the_forty(self, swap):
+        # with the first entry 0, Bareiss swaps rows and every later
+        # division is exact only with the big digits carried
         big = 10 ** 40
         mat = [[r_add(_monomial(1, 0, 0, c=big), _monomial(0, 0, 0, c=1)),
                 _monomial(0, 1, 0, c=-big), _monomial(2, 0, 0, c=big + 7)],
                [_monomial(0, 0, 0, c=3), r_add(_monomial(1, 0, 0, c=big), _monomial(0, 0, 0, c=-7)),
                 _monomial(1, 0, 0, c=Fraction(big, 3))],
                [_monomial(0, 1, 0, c=-big + 1), _monomial(1, 0, 0, c=2), _monomial(0, 0, 0, c=big)]]
-        want = _cofactor_is_leibniz(mat)
+        if swap:
+            mat[0][0] = {}
+        want = _engines_match_leibniz(mat)
         assert max(abs(c) for c in want.values()) > big ** 2
+        assert from_poly(cs.det([[to_poly(e) for e in row] for row in mat])) == want
 
-    def test_a_zero_row(self):
-        # the bound is 0 with a zero row, so the width is 1 bit, and
-        # 2 - x packs to 2 - 1 * 2^1 = 0
-        mat = [[r_add(_monomial(0, 0, 0, c=2), _monomial(1, 0, 0), -1), _monomial(0, 1, 0)],
-               [{}, {}]]
-        assert _cofactor_is_leibniz(mat) == {}
-        assert cs._slot_pack_matrix([[to_poly(e) for e in row] for row in mat])[4] == 1
+    @pytest.mark.parametrize("zero", [0, 1], ids=["zero-row-first", "zero-row-last"])
+    def test_a_zero_row(self, zero):
+        # a zero row counts 1 in the bound, not 0: B' = 9, so the width
+        # is 5 bits, where a 1-bit width would pack 2 - x and 4 - 2x to
+        # 0, and Bareiss would find rank 0, not 1
+        mat = [[r_add(_monomial(0, 0, 0, c=2), _monomial(1, 0, 0), -1),
+                r_add(_monomial(0, 0, 0, c=4), _monomial(1, 0, 0, c=2), -1)]]
+        mat.insert(zero, [{}, {}])
+        assert _engines_match_leibniz(mat) == {}
+        assert cs._bareiss([[to_poly(e) for e in row] for row in mat])[0] == 1
+        assert slot_packed(mat) == ("x", 5, 1)
 
     @pytest.mark.parametrize("mat", [
         [],
@@ -601,17 +676,74 @@ class TestSlotPacking:
         [[r_add(_monomial(2, 1, 0, c=Fraction(3, 2)), _monomial(0, 0, 0, c=-5))]],
     ], ids=["0x0", "1x1-zero", "1x1-constant", "1x1"])
     def test_the_smallest_matrices(self, mat):
-        _cofactor_is_leibniz(mat)
+        _engines_match_leibniz(mat)
+
+
+# ---------------------------------------------------------------------------
+# Bareiss ranks on the slot packing
+
+
+bareiss_coeffs = st.one_of(st.integers(-3, 3),
+                           st.fractions(min_value=-3, max_value=3, max_denominator=3))
+
+
+def entries_in(nvars):
+    """Entries of degree at most 1 in each of the first nvars names."""
+    exps = [st.integers(0, 1)] * nvars + [st.just(0)] * (3 - nvars)
+    return st.dictionaries(st.tuples(*exps), bareiss_coeffs, max_size=2).map(
+        lambda d: {m: Fraction(c) for m, c in d.items() if c})
+
+
+@st.composite
+def rank_matrices(draw):
+    """(A, B) with A of 1-3 rows, B of 1-2, both ncols wide, entries in two
+    or three variables; A may hold a zero row and a row that is a
+    polynomial combination of two others."""
+    entry = entries_in(draw(st.integers(2, 3)))
+    ncols = draw(st.integers(1, 3))
+    a = [[draw(entry) for _ in range(ncols)] for _ in range(draw(st.integers(1, 3)))]
+    b = [[draw(entry) for _ in range(ncols)] for _ in range(draw(st.integers(1, 2)))]
+    if len(a) > 1 and draw(st.booleans()):
+        a[draw(st.integers(0, len(a) - 1))] = [{} for _ in range(ncols)]
+    if len(a) > 2 and draw(st.booleans()):
+        q = draw(entry)
+        a[2] = [r_add(r_mul(q, x), y) for x, y in zip(a[0], a[1])]
+    return a, b
+
+
+class TestBareissSlotPacking:
+    @settings(max_examples=25, deadline=None)
+    @given(rank_matrices())
+    # row 2 is x times the Fraction row 0, and row 1 is zero
+    @example(([[_monomial(1, 0, 0, c=Fraction(1, 2)), _monomial(0, 1, 0, c=Fraction(-2, 3))],
+               [{}, {}],
+               [_monomial(2, 0, 0, c=Fraction(1, 2)), _monomial(1, 1, 0, c=Fraction(-2, 3))]],
+              [[_monomial(0, 0, 1), _monomial(1, 0, 0, c=3)]]))
+    def test_ranks_of_non_square_and_stacked_matrices(self, mats):
+        a, b = mats
+        for mat in (a, b, a + b):
+            rows = [[to_poly(e) for e in row] for row in mat]
+            assert cs._bareiss(rows)[0] == minor_rank(mat)
+
+    def test_decoding_a_fraction_raises(self):
+        # a packed minor lies in Z[others]; a Fraction can come only
+        # from an inexact division, and is never decoded
+        packing, _, _, slot, width, scale = cs._slot_pack_matrix([[Poly.var("x")]])
+        assert cs._slot_unpack(packing, {0: -1 << width}, slot, width, scale) == -Poly.var("x")
+        with pytest.raises(RuntimeError, match="not an integer"):
+            cs._slot_unpack(packing, {0: Fraction(1, 2)}, slot, width, scale)
 
 
 # ---------------------------------------------------------------------------
 # the packed engines against the reference
 #
-# `_matrix_packing` gives each matrix the radix 2D+1, D the sum of its
-# rows' largest degrees. In a 3x3 matrix whose first row has the
+# Entries in one variable put that variable into the slot, so these
+# matrices check the slot decode on minors of degree up to 2D, D the sum
+# of the rows' largest degrees: in a 3x3 matrix whose first row has the
 # highest degree, the second Bareiss step multiplies two minors of
-# degree above D/2 each, so a radix of D+1 raises; one-variable entries
-# of degree up to 4 keep the degrees high and the Leibniz sum cheap.
+# degree above D/2 each. `test_numerators_reach_2d_outside_the_slot`
+# does the same in a variable that stays in the keys, where a radix of
+# D+1 raises.
 
 mixed_coeffs = st.one_of(st.integers(-3, 3),
                          st.fractions(min_value=-3, max_value=3, max_denominator=4))
@@ -683,6 +815,20 @@ class TestPackedEngines:
         for mat in (a, b, a + b):
             rows = [[to_poly(e) for e in row] for row in mat]
             assert cs._bareiss(rows)[0] == generic_rank(mat)
+
+    def test_numerators_reach_2d_outside_the_slot(self):
+        # x ties y for the slot (degree bounds 2 + 1 + 1 each) and wins
+        # by name, so y stays in the keys: D = 4, and the second step
+        # multiplies two minors of y-degree 3
+        def entry(cy, cx, exp):
+            return r_add(_monomial(0, exp, 0, c=cy), _monomial(exp, 0, 0, c=cx))
+
+        mat = [[entry(1, 1, 2), entry(2, -1, 2), entry(1, 3, 2)],
+               [entry(1, 1, 1), entry(3, -1, 1), entry(-1, 2, 1)],
+               [entry(2, -1, 1), entry(1, 1, 1), entry(1, -3, 1)]]
+        rows = [[to_poly(e) for e in row] for row in mat]
+        assert slot_packed(mat)[0] == "x"
+        assert from_poly(cs.det_bareiss(rows)) == leibniz(mat)
 
     def test_product_reaching_the_radix_raises(self):
         x = Poly.var("x") + 1
