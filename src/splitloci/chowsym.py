@@ -140,8 +140,18 @@ def _pack_matrix(mat) -> Tuple[Packing, List[List[Dict[int, Scalar]]]]:
     return packing, [[packing.pack(entry) for entry in row] for row in rows]
 
 
-def _slot_pack_matrix(mat) -> Tuple[Packing, List[List[Dict[int, int]]], List[int],
-                                     Optional[str], int, int]:
+class SlotPacked(NamedTuple):
+    """A matrix as `_slot_pack_matrix` packs it, which the determinant
+    engines take in place of Poly rows and leave unchanged."""
+    packing: Packing
+    rows: List[List[Dict[int, int]]]
+    degrees: List[int]
+    slot: Optional[str]
+    width: int
+    scale: int
+
+
+def _slot_pack_matrix(mat) -> SlotPacked:
     """A matrix packed for both determinant engines, with one variable v
     moved into the coefficients (Kronecker substitution in one
     variable): the packing, the packed rows, each row's largest entry
@@ -230,7 +240,7 @@ def _slot_pack_matrix(mat) -> Tuple[Packing, List[List[Dict[int, int]]], List[in
                 terms[key] = terms.get(key, 0) + c
             out.append(terms)
         packed.append(out)
-    return packing, packed, degrees, slot, width, prod(scales)
+    return SlotPacked(packing, packed, degrees, slot, width, prod(scales))
 
 
 def _slot_unpack(packing: Packing, packed: Dict[int, Scalar], slot: Optional[str],
@@ -262,7 +272,15 @@ def _slot_unpack(packing: Packing, packed: Dict[int, Scalar], slot: Optional[str
     return packing.unpack(terms)
 
 
-def det_cofactor(rows: Sequence[Sequence[Poly]]) -> Poly:
+def _square_packing(rows) -> SlotPacked:
+    """rows packed, unless they are; a non-square matrix raises ValueError."""
+    packed = rows if isinstance(rows, SlotPacked) else _slot_pack_matrix(rows)
+    if any(len(row) != len(packed.rows) for row in packed.rows):
+        raise ValueError("matrix is not square")
+    return packed
+
+
+def det_cofactor(rows) -> Poly:
     """Laplace expansion along the rows, each minor computed once, on
     the slot packing of `_slot_pack_matrix`.
 
@@ -288,10 +306,8 @@ def det_cofactor(rows: Sequence[Sequence[Poly]]) -> Poly:
     shared packing and decode are checked by the Leibniz references in
     the tests.
     """
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("matrix is not square")
-    packing, packed, degree, slot, width, scale = _slot_pack_matrix(rows)
+    packing, packed, degree, slot, width, scale = _square_packing(rows)
+    n = len(packed)
     # a zero row has degree -1, so it is taken first and ends the loop
     order = sorted(range(n), key=lambda i: (degree[i], -i))
     # P's rows from the top are `order` reversed, so each inversion of
@@ -318,7 +334,7 @@ def det_cofactor(rows: Sequence[Sequence[Poly]]) -> Poly:
     return -value if inversions % 2 else value
 
 
-def _bareiss(rows: Sequence[Sequence[Poly]]) -> Tuple[int, Poly]:
+def _bareiss(rows) -> Tuple[int, Poly]:
     """Fraction-free elimination over Q(parameters) (Bareiss 1968), on
     the slot packing of `_slot_pack_matrix`.
 
@@ -345,7 +361,9 @@ def _bareiss(rows: Sequence[Sequence[Poly]]) -> Tuple[int, Poly]:
     It shares the packing and its decode with `det_cofactor`, but no
     algorithmic step, so `det` still checks each against the other.
     """
-    packing, m, _, slot, width, scale = _slot_pack_matrix(rows)
+    packing, m, _, slot, width, scale = (
+        rows if isinstance(rows, SlotPacked) else _slot_pack_matrix(rows))
+    m = [list(row) for row in m]  # rows of a shared packing stay as they are
     ncols = len(m[0]) if m else 0
     rank = 0
     sign = 1
@@ -376,24 +394,22 @@ def _bareiss(rows: Sequence[Sequence[Poly]]) -> Tuple[int, Poly]:
     return rank, last if sign > 0 else -last
 
 
-def det_bareiss(rows: Sequence[Sequence[Poly]]) -> Poly:
+def det_bareiss(rows) -> Poly:
     """Fraction-free elimination; every division is exact. A matrix of
     rank below n has determinant 0."""
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("matrix is not square")
-    return _bareiss(rows)[1]
+    return _bareiss(_square_packing(rows))[1]
 
 
 def det(rows: Sequence[Sequence[Poly]]) -> Poly:
     """Bareiss determinant cross-checked against cofactor expansion up to
-    6x6. The two engines share the slot packing and its decode, but no
-    algorithmic step, so the check still guards the elimination, its
-    pivot choices and exact divisions, and the cofactor order and signs;
-    the packing and decode are guarded by the Leibniz references in the
-    tests."""
-    value = det_bareiss(rows)
-    if len(rows) <= 6 and value != det_cofactor(rows):
+    6x6, both on one packing of the matrix. The two engines share that
+    packing and its decode, but no algorithmic step, so the check still
+    guards the elimination, its pivot choices and exact divisions, and
+    the cofactor order and signs; the packing and decode are guarded by
+    the Leibniz references in the tests."""
+    packed = _square_packing(rows)
+    value = det_bareiss(packed)
+    if len(rows) <= 6 and value != det_cofactor(packed):
         raise RuntimeError("determinant engines disagree")
     return value
 

@@ -276,7 +276,7 @@ def _cmd_strata(args) -> int:
                  str(rec.expected_e), str(rec.expected_f),
                  str(rec.correction),
                  "yes" if rec.in_psi else "no",
-                 ";".join(strata.flag_str(fl) for fl in rec.flags) or "-",
+                 ";".join(rec.flags) or "-",
                  "yes" if rec.lower_gonality else "no"]
                 for rec, (e, f) in zip(records, strata.part_texts(records))]
         text = _table(["label", "e", "f", "codim", "xe", "xf",

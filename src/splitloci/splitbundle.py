@@ -3,20 +3,15 @@
 A split bundle is determined by its splitting type, the weakly increasing
 tuple of line-bundle degrees. This module provides the standard
 constructions (dual, twist, tensor, Sym^2, wedge^2, End, Hom), cohomology
-dimensions via h^0(O(d)) = max(0, d+1) and h^1(O(d)) = max(0, -d-1), the
-expected codimension of a splitting locus, and the dominance partial order.
+dimensions via h^0(O(d)) = max(0, d+1) and h^1(O(d)) = max(0, -d-1), and
+the expected codimension of a splitting locus.
 """
 
 from __future__ import annotations
 
 import operator
-from itertools import accumulate, combinations
+from itertools import combinations
 from typing import Iterable
-
-LESS_EQUAL = "less-equal"
-GREATER_EQUAL = "greater-equal"
-EQUAL = "equal"
-INCOMPARABLE = "incomparable"
 
 
 class SplittingType:
@@ -144,20 +139,3 @@ def expected_codim(e) -> int:
     return sum([b - a - 1 for a, b in combinations(_coerce(e).parts, 2)
                 if b - a > 1])
 
-
-def dominates(e_lo, e_hi) -> str:
-    """Compare two splitting types in the prefix-sum dominance order."""
-    e_lo, e_hi = _coerce(e_lo), _coerce(e_hi)
-    if e_lo.rank() != e_hi.rank() or e_lo.degree() != e_hi.degree():
-        raise ValueError("incomparable families")
-    lo = tuple(accumulate(e_lo.parts))
-    hi = tuple(accumulate(e_hi.parts))
-    le = all(a <= b for a, b in zip(lo, hi))
-    ge = all(a >= b for a, b in zip(lo, hi))
-    if le and ge:
-        return EQUAL
-    if le:
-        return LESS_EQUAL
-    if ge:
-        return GREATER_EQUAL
-    return INCOMPARABLE

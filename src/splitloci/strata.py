@@ -33,21 +33,6 @@ from .splitbundle import SplittingType
 
 GENUS_MAX = 24
 
-FLAG_HYPERELLIPTIC = ("hyperelliptic",)
-
-
-def forced_pencil_flag(k: int, d: int) -> tuple:
-    return ("forced_pencil", k, d)
-
-
-FLAG_G26 = ("forced_g26",)
-
-
-def flag_str(flag: tuple) -> str:
-    if flag[0] == "forced_pencil":
-        return "forced_pencil(%d,%d)" % (flag[1], flag[2])
-    return flag[0]
-
 
 @dataclass(frozen=True)
 class ConstraintVerdict:
@@ -70,15 +55,12 @@ class StratumRecord:
     expected_f: int
     correction: int
     in_psi: bool
-    flags: Tuple[tuple, ...]
+    flags: Tuple[str, ...]
     label: Optional[str] = None
     lower_gonality: bool = False
 
     def key(self) -> Tuple:
         return (self.e.parts, self.f.parts)
-
-    def node_id(self) -> str:
-        return NODE_ID % (self.e, self.f)
 
     def to_dict(self) -> dict:
         return {
@@ -89,7 +71,7 @@ class StratumRecord:
             "expected_f": self.expected_f,
             "correction": self.correction,
             "in_psi": self.in_psi,
-            "flags": [flag_str(fl) for fl in self.flags],
+            "flags": list(self.flags),
             "label": self.label,
         }
 
@@ -255,20 +237,19 @@ def in_psi(record: StratumRecord) -> bool:
 
 
 def classify(genus: int, cover_degree: int, e: SplittingType,
-             f: SplittingType) -> Tuple[tuple, ...]:
-    flags: List[tuple] = []
+             f: SplittingType) -> Tuple[str, ...]:
+    flags: List[str] = []
     if cover_degree == 4:
         if e.parts[0] == 1:
-            flags.append(FLAG_HYPERELLIPTIC)
+            flags.append("hyperelliptic")
     else:
-        e1 = e.parts[0]
+        e1, _, _, e4 = e.parts
         f1, f2, f3, _, f5 = f.parts
-        e4 = e.parts[3]
         if f1 + f2 + e4 < genus + 4:
-            flags.append(forced_pencil_flag(f2 - f1, f1))
+            flags.append("forced_pencil(%d,%d)" % (f2 - f1, f1))
         if (e1 == 2 and e1 + f1 + f5 < genus + 4
                 and e1 + f2 + f3 < genus + 4 and 2 * e1 - f1 == 1):
-            flags.append(FLAG_G26)
+            flags.append("forced_g26")
     return tuple(flags)
 
 
@@ -477,25 +458,16 @@ def _correction(cover_degree: int, e_side: List[int], f_side: List[int]) -> int:
     return _positive_part_sum(e_side, f_side)
 
 
-def _make_record(g: int, cover_degree: int, e: SplittingType,
-                 f: SplittingType, xe: Optional[int] = None,
-                 xf: Optional[int] = None,
-                 corr: Optional[int] = None) -> StratumRecord:
-    """The record of a pair the enumerator has accepted; xe, xf and corr,
-    when given, are expected_codim(e), expected_codim(f) and the
-    correction term, which the enumerator computes from values it
-    prepares once per distinct part. The correction is h1(f^dual (x)
-    Sym2 e) in degree 4 and h1(e (x) Wedge2 f (x) O(-g-4)) in degree 5,
-    summed over the parts by h1(O(a)) = max(0, -a - 1): the sum over f_j
-    and e_i + e_k (i <= k) of max(0, f_j - 1 - (e_i + e_k)), and the sum
-    over e_i and f_j + f_l (j < l) of max(0, g + 3 - e_i - (f_j + f_l))."""
-    if xe is None:
-        xe = sb.expected_codim(e)
-    if xf is None:
-        xf = sb.expected_codim(f)
-    if corr is None:
-        corr = _correction(cover_degree, _e_side(g, cover_degree, e.parts),
-                           _f_side(g, cover_degree, f.parts))
+def _make_record(g: int, cover_degree: int, e: SplittingType, f: SplittingType,
+                 xe: int, xf: int, corr: int) -> StratumRecord:
+    """The record of a pair the enumerator has accepted; xe, xf and corr
+    are expected_codim(e), expected_codim(f) and the correction term,
+    which the enumerator computes from values it prepares once per
+    distinct part. The correction is h1(f^dual (x) Sym2 e) in degree 4
+    and h1(e (x) Wedge2 f (x) O(-g-4)) in degree 5, summed over the
+    parts by h1(O(a)) = max(0, -a - 1): the sum over f_j and e_i + e_k
+    (i <= k) of max(0, f_j - 1 - (e_i + e_k)), and the sum over e_i and
+    f_j + f_l (j < l) of max(0, g + 3 - e_i - (f_j + f_l))."""
     flags = classify(g, cover_degree, e, f)
     key = (cover_degree, g, e.parts, f.parts)
     lower = bool(flags) or key in LOWER_GONALITY_FIXTURES

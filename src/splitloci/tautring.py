@@ -450,7 +450,6 @@ def quotient_report(g: int,
     h = hilbert(quotient, d_max)
     window = _vanishing_window(h, g, max(ideal.weights))
     mingens = minimal_generators(quotient)
-    count = sum(mingens.values())
     notes = []
     if degrees == [g - 2] and dims == [1]:
         notes.append("socle sits in degree g-2 = %d with dimension 1" % (g - 2))
@@ -468,8 +467,8 @@ def quotient_report(g: int,
         gorenstein=gor["gorenstein"],
         artinian=window is not None,
         artinian_window=None if window is None else list(window),
-        minimal_generator_count=count,
+        minimal_generator_count=sum(mingens.values()),
         minimal_generators_by_degree=mingens,
-        ci_verdict=count <= ideal.nvars,
+        ci_verdict=ci_verdict(quotient),
         notes=notes,
     )

@@ -20,6 +20,8 @@ from splitloci.chowsym import FilteredBundle
 from splitloci.polynomial import Poly
 from splitloci.splitbundle import SplittingType
 
+import dominance as dom
+
 
 def conclude(number, description, checks):
     failing = [name for name, ok in checks if not ok]
@@ -354,33 +356,33 @@ def test_criterion_10_property_suites():
                                == chis[a, r] + chis[b, s])
     checks.append(("riemann-roch-1000", rr_ok))
 
+    # the order the package uses: bit j of below[i] says that type j lies
+    # strictly below type i; it must be a strict partial order and agree
+    # with the reference order on every pair
     types = [SplittingType(p) for p in
              itertools.combinations_with_replacement(range(0, 13), 3)
              if sum(p) == 12]
-    poset_ok = all(sb.dominates(a, a) == sb.EQUAL for a in types)
-    for a in types:
-        for b in types:
-            rel = sb.dominates(a, b)
-            if rel == sb.EQUAL and a != b:
+    below = strata._below_masks([tuple(itertools.accumulate(t)) for t in types])
+    poset_ok = len(types) == 19
+    for i, a in enumerate(types):
+        if below[i] >> i & 1:
+            poset_ok = False
+        for j, b in enumerate(types):
+            if below[i] >> j & 1 and (below[j] >> i & 1
+                                      or below[j] & ~below[i]):
                 poset_ok = False
-            if rel == sb.LESS_EQUAL:
-                if sb.dominates(b, a) != sb.GREATER_EQUAL:
-                    poset_ok = False
-                for c in types:
-                    if (sb.dominates(b, c) == sb.LESS_EQUAL
-                            and sb.dominates(a, c)
-                            not in (sb.LESS_EQUAL, sb.EQUAL)):
-                        poset_ok = False
+            if (below[i] >> j & 1) != (dom.dominates(b, a) == dom.LESS_EQUAL):
+                poset_ok = False
     checks.append(("dominance-poset-rank3-deg12", poset_ok))
 
     records = strata.enumerate_strata(4, 9)
     edges, _ = strata.hasse(records)
-    ids = [r.node_id() for r in records]
+    ids = [strata.NODE_ID % (r.e, r.f) for r in records]
     nrec = len(records)
     # the product of the dominance orders on e and on f, strictly
     below = [[records[i].key() != records[j].key() and all(
-        sb.dominates(getattr(records[i], axis), getattr(records[j], axis))
-        in (sb.LESS_EQUAL, sb.EQUAL) for axis in "ef")
+        dom.dominates(getattr(records[i], axis), getattr(records[j], axis))
+        in (dom.LESS_EQUAL, dom.EQUAL) for axis in "ef")
         for j in range(nrec)] for i in range(nrec)]
     reach = [row[:] for row in below]
     for kk in range(nrec):

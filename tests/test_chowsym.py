@@ -341,6 +341,32 @@ class TestDeterminants:
         with pytest.raises(RuntimeError, match="determinant engines disagree"):
             cs.det(m)
 
+    def test_det_packs_once_for_both_engines(self, monkeypatch):
+        pack, packings, handed = cs._slot_pack_matrix, [], []
+        monkeypatch.setattr(cs, "_slot_pack_matrix",
+                            lambda mat: packings.append(pack(mat)) or packings[-1])
+        for name in ("det_bareiss", "det_cofactor"):
+            monkeypatch.setattr(cs, name, lambda rows, engine=getattr(cs, name):
+                                handed.append(rows) or engine(rows))
+        for spec in cs.LEMMAS.values():
+            for rows in filter(None, (spec.rows, spec.reconstructed_rows)):
+                packings.clear()
+                handed.clear()
+                cs.det(rows)
+                assert len(packings) == 1
+                assert handed == [packings[0], packings[0]]
+                assert isinstance(packings[0], cs.SlotPacked)
+
+    @given(poly_matrices())
+    def test_a_packing_is_left_as_it_was(self, m):
+        # det hands one packing to det_bareiss, then to det_cofactor
+        packed = cs._slot_pack_matrix(m)
+        entries = [[dict(entry) for entry in row] for row in packed.rows]
+        assert cs.det_bareiss(packed) == cs.det_bareiss(m)
+        assert packed.rows == entries
+        assert cs.det_cofactor(packed) == cs.det_cofactor(m)
+        assert packed.rows == entries
+
     def test_det_on_all_registered_matrices(self):
         for spec in cs.LEMMAS.values():
             for rows in filter(None, (spec.rows, spec.reconstructed_rows)):

@@ -8,6 +8,8 @@ from hypothesis import given, strategies as st
 from splitloci import splitbundle as sb
 from splitloci.splitbundle import SplittingType
 
+import dominance as dom
+
 parts_strategy = st.lists(st.integers(-15, 15), min_size=1, max_size=6)
 
 
@@ -150,34 +152,37 @@ def rank3_degree12_types():
 
 
 class TestDominance:
+    """The reference dominance order of tests/dominance.py, against which
+    the tests of `strata` check its bitmask order."""
+
     def test_incomparable_families_raise(self):
         with pytest.raises(ValueError, match="incomparable families"):
-            sb.dominates(SplittingType([1, 2]), SplittingType([1, 2, 3]))
+            dom.dominates(SplittingType([1, 2]), SplittingType([1, 2, 3]))
         with pytest.raises(ValueError, match="incomparable families"):
-            sb.dominates(SplittingType([1, 2]), SplittingType([1, 3]))
+            dom.dominates(SplittingType([1, 2]), SplittingType([1, 3]))
 
     def test_spot_comparisons(self):
-        assert sb.dominates((3, 4, 5), (4, 4, 4)) == sb.LESS_EQUAL
-        assert sb.dominates((4, 4, 4), (3, 4, 5)) == sb.GREATER_EQUAL
-        assert sb.dominates((4, 4, 4), (4, 4, 4)) == sb.EQUAL
+        assert dom.dominates((3, 4, 5), (4, 4, 4)) == dom.LESS_EQUAL
+        assert dom.dominates((4, 4, 4), (3, 4, 5)) == dom.GREATER_EQUAL
+        assert dom.dominates((4, 4, 4), (4, 4, 4)) == dom.EQUAL
         # prefix sums (1,7,12) vs (2,5,12) cross
-        assert sb.dominates((1, 6, 5), (2, 3, 7)) == sb.INCOMPARABLE
+        assert dom.dominates((1, 6, 5), (2, 3, 7)) == dom.INCOMPARABLE
 
     def test_poset_axioms_on_rank3_degree12(self):
         types = rank3_degree12_types()
         for a in types:
-            assert sb.dominates(a, a) == sb.EQUAL
+            assert dom.dominates(a, a) == dom.EQUAL
         for a in types:
             for b in types:
-                rel = sb.dominates(a, b)
-                if rel == sb.EQUAL:
+                rel = dom.dominates(a, b)
+                if rel == dom.EQUAL:
                     assert a == b
-                if rel == sb.LESS_EQUAL:
-                    assert sb.dominates(b, a) == sb.GREATER_EQUAL
+                if rel == dom.LESS_EQUAL:
+                    assert dom.dominates(b, a) == dom.GREATER_EQUAL
         for a in types:
             for b in types:
-                if sb.dominates(a, b) != sb.LESS_EQUAL:
+                if dom.dominates(a, b) != dom.LESS_EQUAL:
                     continue
                 for c in types:
-                    if sb.dominates(b, c) == sb.LESS_EQUAL:
-                        assert sb.dominates(a, c) in (sb.LESS_EQUAL, sb.EQUAL)
+                    if dom.dominates(b, c) == dom.LESS_EQUAL:
+                        assert dom.dominates(a, c) in (dom.LESS_EQUAL, dom.EQUAL)

@@ -16,6 +16,8 @@ from splitloci import strata
 from splitloci.polynomial import Poly
 from splitloci.strata import E1, E2, G
 
+import dominance as dom
+
 
 def by_label(records):
     return {r.label: r for r in records if r.label}
@@ -394,7 +396,7 @@ class TestDegree4Fixtures:
 
     def test_hyperelliptic_flag(self):
         for r in strata.enumerate_strata(4, 9):
-            flagged = any(f[0] == "hyperelliptic" for f in r.flags)
+            flagged = "hyperelliptic" in r.flags
             assert flagged == (r.e.parts[0] == 1)
 
 
@@ -443,20 +445,20 @@ class TestReports:
 
 def pair_order(r1, r2):
     """Product of the dominance orders on the e and f coordinates."""
-    ce = sb.dominates(r1.e, r2.e)
-    cf = sb.dominates(r1.f, r2.f)
-    if ce == sb.INCOMPARABLE or cf == sb.INCOMPARABLE:
-        return sb.INCOMPARABLE
-    if ce == sb.EQUAL:
+    ce = dom.dominates(r1.e, r2.e)
+    cf = dom.dominates(r1.f, r2.f)
+    if ce == dom.INCOMPARABLE or cf == dom.INCOMPARABLE:
+        return dom.INCOMPARABLE
+    if ce == dom.EQUAL:
         return cf
-    if cf == sb.EQUAL:
+    if cf == dom.EQUAL:
         return ce
-    return ce if ce == cf else sb.INCOMPARABLE
+    return ce if ce == cf else dom.INCOMPARABLE
 
 
 def reachability(records):
     n = len(records)
-    below = [[pair_order(records[i], records[j]) == sb.LESS_EQUAL
+    below = [[pair_order(records[i], records[j]) == dom.LESS_EQUAL
               and records[i].key() != records[j].key()
               for j in range(n)] for i in range(n)]
     reach = [row[:] for row in below]
@@ -483,10 +485,31 @@ def scanned_edges(records):
     when record i lies strictly below record j and no record between."""
     n = len(records)
     below, _ = reachability(records)
-    ids = [r.node_id() for r in records]
+    ids = [strata.NODE_ID % (r.e, r.f) for r in records]
     return [(ids[i], ids[j]) for i in range(n) for j in range(n)
             if below[i][j]
             and not any(below[i][k] and below[k][j] for k in range(n))]
+
+
+class TestFlags:
+    """A record's flags are the texts the reports print."""
+
+    @pytest.mark.parametrize("degree,genus,key,flags", [
+        (4, 5, ((1, 3, 4), (2, 6)), ("hyperelliptic",)),
+        (5, 7, ((2, 3, 3, 3), (3, 3, 5, 5, 6)), ("forced_pencil(0,3)",)),
+        (5, 8, ((2, 3, 3, 4), (3, 4, 5, 6, 6)),
+         ("forced_pencil(1,3)", "forced_g26")),
+    ])
+    def test_each_kind_has_its_text(self, degree, genus, key, flags):
+        record = next(r for r in enumerated(degree, genus) if r.key() == key)
+        assert record.flags == flags
+
+    @pytest.mark.parametrize("degree,genus", STRATA_WINDOWS)
+    def test_flags_are_strings_and_reported_as_they_are(self, degree, genus):
+        for r in enumerated(degree, genus):
+            assert type(r.flags) is tuple
+            assert all(type(flag) is str for flag in r.flags)
+            assert r.to_dict()["flags"] == list(r.flags)
 
 
 class TestHasse:
@@ -495,7 +518,7 @@ class TestHasse:
     def test_edges_are_transitive_reduction(self, degree, genus):
         records = strata.enumerate_strata(degree, genus)
         edges, _ = strata.hasse(records)
-        ids = [r.node_id() for r in records]
+        ids = [strata.NODE_ID % (r.e, r.f) for r in records]
         below, reach = reachability(records)
         n = len(records)
         expected = set()
@@ -592,6 +615,16 @@ def constructive_correction(g, degree, e, f):
     if degree == 4:
         return sb.h1(sb.tensor(sb.dual(f), sb.sym2(e)))
     return sb.h1(sb.twist(sb.tensor(e, sb.wedge2(f)), -(g + 4)))
+
+
+def standalone_record(g, degree, e, f):
+    """strata._make_record of the pair, with its expected codimensions
+    and correction computed from e and f alone rather than from the
+    enumerator's per-call values."""
+    return strata._make_record(
+        g, degree, e, f, sb.expected_codim(e), sb.expected_codim(f),
+        strata._correction(degree, strata._e_side(g, degree, e.parts),
+                           strata._f_side(g, degree, f.parts)))
 
 
 def psi_inequality(g, degree, e, f):
@@ -724,7 +757,7 @@ class TestClosedForms:
         # equivalence for every genus
         g = data.draw(st.integers(5 if degree == 4 else 7, 60), label="genus")
         e, f = random_admissible_pair(random.Random(seed), degree, g)
-        record = strata._make_record(g, degree, e, f)
+        record = standalone_record(g, degree, e, f)
         assert record.correction == constructive_correction(g, degree, e, f)
         assert (record.correction == 0) == psi_inequality(g, degree, e, f)
         if g <= strata.GENUS_MAX:
@@ -786,9 +819,9 @@ class TestPerCallSharing:
     @pytest.mark.parametrize("degree,genus", STRATA_WINDOWS)
     def test_corrections_match_a_standalone_record(self, degree, genus):
         for r in enumerated(degree, genus):
-            alone = strata._make_record(genus, degree,
-                                        sb.SplittingType(r.e.parts),
-                                        sb.SplittingType(r.f.parts))
+            alone = standalone_record(genus, degree,
+                                      sb.SplittingType(r.e.parts),
+                                      sb.SplittingType(r.f.parts))
             assert r.correction == alone.correction
             assert r == alone
 
@@ -910,8 +943,8 @@ def least_fixpoint_coincidence(records):
         return (all(getattr(r, axis) != own for r in others)
                 and rec.codim == expected
                 and all(holds[r.key()] for r in others
-                        if sb.dominates(getattr(r, axis), own)
-                        == sb.LESS_EQUAL))
+                        if dom.dominates(getattr(r, axis), own)
+                        == dom.LESS_EQUAL))
 
     changed = True
     while changed:
@@ -925,8 +958,8 @@ def least_fixpoint_coincidence(records):
 
 
 def coincidence_by_dominates(record, records):
-    """single_locus_coincidence as a plain scan that calls
-    splitbundle.dominates on every pair it compares."""
+    """single_locus_coincidence as a plain scan that compares every pair
+    in the reference dominance order of tests/dominance.py."""
     surviving = [r for r in records if not r.lower_gonality]
     cache = {}
 
@@ -942,7 +975,7 @@ def coincidence_by_dominates(record, records):
             unique = not [r for r in surviving
                           if r.key() != key and getattr(r, axis) == own]
             lower = [r for r in surviving if r.key() != key
-                     and sb.dominates(getattr(r, axis), own) == sb.LESS_EQUAL]
+                     and dom.dominates(getattr(r, axis), own) == dom.LESS_EQUAL]
             below_ok = all(check(r)["holds"] for r in lower)
             codim_matches = rec.codim == expected
             result[axis] = {
@@ -960,8 +993,8 @@ def coincidence_by_dominates(record, records):
 
 def coincidence_from_fixpoint(record, records):
     """single_locus_coincidence's result read off
-    least_fixpoint_coincidence: each axis compared by
-    splitbundle.dominates with the surviving records of another key."""
+    least_fixpoint_coincidence: each axis compared in the reference
+    dominance order with the surviving records of another key."""
     holds = least_fixpoint_coincidence(records)
     others = [r for r in records
               if not r.lower_gonality and r.key() != record.key()]
@@ -971,7 +1004,7 @@ def coincidence_from_fixpoint(record, records):
         unique = all(getattr(r, axis) != own for r in others)
         codim_matches = record.codim == getattr(record, "expected_" + axis)
         below_ok = all(holds[r.key()] for r in others
-                       if sb.dominates(getattr(r, axis), own) == sb.LESS_EQUAL)
+                       if dom.dominates(getattr(r, axis), own) == dom.LESS_EQUAL)
         result[axis] = {
             "unique": unique,
             "codim_matches_expected": codim_matches,
@@ -1019,8 +1052,8 @@ class TestSingleLocusCoincidence:
         psi1 = by_label(records)["Psi1"]
         assert psi1.key() == ((2, 3, 3), (3, 5))
         assert not low.lower_gonality and not psi1.lower_gonality
-        assert sb.dominates(low.e, psi1.e) == sb.LESS_EQUAL
-        assert sb.dominates(psi1.f, low.f) == sb.LESS_EQUAL
+        assert dom.dominates(low.e, psi1.e) == dom.LESS_EQUAL
+        assert dom.dominates(psi1.f, low.f) == dom.LESS_EQUAL
 
     def test_a_cross_axis_cycle_in_a_sub_list(self):
         # b lies below c in f and c below b in e. c passes, so the absent
@@ -1034,8 +1067,8 @@ class TestSingleLocusCoincidence:
             ((4, 6, 6, 6), (8, 8, 8, 10, 10))))
         target = next(r for r in records
                       if r.key() == ((4, 6, 6, 6), (8, 9, 9, 9, 9)))
-        assert sb.dominates(b.f, c.f) == sb.LESS_EQUAL
-        assert sb.dominates(c.e, b.e) == sb.LESS_EQUAL
+        assert dom.dominates(b.f, c.f) == dom.LESS_EQUAL
+        assert dom.dominates(c.e, b.e) == dom.LESS_EQUAL
         chosen = [a, b, c]
         assert all(strata.single_locus_coincidence(r, chosen)["holds"]
                    for r in chosen)

@@ -539,6 +539,16 @@ class TestQuotientReports:
         assert report.ci_verdict == tr.ci_verdict(ideal)
         assert report.minimal_generators_by_degree == tr.minimal_generators(ideal)
 
+    def test_report_asks_ci_verdict_of_its_quotient(self, monkeypatch):
+        # one complete-intersection rule: the report's verdict is what
+        # ci_verdict says of the quotient the report builds
+        asked = []
+        monkeypatch.setattr(tr, "ci_verdict",
+                            lambda q: asked.append(q) or "verdict")
+        report = tr.quotient_report(7, "emended")
+        assert report.ci_verdict == "verdict"
+        assert len(asked) == 1 and isinstance(asked[0], tr.GradedQuotient)
+
     def test_genus8_corrected_quotient(self):
         report = tr.quotient_report(8, "corrected")
         assert report.hilbert == [1, 1, 2, 2, 2, 1, 1] + [0] * 8
