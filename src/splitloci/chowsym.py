@@ -14,7 +14,6 @@ formulas for the resolution bundles, and the Sym^2 Chern-class identity.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm, prod
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -22,6 +21,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from . import jsontext, strata
 from .linalg import Echelon, integer_row
 from .polynomial import Packing, Poly, Scalar
+from .record import FrozenRecord, Record
 from .strata import E, E1, E2, E3, E4, F, F1, F2, F3, F4, F5, G
 
 # codimension grading of the generator symbols; parameter symbols
@@ -60,15 +60,14 @@ def _reduce_z(p: Poly) -> Poly:
     return out
 
 
-@dataclass(frozen=True)
-class Piece:
+class Piece(FrozenRecord):
     """Filtration subquotient: rank 1 or 2, with a twist by O(d)."""
 
-    rank: int
-    classes: Tuple[str, ...]  # (x,) or (x1, x2)
-    twist: Poly
+    # rank: int; classes: (x,) or (x1, x2); twist: Poly
+    __slots__ = ("rank", "classes", "twist")
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         # a class outside GEN_WEIGHTS would land in codimension 0
         if tuple(GEN_WEIGHTS.get(x) for x in self.classes) != (1, 2)[:self.rank]:
             raise ValueError("rank-%d classes %r need codimensions %r"
@@ -559,21 +558,16 @@ _1 = Poly.const(1)
 _2 = Poly.const(2)
 
 
-@dataclass(frozen=True)
-class LemmaSpec:
-    lemma_id: str
-    degree: int  # cover degree of the strata the lemma speaks about
-    generators: Tuple[str, ...]
-    rows: Tuple[Tuple[Poly, ...], ...]
-    claimed: Optional[Poly]
-    substitutions: Tuple[Tuple[str, Poly], ...]
-    hypotheses: Tuple[Tuple[Poly, str], ...]  # atoms, as in strata.Table
-    annotations: Tuple[str, ...] = ()
-    reconstructed_rows: Optional[Tuple[Tuple[Poly, ...], ...]] = None
-    # (genus, e, f) of a stratum where the closed form is engineered to
-    # vanish; verify_lemma certifies the printed matrix singular there
-    engineered_zero: Optional[
-        Tuple[int, Tuple[int, ...], Tuple[int, ...]]] = None
+class LemmaSpec(FrozenRecord):
+    # degree: the cover degree of the strata the lemma speaks about;
+    # hypotheses: atoms, as in strata.Table; engineered_zero: (genus, e, f)
+    # of a stratum where the closed form is engineered to vanish, and
+    # verify_lemma certifies the printed matrix singular there
+    __slots__ = ("lemma_id", "degree", "generators", "rows", "claimed",
+                 "substitutions", "hypotheses", "annotations",
+                 "reconstructed_rows", "engineered_zero")
+    DEFAULTS = {"annotations": (), "reconstructed_rows": None,
+                "engineered_zero": None}
 
 
 def _chain(parts, signs: str) -> tuple:
@@ -821,17 +815,11 @@ def _rowspaces_agree(rows_a, rows_b) -> bool:
             or rank_a == _bareiss(list(rows_a) + list(rows_b))[0])
 
 
-@dataclass
-class LemmaReport:
-    lemma: str
-    matrix: List[List[str]]
-    substitutions: List[List[str]]
-    det_computed: str
-    det_claimed: Optional[str]
-    verdict: str
-    evaluations: List[dict]
-    annotations: List[str] = field(default_factory=list)
-    reconstructed: Optional[dict] = None
+class LemmaReport(Record):
+    __slots__ = ("lemma", "matrix", "substitutions", "det_computed",
+                 "det_claimed", "verdict", "evaluations", "annotations",
+                 "reconstructed")
+    DEFAULTS = {"annotations": [], "reconstructed": None}
 
     def to_dict(self) -> dict:
         out = {

@@ -12,10 +12,10 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from . import chowsym, jsontext, splitbundle, strata, tautring
+from .record import FrozenRecord
 from .splitbundle import SplittingType
 
 # query name -> the function it applies to the evaluated expression
@@ -46,21 +46,16 @@ NODE_ARITIES = {name: kinds for name, (kinds, _) in NODES.items()}
 # ---------------------------------------------------------------------------
 # expression AST
 
-@dataclass(frozen=True)
-class OLeaf:
-    parts: Tuple[int, ...]
+class OLeaf(FrozenRecord):
+    __slots__ = ("parts",)  # Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Node:
-    op: str
-    args: Tuple[Union["Node", OLeaf, int], ...]
+class Node(FrozenRecord):
+    __slots__ = ("op", "args")  # str; Tuple[Union[Node, OLeaf, int], ...]
 
 
-@dataclass(frozen=True)
-class Query:
-    func: str
-    expr: Union[Node, OLeaf]
+class Query(FrozenRecord):
+    __slots__ = ("func", "expr")  # str; Union[Node, OLeaf]
 
 
 class ParseError(ValueError):

@@ -22,42 +22,51 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from itertools import (accumulate, combinations,
                        combinations_with_replacement)
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import jsontext, splitbundle as sb
 from .polynomial import Poly
+from .record import FrozenRecord, Record
 from .splitbundle import SplittingType
 
 GENUS_MAX = 24
 
 
-@dataclass(frozen=True)
-class ConstraintVerdict:
-    allowed: bool
-    violated: Tuple[str, ...]
+class ConstraintVerdict(FrozenRecord):
+    # allowed: bool; violated: the names of the failing constraints
+    __slots__ = ("allowed", "violated")
 
 
 # a record's DOT node id, from the texts of its e and f
 NODE_ID = "e=%s|f=%s"
 
 
-@dataclass
-class StratumRecord:
-    genus: int
-    cover_degree: int
-    e: SplittingType
-    f: SplittingType
-    codim: int
-    expected_e: int
-    expected_f: int
-    correction: int
-    in_psi: bool
-    flags: Tuple[str, ...]
-    label: Optional[str] = None
-    lower_gonality: bool = False
+class StratumRecord(Record):
+    __slots__ = ("genus", "cover_degree", "e", "f", "codim", "expected_e",
+                 "expected_f", "correction", "in_psi", "flags", "label",
+                 "lower_gonality")
+
+    # the enumerator builds one per accepted pair, and Record's generic
+    # __init__ takes about ten times as long
+    def __init__(self, genus: int, cover_degree: int, e: SplittingType,
+                 f: SplittingType, codim: int, expected_e: int,
+                 expected_f: int, correction: int, in_psi: bool,
+                 flags: Tuple[str, ...], label: Optional[str] = None,
+                 lower_gonality: bool = False):
+        self.genus = genus
+        self.cover_degree = cover_degree
+        self.e = e
+        self.f = f
+        self.codim = codim
+        self.expected_e = expected_e
+        self.expected_f = expected_f
+        self.correction = correction
+        self.in_psi = in_psi
+        self.flags = flags
+        self.label = label
+        self.lower_gonality = lower_gonality
 
     def key(self) -> Tuple:
         return (self.e.parts, self.f.parts)

@@ -36,13 +36,13 @@ scaled to the lcm of those pivots, so no fraction is formed.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import jsontext
 from .linalg import Echelon, Row, integer_row
 from .polynomial import Poly
+from .record import Record
 
 
 def _var(i: int) -> str:
@@ -397,22 +397,12 @@ def builtin_ideal(g: int, interpretation: Optional[str] = None) -> WeightedIdeal
     return WeightedIdeal((1, 2, 3), gens)
 
 
-@dataclass
-class QuotientReport:
-    genus: int
-    interpretation: Optional[str]
-    weights: List[int]
-    generator_degrees: List[int]
-    hilbert: List[int]
-    socle_degrees: List[int]
-    socle_dims: List[int]
-    gorenstein: bool
-    artinian: bool
-    artinian_window: Optional[List[int]]
-    minimal_generator_count: int
-    minimal_generators_by_degree: Dict[int, int]
-    ci_verdict: bool
-    notes: List[str] = field(default_factory=list)
+class QuotientReport(Record):
+    __slots__ = ("genus", "interpretation", "weights", "generator_degrees",
+                 "hilbert", "socle_degrees", "socle_dims", "gorenstein",
+                 "artinian", "artinian_window", "minimal_generator_count",
+                 "minimal_generators_by_degree", "ci_verdict", "notes")
+    DEFAULTS = {"notes": []}
 
     def to_dict(self) -> dict:
         out = {

@@ -9,7 +9,6 @@ data's outcome; the module docstrings and reports carry the analysis.
 """
 
 import itertools
-import random
 
 from splitloci import chowsym as cs
 from splitloci import cli
@@ -21,6 +20,7 @@ from splitloci.polynomial import Poly
 from splitloci.splitbundle import SplittingType
 
 import dominance as dom
+from expressions import queries
 
 
 def conclude(number, description, checks):
@@ -398,22 +398,11 @@ def test_criterion_10_property_suites():
             if kk not in (i, j))}
     checks.append(("hasse-transitive-reduction", set(edges) == expected_edges))
 
-    def random_expr(r, depth):
-        if depth == 0 or r.random() < 0.3:
-            return cli.OLeaf(tuple(r.randint(-9, 9)
-                                   for _ in range(r.randint(1, 4))))
-        op = r.choice(sorted(cli.NODE_ARITIES))
-        args = tuple(
-            r.randint(-9, 9) if want == "int" else random_expr(r, depth - 1)
-            for want in cli.NODE_ARITIES[op])
-        return cli.Node(op, args)
-
-    rng = random.Random(42)
-    round_trip_ok = True
-    for _ in range(200):
-        query = cli.Query(rng.choice(cli.QUERY_FUNCS), random_expr(rng, 3))
-        round_trip_ok = (round_trip_ok
-                         and cli.parse(cli.print_query(query)) == query)
+    # every query of `expressions.queries()`: every query function, every
+    # node kind in every argument position, and every expression of depth
+    # <= 2 over leaves of 1, 2 and 4 parts and the ints -9, 0 and 9
+    round_trip_ok = all(cli.parse(cli.print_query(query)) == query
+                        for query in queries())
     checks.append(("parse-print-round-trip-200", round_trip_ok))
 
     engines_ok = True

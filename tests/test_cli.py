@@ -2,7 +2,6 @@
 
 import json
 import os
-import random
 import subprocess
 import sys
 
@@ -11,6 +10,8 @@ import pytest
 import splitloci
 from splitloci import cli
 from splitloci.cli import Node, OLeaf, ParseError, Query
+
+from expressions import queries
 
 
 class TestParser:
@@ -69,33 +70,20 @@ class TestParser:
         assert err.value.offset == 7
 
 
-def random_expr(rng, depth):
-    if depth == 0 or rng.random() < 0.3:
-        parts = tuple(rng.randint(-9, 9)
-                      for _ in range(rng.randint(1, 4)))
-        return OLeaf(parts)
-    op = rng.choice(sorted(cli.NODE_ARITIES))
-    args = []
-    for want in cli.NODE_ARITIES[op]:
-        if want == "int":
-            args.append(rng.randint(-9, 9))
-        else:
-            args.append(random_expr(rng, depth - 1))
-    return Node(op, tuple(args))
-
-
 class TestRoundTrip:
     def test_print_parse_round_trip(self):
-        rng = random.Random(12345)
-        for _ in range(200):
-            query = Query(rng.choice(cli.QUERY_FUNCS), random_expr(rng, 3))
-            text = cli.print_query(query)
-            assert cli.parse(text) == query
+        """Every query of `expressions.queries()`: every query function,
+        every node kind in every argument position, and every expression
+        of depth <= 2 over leaves of 1, 2 and 4 parts and the ints -9, 0
+        and 9."""
+        for query in queries():
+            assert cli.parse(cli.print_query(query)) == query
 
     def test_eval_consistent_under_round_trip(self):
-        rng = random.Random(99)
-        for _ in range(50):
-            query = Query(rng.choice(cli.QUERY_FUNCS), random_expr(rng, 2))
+        """Every query of `expressions.queries()`, as above, evaluates
+        to the same value, or fails with ValueError, after printing and
+        parsing it again."""
+        for query in queries():
             reparsed = cli.parse(cli.print_query(query))
             try:
                 expected = cli.eval_query(query)

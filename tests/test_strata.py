@@ -1,6 +1,5 @@
 """Tests for the degree-4 and degree-5 pair-stratum enumeration."""
 
-import dataclasses
 import functools
 import json
 import random
@@ -569,9 +568,8 @@ class TestHasse:
             strata.hasse(records)
 
     def test_rejects_f_of_another_degree(self):
-        record = strata.enumerate_strata(5, 9)[0]
-        other = dataclasses.replace(
-            record, f=sb.SplittingType(record.f.parts[:4] + (record.f[4] + 1,)))
+        record, other = (strata.enumerate_strata(5, 9)[0] for _ in range(2))
+        other.f = sb.SplittingType(record.f.parts[:4] + (record.f[4] + 1,))
         with pytest.raises(ValueError, match="incomparable families"):
             strata.hasse([record, other])
 
