@@ -109,7 +109,7 @@ TET_CONSTRAINTS = {
 
 # L1..L7 on a degree-5 pair (e, f): each entry (name, a, b, k), with
 # a < b, requires f[a] + f[b] + e[k] >= g + 4 (0-based indices into the
-# parts). The enumerator reads them as pair bounds.
+# parts). The f generator reads its pair bounds and caps off them.
 PENT_LINEAR = (("L1", 0, 2, 3), ("L2", 0, 3, 2), ("L3", 1, 2, 2),
                ("L4", 1, 4, 0), ("L5", 2, 3, 0), ("L6", 0, 4, 1),
                ("L7", 1, 3, 1))
@@ -331,102 +331,130 @@ GENUS5_PSI2_NOTE = (
 )
 
 
-def _weakly_increasing_tuples(length: int, total: int, lo: int, hi: int,
-                              pairs: Sequence[Tuple[int, int, int]] = ()
+def _weakly_increasing_tuples(length: int, total: int, lo: int, hi: int
                               ) -> List[Tuple[int, ...]]:
     """The list of all weakly increasing integer tuples t of the given
-    length (at least 1) and sum, with lo <= t[i] <= hi, and t[a] + t[b]
-    >= c for each (a, b, c) in pairs, where a < b; in lexicographic order.
+    length (at least 1) and sum, with lo <= t[i] <= hi, in lexicographic
+    order.
 
-    The recursion carries a floor for each slot, lo to start with;
-    placing t[a] = v raises the floor of each paired slot b to c - v.
-    Since the entries increase, each later slot k is at least
-    max(v, floors of the slots after a up to k), so a value v for slot
-    a needs F(v) <= the remaining sum, where the least completion
-    F(v) = v + sum over k > a of max(v, max over a < j <= k of
-    max(floor_j, c_j - v)). F is a sum of maxima of affine functions of
-    v, so it is convex, and with sigma its right slope at v, F(v + d) >=
-    F(v) + sigma * d for every d >= 0. While F(v) exceeds the remaining
-    sum and sigma < 0, this tangent bound shows that each value before
-    v + ceil((F(v) - remaining) / -sigma) fails too, so v jumps there.
-    The values with F(v) <= remaining form an interval, so once F(v)
-    exceeds it with sigma >= 0 no later value passes, and the slot ends.
-    Every value that passes the test is tried, so no admissible tuple is
-    lost.
-
-    The last two slots take a closed form. With the remaining sum r, the
-    last entry is r - v, and a pair bound between the two slots reads
-    r >= c whatever v is. Beyond that, v is at least the entry before it
-    and its own floor, and with r - v at most hi and at least v and the
-    last slot's floor, v runs over one range: from max(entry before,
-    floor, r - hi) to min(r // 2, r - last floor)."""
+    With r the sum left and n the number of slots after the current
+    one, a value v completes exactly when the n later entries, each in
+    [v, hi], can sum to r - v: when n * v <= r - v <= n * hi. So v runs
+    from max(entry before or lo, r - n * hi) to r // (n + 1), at most
+    hi whenever the range is not empty, and no prefix is dead. The last
+    two slots are that range with the last entry r - v."""
     if length == 1:
         return [(total,)] if lo <= total <= hi else []
-    raises: List[List[Tuple[int, int]]] = [[] for _ in range(length)]
-    for a, b, c in pairs:
-        raises[a].append((b, c))
-    last = length - 1
-    # the pair bounds between the last two slots ask remaining >= need;
-    # 2 * lo is no bound, as the last two entries are at least lo
-    need = 2 * lo
-    for _, c in raises[last - 1]:
-        if c > need:
-            need = c
-    later_slots = [tuple(range(slot + 1, length)) for slot in range(length)]
-    no_slopes = [0] * length
     tuples: List[Tuple[int, ...]] = []
 
-    def rec(prefix, slot, previous, floors, remaining):
-        # the entry before and the slot's floor bound its value below
-        first = floors[slot]
-        if previous > first:
-            first = previous
-        if slot == last - 1:
-            if remaining >= need:
-                start, stop = remaining - hi, remaining - floors[last]
-                if first > start:
-                    start = first
-                if remaining // 2 < stop:
-                    stop = remaining // 2
-                tuples.extend([prefix + (v, remaining - v)
-                               for v in range(start, stop + 1)])
+    def rec(prefix, previous, remaining, later):
+        start = remaining - hi * later
+        if previous > start:
+            start = previous
+        if later == 1:
+            tuples.extend([prefix + (v, remaining - v)
+                           for v in range(start, remaining // 2 + 1)])
             return
-        later = last - slot
-        # the later entries lie in [value, hi], which bounds value
-        value, end = remaining - hi * later, remaining // (later + 1)
-        if first > value:
-            value = first
-        if hi < end:
-            end = hi
-        bounds, following, after = raises[slot], later_slots[slot], slot + 1
-        raised, slopes = floors, no_slopes
-        while value <= end:
-            if bounds:
-                raised, slopes = floors[:], no_slopes[:]
-                for b, c in bounds:
-                    if c - value > raised[b]:
-                        raised[b], slopes[b] = c - value, -1
-            # least: F(value); slope: its right slope, the sum of the
-            # largest slope among the pieces that attain each maximum
-            least = top = value
-            slope = top_slope = 1
-            for k in following:
-                floor = raised[k]
-                if floor > top:
-                    top, top_slope = floor, slopes[k]
-                elif floor == top and slopes[k] > top_slope:
-                    top_slope = slopes[k]
-                least += top
-                slope += top_slope
-            if least <= remaining:
-                rec(prefix + (value,), after, value, raised, remaining - value)
-                value += 1
-            elif slope < 0:
-                value -= (least - remaining) // slope
-            else:
-                return
+        for v in range(start, remaining // (later + 1) + 1):
+            rec(prefix + (v,), v, remaining - v, later - 1)
 
-    rec((), 0, lo, [lo] * length, total)
+    rec((), lo, total, length - 1)
+    return tuples
+
+
+def _f_plan(linear) -> Tuple[Tuple[int, ...], Tuple[tuple, ...]]:
+    """What `_pentagonal_f` reads off the L atoms `linear`, entries
+    (name, a, b, k) as in PENT_LINEAR: the positions in `linear` of the
+    pairs _F_PAIRS, and per slot s of f the terms (name, name', k, k')
+    of each two atoms whose pairs split the four slots other than s.
+    Each such term caps f[s] by e[k] + e[k'] for every genus: the sum of
+    the two atoms' forms f[a] + f[b] + e[k] - g - 4 >= 0, minus SUM_F's
+    form f1 + ... + f5 - 2g - 8 = 0, is e[k] + e[k'] - f[s]. The closed
+    form solves one pattern, every pair of slots but (0, 1), (2, 4) and
+    (3, 4) once; any other raises ValueError."""
+    where = {(a, b): i for i, (_, a, b, _) in enumerate(linear)}
+    if len(where) != len(linear) or sorted(where) != sorted(_F_PAIRS):
+        raise ValueError("the f generator solves the L atoms on the pairs "
+                         "%s, each once" % (_F_PAIRS,))
+    caps = []
+    for s in range(5):
+        first, *others = [t for t in range(5) if t != s]
+        terms = []
+        for partner in others:
+            rest = tuple(t for t in others if t != partner)
+            if (first, partner) in where and rest in where:
+                one, two = linear[where[first, partner]], linear[where[rest]]
+                terms.append((one[0], two[0], one[3], two[3]))
+        caps.append(tuple(terms))
+    return tuple(where[p] for p in _F_PAIRS), tuple(caps)
+
+
+# the pairs of f's slots that the L atoms bound, in the order the
+# generator unpacks them
+_F_PAIRS = ((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3))
+_F_POSITIONS, _F_CAPS = _f_plan(PENT_LINEAR)
+
+
+def _pentagonal_f(total: int, lo: int, caps: Sequence[int],
+                  bounds: Sequence[int]) -> List[Tuple[int, ...]]:
+    """The list of all weakly increasing integer 5-tuples f of the given
+    sum with f[0] >= lo, f[s] <= caps[s] for each slot s, and f[a] +
+    f[b] >= c for the pair (a, b) and bound c of each L atom, bounds
+    being in PENT_LINEAR order; in lexicographic order.
+
+    Write fs for f[s - 1], bst for the bound on f[s - 1] + f[t - 1], and
+    Cs for the least of caps[s - 1], ..., caps[4], which caps fs as the
+    entries increase. Each bound below holds for every admissible tuple,
+    so none is lost. f1 runs from max(lo, b14 - C4, b15 - C5) (each
+    partner at its cap) to min(C1, total // 5, total - b25 - b34), as f1
+    is the least of five entries and f1 = total - (f2 + f5) - (f3 + f4);
+    f2 from max(f1, b24 - C4, b25 - C5) to min(C2, (total - f1) // 4,
+    total - b15 - b34) in the same way.
+
+    With f1 and f2 placed, the pairs holding f1 or f2 turn into floors,
+    f3 >= b13 - f1 and b23 - f2, f4 >= P4 = max(b14 - f1, b24 - f2) and
+    f5 >= P5 = max(b15 - f1, b25 - f2), and r = f3 + f4 + f5 is fixed.
+    The only atom left on f3, f4 and f5 alone is f3 + f4 >= b34
+    (`_f_plan` checks the pattern). So with f3 = x, the value y of f4,
+    which fixes f5 = r - x - y, is admissible exactly on the range
+        max(x, P4, b34 - x, r - x - C5) <= y
+                                   <= min(C4, (r - x) // 2, r - x - P5),
+    from f3 <= f4, the floor, the atom and f5 <= C5 below, and f4 <= C4,
+    f4 <= f5 and the floor of f5 above. It is not empty exactly when each
+    of its four lower ends is at most each of its three upper ends; as y
+    <= (r - x) // 2 is 2y <= r - x for an integer y, the twelve
+    comparisons read
+        x <= C4,          3x <= r,             2x <= r - P5,
+        P4 <= C4,         x <= r - 2 * P4,     x <= r - P4 - P5,
+        x >= b34 - C4,    x >= 2 * b34 - r,    b34 + P5 <= r,
+        x >= r - C4 - C5, x >= r - 2 * C5,     P5 <= C5.
+    The three without x hold for every placed f1 and f2, by the starts
+    b14 - C4, b24 - C4, b15 - C5, b25 - C5 and the stops total - b25 -
+    b34, total - b15 - b34 of the loops. The nine others, with f2 <= x
+    <= C3 (which is at most C4) and the floors of f3, make f3's range
+    one closed-form interval, and each x in it leaves f4 a non-empty
+    range. So no prefix from f3 on is dead."""
+    b13, b14, b15, b23, b24, b25, b34 = [bounds[i] for i in _F_POSITIONS]
+    c5 = caps[4]
+    c4 = min(caps[3], c5)
+    c3 = min(caps[2], c4)
+    c2 = min(caps[1], c3)
+    tuples: List[Tuple[int, ...]] = []
+    for f1 in range(max(lo, b14 - c4, b15 - c5),
+                    min(caps[0], c2, total // 5, total - b25 - b34) + 1):
+        r1 = total - f1
+        for f2 in range(max(f1, b24 - c4, b25 - c5),
+                        min(c2, r1 // 4, total - b15 - b34) + 1):
+            r = r1 - f2
+            p4 = max(b14 - f1, b24 - f2)
+            p5 = max(b15 - f1, b25 - f2)
+            for f3 in range(max(f2, b13 - f1, b23 - f2, b34 - c4,
+                                2 * b34 - r, r - c4 - c5, r - 2 * c5),
+                            min(c3, r // 3, (r - p5) // 2, r - 2 * p4,
+                                r - p4 - p5) + 1):
+                s = r - f3
+                tuples.extend([(f1, f2, f3, f4, s - f4) for f4 in range(
+                    max(f3, p4, b34 - f3, s - c5), min(c4, s // 2, s - p5) + 1)])
     return tuples
 
 
@@ -508,16 +536,22 @@ def enumerate_strata(cover_degree: int, g: int) -> List[StratumRecord]:
 
     Degree 5. The entries of e lie in [ceil((g + 4) / 10),
     (2 * g + 8) // 5] (E1RANGE's lower end and E4MAX); its upper end
-    4 * e1 <= g + 4 holds for any sorted e of sum g + 4. TOPF caps every
-    entry of f at 2 * e4, so SUM_F puts each at least 2 * g + 8 - 8 * e4,
-    and L1..L7 are pair bounds of the f generator. Three consequences of
-    L1..L7 skip each e that admits no f at all:
-      D1: 4 * e2 + e3 >= g + 4. L6 + L7 with SUM_F give f3 <= 2 * e2,
-          and L3 with f2 <= f3 gives 2 * f3 >= g + 4 - e3.
-      D2: 3 * e1 + 2 * e4 >= g + 4. L1 + L4 with SUM_F give
-          f4 <= e1 + e4, and L5 with f3 <= f4 gives 2 * f4 >= g + 4 - e1.
-      D3: 2 * e1 + 3 * e3 >= g + 4. L2 + L4 with SUM_F give
-          f3 <= e1 + e3, and L3 bounds 2 * f3 below as in D1.
+    4 * e1 <= g + 4 holds for any sorted e of sum g + 4. Two of L1..L7
+    whose pairs split the four entries of f other than one, with SUM_F,
+    cap that entry (`_f_plan` proves it): f1 <= 2 * e1, f2 <= e1 + e2,
+    f3 <= min(2 * e2, e1 + e3), f4 <= min(e1 + e4, e2 + e3) and f5 <=
+    min(e2 + e4, 2 * e3), which implies TOPF. Three consequences skip
+    each e that admits no f at all:
+      D1: 4 * e2 + e3 >= g + 4. f3 <= 2 * e2, and L3 with f2 <= f3
+          gives 2 * f3 >= g + 4 - e3.
+      D2: 3 * e1 + 2 * e4 >= g + 4. f4 <= e1 + e4, and L5 with
+          f3 <= f4 gives 2 * f4 >= g + 4 - e1.
+      D3: 2 * e1 + 3 * e3 >= g + 4. f3 <= e1 + e3, and L3 bounds
+          2 * f3 below as in D1.
+    For every other e, `_pentagonal_f` lists the f within those caps,
+    from f1 >= 2 * g + 8 - 8 * e4 (the other four are at most 2 * e4)
+    and with L1..L7 as pair bounds: f1 and f2 loop, and f3 and f4 take
+    closed-form ranges, so each f it lists is admissible.
 
     Each e, and each distinct f, is prepared once per call, in one dict
     keyed by its parts (e and f differ in rank, so their keys never
@@ -573,9 +607,11 @@ def _candidates(cover_degree: int, g: int):
             e1, e2, e3, e4 = e_parts
             if 4 * e2 + e3 < g4 or 3 * e1 + 2 * e4 < g4 or 2 * e1 + 3 * e3 < g4:
                 continue  # D1, D2 or D3 fails: no f
-            linear = [(a, b, g4 - e_parts[k]) for _, a, b, k in PENT_LINEAR]
-            yield e_parts, _weakly_increasing_tuples(
-                5, ftotal, ftotal - 8 * e4, 2 * e4, linear)
+            caps = [min([e_parts[k] + e_parts[m] for _, _, k, m in terms])
+                    for terms in _F_CAPS]
+            yield e_parts, _pentagonal_f(
+                ftotal, ftotal - 8 * e4, caps,
+                [g4 - e_parts[k] for _, _, _, k in PENT_LINEAR])
 
 
 def strata_report(records: Sequence[StratumRecord]) -> dict:

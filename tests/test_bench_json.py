@@ -20,8 +20,10 @@ def canned(sha, pass_cal, failed=0, workload="kappa-rings", seed=3):
     return "\n".join([
         json.dumps({"provenance": {"commit": None, "source_sha256": sha,
                                    "nproc": 2, "workload": workload,
-                                   "seed": seed, "trace": 0, "passes": 2,
-                                   "pass_s": [0.02, 0.03],
+                                   "seed": seed, "trace": 0, "passes": 3,
+                                   "pass_s": [0.02, 0.05, 0.03],
+                                   "max_report_s": [0.004, 0.002, 0.003],
+                                   "ref_s": [0.01, 0.01, 0.02],
                                    "requests_per_pass": {"ci": 4}}}),
         json.dumps({"correct": failed == 0, "attempted": 24, "failed": failed,
                     "metrics": {"pass_cal": {"value": pass_cal, "unit": "loops"},
@@ -31,9 +33,14 @@ def canned(sha, pass_cal, failed=0, workload="kappa-rings", seed=3):
 
 def test_parse_run_keeps_the_scalar_provenance_and_the_metrics():
     out = bj.parse_run("an earlier line\n\n" + canned("aa", 0.05, failed=1))
+    # of the per-pass lists, only the medians of pass_s, max_report_s
+    # and ref_s
     assert out["provenance"] == {"commit": None, "source_sha256": "aa",
                                  "nproc": 2, "workload": "kappa-rings",
-                                 "seed": 3, "trace": 0, "passes": 2}
+                                 "seed": 3, "trace": 0, "passes": 3,
+                                 "pass_s_median": 0.03,
+                                 "max_report_s_median": 0.003,
+                                 "ref_s_median": 0.01}
     assert out["metrics"] == {"pass_cal": 0.05, "ok_frac": 1.0}
     assert out["units"] == {"pass_cal": "loops", "ok_frac": "ratio"}
     assert (out["correct"], out["attempted"], out["failed"]) == (False, 24, 1)
@@ -46,6 +53,12 @@ def test_parse_run_keeps_the_scalar_provenance_and_the_metrics():
     ('{"no": 1}\n{"metrics": {}}\n', "no provenance"),
     ('{"provenance": {}}\n{"correct": true}\n', "no metrics"),
     ('{"provenance": {}}\n{"metrics": {"x": {"value": 1}}}\n', "lacks"),
+    ('{"provenance": {"pass_s": [1], "max_report_s": [1]}}\n'
+     '{"correct": true, "attempted": 1, "failed": 0, "metrics": {}}\n',
+     "no per-pass list 'ref_s'"),
+    ('{"provenance": {"pass_s": [], "max_report_s": [1], "ref_s": [1]}}\n'
+     '{"correct": true, "attempted": 1, "failed": 0, "metrics": {}}\n',
+     "no per-pass list 'pass_s'"),
 ])
 def test_parse_run_rejects_other_output(stdout, message):
     with pytest.raises(ValueError, match=message):
@@ -121,6 +134,14 @@ def _per_pass_list(doc):
     doc["runs"][0]["provenance"]["pass_s"] = [0.02, 0.03]
 
 
+def _one_median_missing(doc):
+    del doc["runs"][3]["provenance"]["ref_s_median"]
+
+
+def _median_not_a_number(doc):
+    doc["runs"][5]["provenance"]["max_report_s_median"] = "0.003"
+
+
 def _drop_run(doc):
     doc["runs"].pop()
 
@@ -187,6 +208,8 @@ def _legacy_tier1_failed(doc):
     (_tier1_negative_file_time, "file times"),
     (_tier1_file_time_not_a_number, "file times"),
     (_tier1_no_file_times, "file times"), (_legacy_tier1_failed, "exited 2"),
+    (_one_median_missing, "per-pass medians"),
+    (_median_not_a_number, "per-pass medians"),
 ])
 def test_validate_rejects_a_broken_document(breaks, message):
     doc = document()
@@ -213,6 +236,15 @@ def test_validate_accepts_one_tier1_run_per_tree_as_in_older_files():
     for label, wall in (("parent", 29.7), ("change", 38.9)):
         doc["trees"][label]["tier1"] = {"wall_s": wall, "exit_code": 0,
                                         "summary": "687 passed in 38.35s"}
+    bj.validate(doc)
+
+
+def test_validate_accepts_runs_without_the_per_pass_medians():
+    # the layout of BENCH_22.json to BENCH_30.json
+    doc = document()
+    for run in doc["runs"]:
+        for name in bj.PER_PASS:
+            del run["provenance"][name + "_median"]
     bj.validate(doc)
 
 

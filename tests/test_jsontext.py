@@ -38,6 +38,10 @@ class TestDumps:
         with pytest.raises(TypeError):
             jsontext.dumps(value)
 
+    def test_quoting_is_the_standard_librarys(self):
+        # json.encoder re-exports the C function the writer takes from _json
+        assert jsontext._quote is json.encoder.encode_basestring_ascii
+
     def test_subclasses_of_the_accepted_types(self):
         class Str(str):
             pass

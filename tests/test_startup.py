@@ -1,8 +1,9 @@
 """What a CLI call pays before it does any work.
 
 Every call starts a fresh interpreter that imports the package and
-builds the argument parser. Two rules keep that start-up short: the
+builds the argument parser. Three rules keep that start-up short: the
 package loads neither `dataclasses` nor the modules its import pulls in,
+nor the `json` package (its writer takes the C quoting from `_json`),
 and every import under src/ sits at module level, so no import cost is
 hidden in a function body that a request would pay instead.
 """
@@ -16,14 +17,14 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 # dataclasses and the modules its import loads
 HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+START_UP = "import splitloci.cli\nsplitloci.cli.build_parser()"
 
 
-def heavy_modules_loaded(code):
-    """The HEAVY modules loaded in a fresh interpreter of this one, with
+def modules_loaded(code):
+    """The names in sys.modules of a fresh interpreter of this one, with
     this sys.path, after it runs `code`."""
     script = ("import sys\nsys.path[:] = %r\n%s\n"
-              "print(' '.join(m for m in %r if m in sys.modules))\n"
-              % (sys.path, code, HEAVY))
+              "print(' '.join(sys.modules))\n" % (sys.path, code))
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, timeout=60, check=True).stdout
     return set(out.split())
@@ -32,10 +33,15 @@ def heavy_modules_loaded(code):
 def test_cli_start_up_loads_no_heavy_module():
     # a site hook may load some of them in every interpreter; those are
     # not the package's doing
-    bare = heavy_modules_loaded("")
-    loaded = heavy_modules_loaded(
-        "import splitloci.cli\nsplitloci.cli.build_parser()")
-    assert loaded - bare == set()
+    added = modules_loaded(START_UP) - modules_loaded("")
+    assert added & set(HEAVY) == set()
+
+
+def test_cli_start_up_loads_no_json_module():
+    bare, loaded = modules_loaded(""), modules_loaded(START_UP)
+    assert {m for m in loaded - bare if m.split(".")[0] == "json"} == set()
+    # the writer's quoting comes from _json, the C accelerator
+    assert "_json" in loaded
 
 
 def test_every_import_under_src_is_at_module_level():

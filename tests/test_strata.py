@@ -5,6 +5,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -91,6 +92,7 @@ class TestConstraints:
 
         # raised before any enumeration, not from inside range
         monkeypatch.setattr(strata, "_weakly_increasing_tuples", unreachable)
+        monkeypatch.setattr(strata, "_pentagonal_f", unreachable)
         for degree in (4, 5):
             with pytest.raises(TypeError):
                 strata.enumerate_strata(degree, genus)
@@ -678,62 +680,174 @@ def sorted_tuples(length, total, lo, hi):
 
 @st.composite
 def tuple_bounds(draw):
-    """Arguments for `_weakly_increasing_tuples`: a length, a sum, entry
-    bounds and pair bounds (a, b, c) with a < b. With hi - lo up to 12,
-    up to 7 pair bounds and c up to 2 * hi + 2, as wide as the
-    `PENT_LINEAR` bounds bind, a slot's failing values come in runs that
-    the generator jumps over by more than one value, or ends the slot
-    at."""
+    """Arguments for `_weakly_increasing_tuples`: a length, a sum and
+    entry bounds, with sums up to one entry past what the bounds allow."""
     length = draw(st.integers(1, 5))
     lo = draw(st.integers(-2, 4))
     hi = draw(st.integers(lo - 1, lo + 12))
     total = draw(st.integers(length * (lo - 1), length * (hi + 1)))
-    pairs = []
-    for _ in range(draw(st.integers(0, 7 if length > 1 else 0))):
-        a = draw(st.integers(0, length - 2))
-        b = draw(st.integers(a + 1, length - 1))
-        pairs.append((a, b, draw(st.integers(2 * lo - 2, 2 * hi + 2))))
-    return length, total, lo, hi, pairs
+    return length, total, lo, hi
+
+
+@st.composite
+def pentagonal_f_bounds(draw):
+    """Arguments for `_pentagonal_f`: a sum, lo, five caps and the seven
+    L bounds, drawn around a weakly increasing witness tuple with entries
+    in [lo - 1, lo + 6], so that the caps and bounds sit near the values
+    where they start to bind and both empty and full answers come up."""
+    lo = draw(st.integers(-2, 4))
+    witness = sorted(draw(st.lists(st.integers(lo - 1, lo + 6),
+                                   min_size=5, max_size=5)))
+    total = sum(witness) + draw(st.integers(-2, 2))
+    caps = [w + draw(st.integers(-2, 3)) for w in witness]
+    bounds = [witness[a] + witness[b] + draw(st.integers(-4, 1))
+              for _, a, b, _ in strata.PENT_LINEAR]
+    return total, lo, caps, bounds
+
+
+def pentagonal_filter(total, lo, caps, bounds):
+    """The weakly increasing 5-tuples of `_pentagonal_f`'s contract, by
+    filtering every tuple of entries in [lo, caps[4]]."""
+    return [t for t in combinations_with_replacement(
+                range(lo, caps[4] + 1), 5)
+            if sum(t) == total and all(x <= c for x, c in zip(t, caps))
+            and all(t[a] + t[b] >= c for (_, a, b, _), c
+                    in zip(strata.PENT_LINEAR, bounds))]
+
+
+def pentagonal_f_and_f4_ranges(*args):
+    """`_pentagonal_f(*args)` and the length of each range its f4 loop
+    took. The four loops nest f1, f2, f3, f4, so the lengths of the
+    ranges, in the order they are made, rebuild the loop tree."""
+    lengths = []
+
+    def counting_range(*bounds):
+        made = range(*bounds)
+        lengths.append(len(made))
+        return made
+
+    with mock.patch.object(strata, "range", counting_range, create=True):
+        out = strata._pentagonal_f(*args)
+    calls = iter(lengths)
+
+    def f4_lengths(level):
+        n = next(calls)
+        return [n] if level == 4 else [m for _ in range(n)
+                                       for m in f4_lengths(level + 1)]
+
+    f4 = f4_lengths(1)
+    assert next(calls, None) is None
+    return out, f4
+
+
+def pentagonal_arguments(genus, e, caps=None):
+    """The sum, lo and L bounds `enumerate_strata` passes for e, with
+    the given caps; by default the caps it derives from `_F_CAPS`."""
+    ftotal = 2 * genus + 8
+    if caps is None:
+        caps = [min(e[k] + e[m] for _, _, k, m in terms)
+                for terms in strata._F_CAPS]
+    return (ftotal, ftotal - 8 * e[3], caps,
+            [genus + 4 - e[k] for _, _, _, k in strata.PENT_LINEAR])
 
 
 class TestTupleGenerator:
     @settings(max_examples=300, deadline=None)
     @given(args=tuple_bounds())
-    # slot 0 fails at 0 with the least completion falling by 1 a step,
-    # and jumps to the first value that passes: by one value, by three
-    @example(args=(3, 3, 0, 2, [(0, 1, 2)]))
-    @example(args=(3, 9, 0, 5, [(0, 1, 6)]))
-    # the last two slots: a pair bound between them asks total >= c, so
-    # c = total yields tuples and c = total + 1 none
-    @example(args=(2, 6, 0, 5, [(0, 1, 6)]))
-    @example(args=(2, 6, 0, 5, [(0, 1, 7)]))
-    # t[0] = 0 raises the last slot's floor to 8, which caps the
-    # penultimate value at 9 - 8 = 1, below 9 // 2
-    @example(args=(3, 9, 0, 9, [(0, 2, 8)]))
+    # a sum the bounds cannot reach, from below and from above
+    @example(args=(3, 5, 2, 4))
+    @example(args=(3, 13, 2, 4))
+    # lo above hi, and one slot
+    @example(args=(2, 4, 3, 2))
+    @example(args=(1, 4, 4, 4))
     def test_matches_a_filter_in_order(self, args):
-        length, total, lo, hi, pairs = args
+        length, total, lo, hi = args
         expected = [t for t in combinations_with_replacement(
                         range(lo, hi + 1), length)
-                    if sum(t) == total
-                    and all(t[a] + t[b] >= c for a, b, c in pairs)]
+                    if sum(t) == total]
         assert list(strata._weakly_increasing_tuples(*args)) == expected
+
+    @settings(max_examples=400, deadline=None)
+    @given(args=pentagonal_f_bounds())
+    # an f3 interval that is empty for some placed f1, f2
+    @example(args=(8, -1, [-1, 1, 2, 5, 5], [-2, 3, 1, 3, 3, 1, 4]))
+    # a cap below lo: no tuple
+    @example(args=(13, 0, [-1, 2, 4, 4, 7], [-1, 3, 5, 9, 3, 6, 2]))
+    @example(args=(13, 3, [4, 4, 2, 4, 7], [0] * 7))
+    # the f1 + f5 bound above cap5 + lo raises f1's start; with the f3 +
+    # f4 bound it also stops f2 at total - b15 - b34, below its cap
+    @example(args=(16, 1, [2, 3, 4, 4, 7], [2, 4, 2, 6, 5, 9, 4]))
+    # the f2 + f5 and f3 + f4 bounds stop f1 at total - b25 - b34
+    @example(args=(15, -1, [3, 4, 5, 5, 7], [3, 4, 5, 8, 5, 5, 3]))
+    def test_pentagonal_f_matches_a_filter_in_order(self, args):
+        out, f4 = pentagonal_f_and_f4_ranges(*args)
+        assert out == pentagonal_filter(*args)
+        # no prefix from f3 on is dead: each f3 value yields a tuple
+        assert 0 not in f4 and sum(f4) == len(out)
 
     @pytest.mark.parametrize("genus", [7, 16, 24])
     def test_pentagonal_f_match_a_filter_in_order(self, genus):
-        # every e of (5, genus), with the bounds enumerate_strata passes
+        # every e of (5, genus), with the caps and bounds enumerate_strata
+        # passes, against the filter under TOPF and L1..L7 alone: the
+        # derived caps lose no f
         ftotal = 2 * genus + 8
         es = list(sorted_tuples(4, genus + 4, -(-(genus + 4) // 10),
                                 ftotal // 5))
         assert list(strata._weakly_increasing_tuples(
             4, genus + 4, -(-(genus + 4) // 10), ftotal // 5)) == es
         for e in es:
-            lo, hi = ftotal - 8 * e[3], 2 * e[3]
-            linear = [(a, b, genus + 4 - e[k])
-                      for _, a, b, k in strata.PENT_LINEAR]
-            expected = [f for f in sorted_tuples(5, ftotal, lo, hi)
-                        if all(f[a] + f[b] >= c for a, b, c in linear)]
-            assert list(strata._weakly_increasing_tuples(
-                5, ftotal, lo, hi, linear)) == expected
+            total, lo, caps, bounds = pentagonal_arguments(genus, e)
+            expected = [f for f in sorted_tuples(5, total, lo, 2 * e[3])
+                        if all(f[a] + f[b] >= c for (_, a, b, _), c
+                               in zip(strata.PENT_LINEAR, bounds))]
+            out, f4 = pentagonal_f_and_f4_ranges(total, lo, caps, bounds)
+            assert out == expected
+            assert 0 not in f4 and sum(f4) == len(out)
+
+
+class TestPentagonalCaps:
+    def test_caps_are_the_derived_table(self):
+        # f1 <= 2e1, f2 <= e1 + e2, f3 <= min(2e2, e1 + e3),
+        # f4 <= min(e1 + e4, e2 + e3), f5 <= min(e2 + e4, 2e3)
+        table = [sorted(tuple(sorted((k, m))) for _, _, k, m in terms)
+                 for terms in strata._F_CAPS]
+        assert table == [[(0, 0)], [(0, 1)], [(0, 2), (1, 1)],
+                         [(0, 3), (1, 2)], [(1, 3), (2, 2)]]
+
+    def test_each_cap_is_two_l_forms_minus_sum_f(self):
+        # an identity of Polys in g and the parts, so it holds for every
+        # genus: the L forms are >= 0 and SUM_F's form is 0
+        constraints = strata.PENT_CONSTRAINTS
+        (sum_f, relation), = constraints["SUM_F"]
+        assert relation == "=="
+        for s, terms in enumerate(strata._F_CAPS):
+            assert terms
+            for one, two, k, m in terms:
+                (first, r1), = constraints[one]
+                (second, r2), = constraints[two]
+                assert r1 == r2 == ">="
+                assert strata.E[k] + strata.E[m] - strata.F[s] == \
+                    first + second - sum_f, (s, one, two)
+
+    def test_the_plan_does_not_depend_on_the_order_of_the_atoms(self):
+        linear = strata.PENT_LINEAR[::-1]
+        positions, caps = strata._f_plan(linear)
+        assert [linear[i][1:3] for i in positions] == list(strata._F_PAIRS)
+        assert [sorted(c) for c in caps] == [sorted(c)
+                                              for c in strata._F_CAPS]
+
+    @pytest.mark.parametrize("last", [
+        None,  # L7's pair (1, 3) missing
+        ("L7", 0, 1, 1),  # a pair (0, 1)
+        ("L7", 2, 4, 1),  # a second pair among the last three slots
+        ("L7", 3, 4, 1),
+        ("L7", 1, 2, 1),  # (1, 3) missing, (1, 2) twice
+        ("L7", 3, 1, 1),  # a pair written backwards
+    ])
+    def test_a_pattern_the_closed_form_does_not_solve_raises(self, last):
+        linear = strata.PENT_LINEAR[:-1] + ((last,) if last else ())
+        with pytest.raises(ValueError, match="f generator"):
+            strata._f_plan(linear)
 
 
 class TestClosedForms:
@@ -876,39 +990,44 @@ class TestPentagonalSkips:
         assert all(skip_bounds(genus, e.parts)), (genus, e, f)
 
     def test_each_skipped_e_admits_no_f(self, monkeypatch):
-        generator = strata._weakly_increasing_tuples
-        calls = []
+        tuples, generator = strata._weakly_increasing_tuples, strata._pentagonal_f
+        e_calls, f_calls = [], []
 
-        def recording(length, total, lo, hi, pairs=()):
-            out = generator(length, total, lo, hi, pairs)
-            calls.append((length, pairs, out))
+        def recording_e(length, total, lo, hi):
+            out = tuples(length, total, lo, hi)
+            e_calls.append(out)
             return out
 
-        monkeypatch.setattr(strata, "_weakly_increasing_tuples", recording)
-        every_e = f_calls = 0
+        def recording_f(total, lo, caps, bounds):
+            out = generator(total, lo, caps, bounds)
+            f_calls.append((bounds, out))
+            return out
+
+        monkeypatch.setattr(strata, "_weakly_increasing_tuples", recording_e)
+        monkeypatch.setattr(strata, "_pentagonal_f", recording_f)
+        every_e = called_e = empty = 0
         for genus in range(7, strata.GENUS_MAX + 1):
-            calls.clear()
+            e_calls.clear()
+            f_calls.clear()
             strata.enumerate_strata(5, genus)
-            # the e generator runs first, then the f generator per e
-            assert [c[0] for c in calls] == [4] + [5] * (len(calls) - 1)
-            es = calls[0][2]
-            # each f call's pair bounds g + 4 - e[k] name its e
+            # the e generator runs once, then the f generator per e
+            es, = e_calls
+            # each f call's L bounds g + 4 - e[k] name its e
             called = []
-            for length, pairs, _ in calls[1:]:
-                parts = {k: genus + 4 - c for (_, _, _, k), (_, _, c)
-                         in zip(strata.PENT_LINEAR, pairs)}
+            for bounds, _ in f_calls:
+                parts = {k: genus + 4 - c for (_, _, _, k), c
+                         in zip(strata.PENT_LINEAR, bounds)}
                 called.append(tuple(parts[k] for k in range(4)))
             assert called == [e for e in es if all(skip_bounds(genus, e))]
-            ftotal = 2 * genus + 8
             for e in es:
                 if e not in called:
-                    linear = [(a, b, genus + 4 - e[k])
-                              for _, a, b, k in strata.PENT_LINEAR]
-                    assert generator(5, ftotal, ftotal - 8 * e[3], 2 * e[3],
-                                     linear) == [], (genus, e)
+                    # under TOPF's caps alone, without the derived ones
+                    assert generator(*pentagonal_arguments(
+                        genus, e, [2 * e[3]] * 5)) == [], (genus, e)
             every_e += len(es)
-            f_calls += len(called)
-        assert (every_e, f_calls) == (237, 194)
+            called_e += len(called)
+            empty += sum(not out for _, out in f_calls)
+        assert (every_e, called_e, empty) == (237, 194, 21)
 
 
 class TestStarUnion:

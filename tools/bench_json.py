@@ -10,7 +10,11 @@ the tier-1 wall time of each tree.
 --trace 0` inside each tree for every workload W and seed S = 1..10,
 ten pairs of runs per workload, the parent first for every other seed
 and the change first for the rest, and keeps the scalar provenance
-fields and the metrics from the last two lines that run.py prints. It
+fields and the metrics from the last two lines that run.py prints. Of
+run.py's per-pass lists it keeps the medians of pass_s, max_report_s
+and ref_s, as the provenance fields pass_s_median and so on, so a
+reader can tell whether the raw pass time or the reference slices that
+calibrate it moved. It
 then times the tier-1 tests of each tree three times, in alternating
 pairs (parent, change; change, parent; parent, change), keeps each
 run's wall time, exit code and summary, and records their median wall
@@ -22,7 +26,8 @@ that neither run reads the other's bytecode or test caches.
 BENCH_*.json at the root of this repository, that its medians are
 those of its runs, made for every workload and seed above at 40 s, and
 that every tier-1 run exited 0. Files made before the tier-1 runs were
-repeated hold one run per tree, with no per-file times.
+repeated hold one run per tree, with no per-file times, and files made
+before the per-pass medians were kept hold none of them.
 """
 
 from __future__ import annotations
@@ -47,6 +52,8 @@ SEEDS = list(range(1, 11))
 SECONDS = 40
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 TIER1_RUNS = 3  # per tree
+# run.py's per-pass lists whose medians a run keeps as provenance fields
+PER_PASS = ("pass_s", "max_report_s", "ref_s")
 
 
 def bench_argv(workload: str, seed) -> List[str]:
@@ -56,8 +63,9 @@ def bench_argv(workload: str, seed) -> List[str]:
 
 def parse_run(stdout: str) -> dict:
     """The scalar provenance fields and the metrics of one run.py run,
-    read from the last two non-empty lines of its output; the per-pass
-    lists of the provenance are left out."""
+    read from the last two non-empty lines of its output. Of the per-pass
+    lists of the provenance only the medians of PER_PASS are kept, each
+    as the field <name>_median."""
     lines = [line for line in stdout.splitlines() if line.strip()]
     if len(lines) < 2:
         raise ValueError("run.py printed %d lines, not the two result lines"
@@ -75,11 +83,19 @@ def parse_run(stdout: str) -> dict:
         units = {name: entry["unit"] for name, entry in last["metrics"].items()}
         provenance = {name: value for name, value in head["provenance"].items()
                       if not isinstance(value, (list, dict))}
-        return {"provenance": provenance, "correct": last["correct"],
-                "attempted": last["attempted"], "failed": last["failed"],
-                "metrics": metrics, "units": units}
+        run = {"provenance": provenance, "correct": last["correct"],
+               "attempted": last["attempted"], "failed": last["failed"],
+               "metrics": metrics, "units": units}
     except (KeyError, TypeError) as exc:
         raise ValueError("the last line lacks %s" % exc) from None
+    for name in PER_PASS:
+        try:
+            provenance[name + "_median"] = statistics.median(
+                head["provenance"][name])
+        except (KeyError, TypeError, statistics.StatisticsError):
+            raise ValueError("the provenance holds no per-pass list %r"
+                             % name) from None
+    return run
 
 
 def medians(runs: Sequence[dict]) -> Dict[str, Dict[str, Dict[str, float]]]:
@@ -182,6 +198,12 @@ def validate(doc: dict) -> None:
         if not isinstance(run.get("provenance"), dict) or any(
                 isinstance(v, (list, dict)) for v in run["provenance"].values()):
             raise ValueError("run %r has no scalar provenance" % (key,))
+        medians_kept = [run["provenance"].get(name + "_median")
+                        for name in PER_PASS]
+        if medians_kept != [None] * len(PER_PASS) and not all(
+                _number(m) and m >= 0 for m in medians_kept):
+            raise ValueError("run %r has not all of the per-pass medians "
+                             "as non-negative numbers" % (key,))
         if run["provenance"].get("source_sha256") != \
                 doc["trees"][run["label"]].get("source_sha256"):
             raise ValueError("run %r was made on another tree" % (key,))
