@@ -135,37 +135,127 @@ def _pack_matrix(mat) -> Tuple[Packing, List[List[Dict[int, Scalar]]]]:
     rows = [[_to_poly(x) for x in row] for row in mat]
     bound = sum(max((entry.total_degree() for entry in row), default=0)
                 for row in rows)
-    packing = Packing([entry for row in rows for entry in row], bound + 1)
+    packing = Packing({var for row in rows for entry in row for var in entry.variables()},
+                      bound + 1)
     return packing, [[packing.pack(entry) for entry in row] for row in rows]
+
+
+# The largest slot span W * prod(b_v + 1), in bits, that
+# `_slot_pack_matrix` lets a packed value reach. A wider slot saves key
+# dicts but makes every product and exact division one longer big-int
+# operation, and CPython's big-int division is quadratic. `det` on the
+# L.U matrices of the benchmark's seeds 1-10 (median over seeds of the
+# best of 5, on a 2-vCPU Xeon), with a slot of 1, 2 and all 3 of x, y,
+# z: 4x4, 1,200, 700 and 2,100 us at spans of about 300, 2,500 and
+# 20,000 bits; 5x5, 3,700, 2,600 and 17,000 us at about 500, 5,200 and
+# 52,000 bits. The 20 registry matrices (printed and reconstructed, as
+# printed and substituted), at spans of 60-2,376 bits with every
+# variable in the slot, take 4,800 us all told, against 11,700 us with
+# one. 2^13 bits lies between the crossovers: it takes x and y of the
+# L.U matrices and every variable of the registry.
+SLOT_BITS = 1 << 13
 
 
 class SlotPacked(NamedTuple):
     """A matrix as `_slot_pack_matrix` packs it, which the determinant
-    engines take in place of Poly rows and leave unchanged."""
+    engines take in place of Poly rows and leave unchanged, and the
+    arithmetic they run on it.
+
+    Here a variable stays outside the slot: each entry is a dict from
+    the key of a monomial in those variables to an int, and products
+    and divisions run through the packing's kernels. `_IntSlotPacked`
+    holds every variable in the slot, so each entry is one int.
+    """
     packing: Packing
-    rows: List[List[Dict[int, int]]]
+    rows: list
     degrees: List[int]
-    slot: Optional[str]
+    slot: Tuple[Tuple[str, int], ...]
     width: int
     scale: int
 
+    one = {0: 1}  # the packed constant 1, never written to
+
+    def mul_sub(self, a, b, c, d):
+        """a * b - c * d; a cancelled term stays as a zero."""
+        acc: Dict[int, int] = {}
+        self.packing.mul_add(acc, a, b)
+        self.packing.mul_add(acc, c, d, -1)
+        return acc
+
+    def divide(self, numerator, divisor):
+        """The exact quotient; a remainder raises ValueError."""
+        return self.packing.divide(numerator, divisor)
+
+    def mul_add(self, acc, a, b, sign):
+        """acc + sign * a * b, added into acc, or into a new dict for
+        None, and returned; a cancelled term stays as a zero."""
+        if acc is None:
+            acc = {}
+        self.packing.mul_add(acc, a, b, sign)
+        return acc
+
+    @staticmethod
+    def trim(value):
+        """value without its zero terms."""
+        return {k: v for k, v in value.items() if v}
+
+
+class _IntSlotPacked(SlotPacked):
+    """A `SlotPacked` with every variable in the slot: each entry is one
+    int, and the engines run on int products and exact division."""
+    __slots__ = ()
+
+    one = 1
+
+    @staticmethod
+    def mul_sub(a, b, c, d):
+        return a * b - c * d
+
+    @staticmethod
+    def divide(numerator, divisor):
+        """The exact quotient; a remainder can only come from a bug, and
+        raises RuntimeError."""
+        quotient, remainder = divmod(numerator, divisor)
+        if remainder:
+            raise RuntimeError("slot-packed division leaves a remainder")
+        return quotient
+
+    @staticmethod
+    def mul_add(acc, a, b, sign):
+        product = a * b if sign > 0 else -(a * b)
+        return product if acc is None else acc + product
+
+    @staticmethod
+    def trim(value):
+        return value
+
 
 def _slot_pack_matrix(mat) -> SlotPacked:
-    """A matrix packed for both determinant engines, with one variable v
-    moved into the coefficients (Kronecker substitution in one
-    variable): the packing, the packed rows, each row's largest entry
-    degree (-1 for a zero row), v, the slot width W and the product of
-    the rows' scales.
+    """A matrix packed for both determinant engines, with variables
+    moved into the coefficients (Kronecker substitution): the packing,
+    the packed rows, each row's largest entry degree (-1 for a zero
+    row), the slot, the slot width W and the product of the rows'
+    scales.
 
     Row i is scaled to integer coefficients by the lcm s_i of its
-    denominators, and a scaled term c * m * v^j packs to the key of m
-    with coefficient c * 2^(W*j), summed over j. Setting v = 2^W is a
-    ring map from Z[v][others] to Z[others], so it carries every
-    polynomial identity among the scaled entries, and each product of
-    coefficients is one int multiply; `_slot_unpack` undoes the map on
-    a result. The slot variable v is the one with the largest degree
-    bound, the sum over the rows of v's largest exponent in the row;
-    ties go to the first name.
+    denominators. Each variable v has a degree bound b_v, the sum over
+    the rows of v's largest exponent in the row. The slot is a sequence
+    of variables v_1, ..., v_k with their bounds, and v_t stands for
+    2^(W * r_t), where r_1 = 1 and r_(t+1) = r_t * (b_(v_t) + 1). So a
+    scaled term c * m * prod v_t^(j_t), m free of the slot, packs to the
+    key of m with coefficient c * 2^(W * p), where p = sum j_t * r_t is
+    the mixed-radix number with digits j_t. Setting each v_t to its
+    power of 2 is a ring map from Z[slot][others] to Z[others], so it
+    carries every polynomial identity among the scaled entries, and each
+    product of coefficients is one int multiply; `_slot_unpack` undoes
+    the map on a result.
+
+    The slot takes every variable that fits SLOT_BITS: in the order of
+    largest degree bound first, ties by name, a variable joins when the
+    span W * prod (b_v + 1) over the slot with it is at most SLOT_BITS.
+    When every variable joins, each packed entry is one int and the
+    engines run on int arithmetic (`_IntSlotPacked`); otherwise entries
+    are dicts over the keys of the variables left out.
 
     Width. Let |a| be the sum of the absolute values of a's
     coefficients and B' = prod_i max(1, |a'_i|) over the scaled rows
@@ -173,13 +263,17 @@ def _slot_pack_matrix(mat) -> SlotPacked:
     one entry from each row of R, and a product's coefficients have
     absolute values summing to at most the product of its factors'
     sums; by the triangle inequality every coefficient of the minor is
-    at most prod_(i in R) |a'_i| <= B' in absolute value. W =
-    bitlength(B') + 1 gives B' < 2^(W-1), so every minor, the
-    determinant included, is read back exactly, and a minor is 0 exactly
-    when its packed value is. The max(1, .) matters for a zero row:
-    without it B' would be 0 and W 1 bit, too narrow for the minors on
-    the other rows, which Bareiss tests for zero. With B' >= 1, W >= 2,
-    so the decode of every int ends; at W = 1 no digit is positive.
+    at most prod_(i in R) |a'_i| <= B' in absolute value. A minor's
+    exponent of v is at most the sum over R of v's largest exponents,
+    so at most b_v: each slot digit j_t of its monomials lies in
+    [0, b_(v_t)], and distinct monomials take distinct positions p.
+    W = bitlength(B') + 1 gives B' < 2^(W-1), so every minor, the
+    determinant included, is read back exactly, one coefficient per
+    W-bit digit, and a minor is 0 exactly when its packed value is. The
+    max(1, .) matters for a zero row: without it B' would be 0 and W 1
+    bit, too narrow for the minors on the other rows, which Bareiss
+    tests for zero. With B' >= 1, W >= 2, so the decode of every int
+    ends; at W = 1 no digit is positive.
 
     Radix. D is the sum of the rows' largest total degrees, and the
     radix is 2D+1. A minor on rows R has total degree at most the sum
@@ -189,7 +283,7 @@ def _slot_pack_matrix(mat) -> SlotPacked:
     products of two minors, of total degree at most 2D, and every
     monomial the division's remainder reaches has degree at most the
     numerator's. So no product reaches the radix. The packing keeps a
-    digit for v, for the decoded results.
+    digit for every slot variable, for the decoded results.
     """
     rows = [[_to_poly(x) for x in row] for row in mat]
     bounds: Dict[str, int] = {}
@@ -217,10 +311,16 @@ def _slot_pack_matrix(mat) -> SlotPacked:
         degrees.append(degree)
         scales.append(scale)
         bound *= max(1, norm * scale)
-    slot = min(bounds, key=lambda var: (-bounds[var], var), default=None)
     width = int(bound).bit_length() + 1
-    packing = Packing([entry for row in rows for entry in row],
-                      2 * sum(max(d, 0) for d in degrees) + 1)
+    slot = []
+    shifts: Dict[str, int] = {}  # W * r_t for each slot variable v_t
+    span = width
+    for var in sorted(bounds, key=lambda var: (-bounds[var], var)):
+        if span * (bounds[var] + 1) <= SLOT_BITS:
+            shifts[var] = span
+            span *= bounds[var] + 1
+            slot.append((var, bounds[var]))
+    packing = Packing(bounds, 2 * sum(max(d, 0) for d in degrees) + 1)
     places = packing.places
     packed = []
     for row, scale in zip(rows, scales):
@@ -232,42 +332,56 @@ def _slot_pack_matrix(mat) -> SlotPacked:
                     c = int(c * scale)
                 key = 0
                 for var, exp in mono:
-                    if var == slot:
-                        c <<= width * exp
-                    else:
+                    shift = shifts.get(var)
+                    if shift is None:
                         key += exp * places[var]
+                    else:
+                        c <<= shift * exp
                 terms[key] = terms.get(key, 0) + c
             out.append(terms)
         packed.append(out)
-    return SlotPacked(packing, packed, degrees, slot, width, prod(scales))
+    if len(slot) < len(bounds):
+        return SlotPacked(packing, packed, degrees, tuple(slot), width, prod(scales))
+    return _IntSlotPacked(packing, [[entry.get(0, 0) for entry in row] for row in packed],
+                          degrees, tuple(slot), width, prod(scales))
 
 
-def _slot_unpack(packing: Packing, packed: Dict[int, Scalar], slot: Optional[str],
-                 width: int, scale: int) -> Poly:
-    """A slot-packed minor of the scaled matrix, divided by scale, as a
-    Poly; both determinant engines decode their result here.
+def _slot_unpack(packed: SlotPacked, value) -> Poly:
+    """A slot-packed minor of the scaled matrix, divided by the scale,
+    as a Poly; both determinant engines decode their result here.
 
-    The value f(2^W) at the key of m is read off in balanced base-2^W
-    digits, each in [-2^(W-1), 2^(W-1)); digit j is the coefficient of
-    m * v^j, whose key is m's plus j times v's place. That gives back f
-    whenever every coefficient of f is below 2^(W-1) in absolute value,
-    which `_slot_pack_matrix` proves for every minor. A packed minor
-    lies in Z[others], so a value that is not an int can only come from
-    a bug, and raises RuntimeError.
+    The value f(2^W, ...) at the key of m, the only value of an int
+    packing at the key 0, is read off in balanced base-2^W digits, each
+    in [-2^(W-1), 2^(W-1)). Digit p is the coefficient of
+    m * prod v_t^(j_t), where j_1, j_2, ... are the digits of p in the
+    mixed radix b_(v_1) + 1, b_(v_2) + 1, ..., least significant first;
+    its key is m's plus the sum of j_t times v_t's place. That gives
+    back f whenever every coefficient of f is below 2^(W-1) in absolute
+    value and every exponent of v_t is at most b_(v_t), which
+    `_slot_pack_matrix` proves for every minor. A packed minor lies in
+    Z[others], so a value that is not an int can only come from a bug,
+    and raises RuntimeError.
     """
-    step = packing.places[slot] if slot is not None else 0
+    packing, width, scale = packed.packing, packed.width, packed.scale
+    # offsets[p]: the key of prod v_t^(j_t) for the digits j_t of p
+    offsets = [0]
+    for var, bound in packed.slot:
+        place = packing.places[var]
+        offsets = [offset + j * place for j in range(bound + 1) for offset in offsets]
     half = 1 << (width - 1)
     mask = (1 << width) - 1
     terms: Dict[int, Scalar] = {}
-    for key, value in packed.items():
+    for key, value in (value.items() if type(value) is dict else ((0, value),)):
         if type(value) is not int:
             raise RuntimeError("slot-packed value %r is not an integer" % (value,))
+        position = 0
         while value:
             digit = ((value + half) & mask) - half
             if digit:
-                terms[key] = Fraction(digit, scale) if scale > 1 else digit
+                terms[key + offsets[position]] = (Fraction(digit, scale) if scale > 1
+                                                  else digit)
             value = (value - digit) >> width
-            key += step
+            position += 1
     return packing.unpack(terms)
 
 
@@ -296,40 +410,44 @@ def det_cofactor(rows) -> Poly:
     pi. The loop is then the bottom-up Laplace expansion of P, and
     det A = sign(pi) det P; the sign is applied once, to the result.
     The expansion only adds and multiplies, so on the scaled matrix A'
-    packed at v = 2^W it yields det A' at v = 2^W, which `_slot_unpack`
-    decodes and divides by prod s_i: det A = det A' / prod s_i.
+    packed with the slot variables at their powers of 2 it yields that
+    image of det A', which `_slot_unpack` decodes and divides by
+    prod s_i: det A = det A' / prod s_i.
 
-    It shares the packing and its decode with `det_bareiss`, but no
-    algorithmic step: no division and no pivot choice. So `det` still
-    checks the elimination and its exact divisions against it; the
-    shared packing and decode are checked by the Leibniz references in
-    the tests.
+    It shares the packing, its arithmetic and its decode with
+    `det_bareiss`, but no algorithmic step: no division and no pivot
+    choice. So `det` still checks the elimination and its exact
+    divisions against it; the shared packing and decode are checked by
+    the Leibniz references in the tests.
     """
-    packing, packed, degree, slot, width, scale = _square_packing(rows)
-    n = len(packed)
+    packed = _square_packing(rows)
+    mul_add, trim = packed.mul_add, packed.trim
+    degree = packed.degrees
+    n = len(packed.rows)
     # a zero row has degree -1, so it is taken first and ends the loop
     order = sorted(range(n), key=lambda i: (degree[i], -i))
     # P's rows from the top are `order` reversed, so each inversion of
     # pi is a pair taken in increasing row order
     inversions = sum(a < b for k, a in enumerate(order) for b in order[k + 1:])
-    minors = {0: {0: 1}}  # the minor on no rows: the packed constant 1
+    minors = {0: packed.one}  # the minor on no rows
     for i in order:
-        expanded: Dict[int, Dict[int, Scalar]] = {}
+        # the row's nonzero entries, each with its column's bit
+        entries = [(1 << j, entry) for j, entry in enumerate(packed.rows[i]) if entry]
+        expanded: dict = {}
         for cols, minor in minors.items():
-            for j, entry in enumerate(packed[i]):
-                bit = 1 << j
-                if cols & bit or not entry:
+            for bit, entry in entries:
+                if cols & bit:
                     continue
-                # j's position in the enlarged column set fixes the sign
+                # the column's position in the enlarged set fixes the sign
                 sign = -1 if (cols & (bit - 1)).bit_count() % 2 else 1
-                packing.mul_add(expanded.setdefault(cols | bit, {}),
-                                entry, minor, sign)
+                key = cols | bit
+                expanded[key] = mul_add(expanded.get(key), entry, minor, sign)
         minors = {}
-        for cols, terms in expanded.items():
-            terms = {k: c for k, c in terms.items() if c}
-            if terms:
-                minors[cols] = terms
-    value = _slot_unpack(packing, minors.get((1 << n) - 1, {}), slot, width, scale)
+        for cols, value in expanded.items():
+            value = trim(value)
+            if value:
+                minors[cols] = value
+    value = _slot_unpack(packed, minors.get((1 << n) - 1, 0))
     return -value if inversions % 2 else value
 
 
@@ -347,26 +465,27 @@ def _bareiss(rows) -> Tuple[int, Poly]:
     identity and only drops the cancelled terms.
 
     On the slot packing, every step runs on the scaled matrix A' with
-    v = 2^W, in Z[others]. That map is a ring map, so it carries
-    Sylvester's identity, numerator = previous pivot * new minor, into
-    Z[others]: every division is exact there, with integer lead
-    quotients, whatever W is. W matters only where a packed value is
-    read: the pivot zero tests, which only ever see minors, and the
-    decode of the last pivot, itself a minor. `_slot_pack_matrix`
-    proves both exact for its one bound on the minors. The row scales
-    are divided out only at full rank, where the last pivot is a minor
-    on all rows.
+    the slot variables at their powers of 2, in Z[others]. That map is
+    a ring map, so it carries Sylvester's identity, numerator =
+    previous pivot * new minor, into Z[others]: every division is exact
+    there, with integer lead quotients, whatever W is. W matters only
+    where a packed value is read: the pivot zero tests, which only ever
+    see minors, and the decode of the last pivot, itself a minor.
+    `_slot_pack_matrix` proves both exact for its one bound on the
+    minors. The row scales are divided out only at full rank, where the
+    last pivot is a minor on all rows.
 
-    It shares the packing and its decode with `det_cofactor`, but no
-    algorithmic step, so `det` still checks each against the other.
+    It shares the packing, its arithmetic and its decode with
+    `det_cofactor`, but no algorithmic step, so `det` still checks each
+    against the other.
     """
-    packing, m, _, slot, width, scale = (
-        rows if isinstance(rows, SlotPacked) else _slot_pack_matrix(rows))
-    m = [list(row) for row in m]  # rows of a shared packing stay as they are
+    packed = rows if isinstance(rows, SlotPacked) else _slot_pack_matrix(rows)
+    mul_sub, divide, trim = packed.mul_sub, packed.divide, packed.trim
+    m = [list(row) for row in packed.rows]  # a shared packing stays as it is
     ncols = len(m[0]) if m else 0
     rank = 0
     sign = 1
-    prev = {0: 1}  # the packed constant 1
+    prev = packed.one
     for c in range(ncols):
         k = next((i for i in range(rank, len(m)) if m[i][c]), None)
         if k is None:
@@ -379,17 +498,13 @@ def _bareiss(rows) -> Tuple[int, Poly]:
         for row in m[rank + 1:]:
             lead = row[c]
             for j in range(c + 1, ncols):
-                numerator: Dict[int, Scalar] = {}
-                packing.mul_add(numerator, pivot, row[j])
-                packing.mul_add(numerator, lead, pivot_row[j], -1)
-                row[j] = (packing.divide(numerator, prev) if rank else
-                          {key: v for key, v in numerator.items() if v})
-            row[c] = {}
+                numerator = mul_sub(pivot, row[j], lead, pivot_row[j])
+                row[j] = divide(numerator, prev) if rank else trim(numerator)
         prev = pivot
         rank += 1
     if rank < len(m):
         return rank, Poly()
-    last = _slot_unpack(packing, prev, slot, width, scale)
+    last = _slot_unpack(packed, prev)
     return rank, last if sign > 0 else -last
 
 

@@ -34,8 +34,9 @@ or a string, would not stay exact, and raises TypeError.
 from __future__ import annotations
 
 from bisect import insort
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Dict, Iterable, Tuple, Union
 
 Monomial = Tuple[Tuple[str, int], ...]
 Scalar = Union[int, Fraction]
@@ -96,10 +97,10 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 
 class Packing:
-    """Monomials of a fixed set of polynomials packed into ints.
+    """Monomials in a fixed set of variables packed into ints.
 
-    A monomial packs to a mixed-radix int with one digit per variable of
-    the polynomials, the first variable in sorted order the most
+    A monomial packs to a mixed-radix int with one digit per variable,
+    the first variable in sorted order the most
     significant, and its total degree as one more digit above them all,
     so int order is graded order and a monomial product is one int
     addition. Packed polynomials are dicts from int to coefficient, and
@@ -114,12 +115,7 @@ class Packing:
 
     __slots__ = ("radix", "digits", "places", "top")
 
-    def __init__(self, polys: Iterable["Poly"], radix: int):
-        variables = set()
-        for p in polys:
-            for mono in p.terms:
-                for var, _ in mono:
-                    variables.add(var)
+    def __init__(self, variables: Iterable[str], radix: int):
         self.radix = radix
         # (variable, place value), most significant first
         self.digits = []
@@ -225,6 +221,16 @@ class Packing:
         return quotient
 
 
+def _variables(polys: Iterable["Poly"]) -> set:
+    """The variables that occur in the polynomials."""
+    out = set()
+    for p in polys:
+        for mono in p.terms:
+            for var, _ in mono:
+                out.add(var)
+    return out
+
+
 def _demoted(terms: Dict[Monomial, Scalar]) -> Dict[Monomial, Scalar]:
     """terms without its zero coefficients, the integral ones as int."""
     return {m: c if type(c) is int or c.denominator != 1 else c.numerator
@@ -266,11 +272,7 @@ class Poly:
         return not self.terms
 
     def variables(self) -> set:
-        out = set()
-        for mono in self.terms:
-            for v, _ in mono:
-                out.add(v)
-        return out
+        return _variables((self,))
 
     def _coerce(self, other) -> "Poly":
         if isinstance(other, Poly):
@@ -320,7 +322,7 @@ class Poly:
                 for m2, c2 in other.terms.items():
                     terms[_mono_mul(m1, m2)] = c1 * c2
             return _wrap(_demoted(terms))
-        packing = Packing((self, other),
+        packing = Packing(_variables((self, other)),
                           self.total_degree() + other.total_degree() + 1)
         acc: Dict[int, Scalar] = {}
         packing.mul_add(acc, packing.pack(self), packing.pack(other))
@@ -444,7 +446,7 @@ class Poly:
         radix = self.total_degree() + 1
         if divisor.total_degree() >= radix:
             raise ValueError("inexact polynomial division")
-        packing = Packing((self, divisor), radix)
+        packing = Packing(_variables((self, divisor)), radix)
         return packing.unpack(packing.divide(packing.pack(self),
                                              packing.pack(divisor)))
 

@@ -74,6 +74,16 @@ def tier1(walls, files=None):
         for w in walls])
 
 
+SETUP = "import splitloci.cli"
+
+
+def startup(base):
+    """A start-up series of STARTUP_SPAWNS spawns, base + k/1000 s for
+    k = 0, 1, ..."""
+    return bj.startup_summary(
+        SETUP, [base + k / 1000 for k in range(bj.STARTUP_SPAWNS)])
+
+
 def document():
     """A full document: every workload and seed, on two trees; the
     kappa-rings pass_cal of seed s is 0.050 + s/1000 on the parent and
@@ -90,8 +100,10 @@ def document():
     return {"format": bj.FORMAT, "seconds": 40, "seeds": list(range(1, 11)),
             "workloads": ["kappa-rings", "strata-sweep", "lemma-verify"],
             "trees": {label: {"source_sha256": sha,
-                              "tier1": tier1([40.0, 38.5, 41.0])}
-                      for label, sha in (("parent", "aa"), ("change", "bb"))},
+                              "tier1": tier1([40.0, 38.5, 41.0]),
+                              "startup": startup(base)}
+                      for label, sha, base in (("parent", "aa", 0.06),
+                                               ("change", "bb", 0.05))},
             "units": {"pass_cal": "loops", "ok_frac": "ratio"},
             "runs": runs, "medians": bj.medians(runs)}
 
@@ -192,6 +204,42 @@ def _tier1_no_file_times(doc):
     doc["trees"]["change"]["tier1"]["file_s"] = {}
 
 
+def _startup_in_one_tree(doc):
+    del doc["trees"]["change"]["startup"]
+
+
+def _startup_spawn_missing(doc):
+    series = doc["trees"]["parent"]["startup"]
+    doc["trees"]["parent"]["startup"] = bj.startup_summary(
+        series["code"], series["spawn_s"][:-1])
+
+
+def _startup_spawn_not_positive(doc):
+    doc["trees"]["change"]["startup"]["spawn_s"][4] = 0.0
+
+
+def _startup_spawn_not_a_number(doc):
+    doc["trees"]["change"]["startup"]["spawn_s"][7] = "0.05"
+
+
+def _startup_not_the_median(doc):
+    doc["trees"]["parent"]["startup"]["median_s"] = 0.06
+
+
+def _startup_quartile(doc):
+    doc["trees"]["change"]["startup"]["q3_s"] += 0.001
+
+
+def _startup_no_code(doc):
+    doc["trees"]["parent"]["startup"]["code"] = ""
+
+
+def _startup_other_code(doc):
+    series = doc["trees"]["change"]["startup"]
+    doc["trees"]["change"]["startup"] = bj.startup_summary(
+        "import splitloci", series["spawn_s"])
+
+
 def _legacy_tier1_failed(doc):
     doc["trees"]["parent"]["tier1"] = {"wall_s": 29.7, "exit_code": 2,
                                        "summary": "1 failed, 679 passed"}
@@ -210,6 +258,14 @@ def _legacy_tier1_failed(doc):
     (_tier1_no_file_times, "file times"), (_legacy_tier1_failed, "exited 2"),
     (_one_median_missing, "per-pass medians"),
     (_median_not_a_number, "per-pass medians"),
+    (_startup_in_one_tree, "60 positive start-up spawn times"),
+    (_startup_spawn_missing, "60 positive start-up spawn times"),
+    (_startup_spawn_not_positive, "60 positive start-up spawn times"),
+    (_startup_spawn_not_a_number, "60 positive start-up spawn times"),
+    (_startup_not_the_median, "median and quartiles"),
+    (_startup_quartile, "median and quartiles"),
+    (_startup_no_code, "no start-up code"),
+    (_startup_other_code, "different code"),
 ])
 def test_validate_rejects_a_broken_document(breaks, message):
     doc = document()
@@ -248,6 +304,35 @@ def test_validate_accepts_runs_without_the_per_pass_medians():
     bj.validate(doc)
 
 
+def test_validate_accepts_trees_without_a_start_up_series():
+    # the layout of BENCH_22.json to BENCH_31.json
+    doc = document()
+    for tree in doc["trees"].values():
+        del tree["startup"]
+    bj.validate(doc)
+
+
+def test_startup_summary_takes_the_median_and_quartiles():
+    got = bj.startup_summary("pass", [0.5, 0.1, 0.4, 0.2, 0.3, 0.9, 0.6])
+    assert got == {"code": "pass", "spawn_s": [0.5, 0.1, 0.4, 0.2, 0.3, 0.9, 0.6],
+                   "median_s": 0.4, "q1_s": 0.2, "q3_s": 0.6}
+
+
+def test_setup_code_is_read_from_run_py():
+    spec = importlib.util.spec_from_file_location(
+        "bench_run", os.path.join(ROOT, "bench", "run.py"))
+    run_py = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_py)
+    assert bj.setup_code(ROOT) == run_py.SETUP_CODE
+
+
+def test_setup_code_of_a_tree_without_it_raises(tmp_path):
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text("SETUP_SPAWNS = 9\n")
+    with pytest.raises(ValueError, match="no SETUP_CODE"):
+        bj.setup_code(str(tmp_path))
+
+
 def test_file_seconds_sums_the_testcases_of_each_file():
     report = """<?xml version="1.0" encoding="utf-8"?><testsuites>
 <testsuite name="pytest" tests="4">
@@ -278,9 +363,10 @@ def test_tier1_summary_keeps_each_run_and_takes_medians():
 def test_run_times_tier1_in_alternating_pairs(monkeypatch):
     walls = {"parent": iter([30.0, 44.5, 29.7]),
              "change": iter([38.9, 43.8, 31.0])}
-    order = []
+    order, spawned, events, read = [], [], [], []
 
     def bench(tree, label, workload, seed):
+        events.append("bench")
         run = {"label": label, "workload": workload, "seed": seed}
         run.update(bj.parse_run(canned(tree, 0.05, workload=workload,
                                        seed=seed)))
@@ -291,11 +377,30 @@ def test_run_times_tier1_in_alternating_pairs(monkeypatch):
         return {"wall_s": next(walls[tree]), "exit_code": 0,
                 "summary": "690 passed", "file_s": {"tests/test_a.py": 1.0}}
 
+    def spawn(tree, code):
+        assert code == SETUP
+        events.append("spawn")
+        spawned.append(tree)
+        return 0.05 if tree == "change" else 0.06
+
     monkeypatch.setattr(bj, "_bench", bench)
     monkeypatch.setattr(bj, "_tier1", tier1)
+    monkeypatch.setattr(bj, "_spawn", spawn)
+    monkeypatch.setattr(bj, "setup_code", lambda tree: read.append(tree) or SETUP)
     doc = bj.run({"parent": "parent", "change": "change"})
     assert order == ["parent", "change", "change", "parent", "parent",
                      "change"]
+    assert read == ["parent", "change"]
+    # one spawn a tree for the bytecode caches, then two pairs of
+    # spawns, in alternating order, after each pair of bench runs
+    pairs = len(bj.WORKLOADS) * len(bj.SEEDS)
+    assert events == ["spawn"] * 2 + (["bench"] * 2 + ["spawn"] * 4) * pairs
+    assert spawned == ["parent", "change"] + ["parent", "change", "change",
+                                              "parent"] * pairs
+    for label, base in (("parent", 0.06), ("change", 0.05)):
+        series = doc["trees"][label]["startup"]
+        assert series["spawn_s"] == [base] * bj.STARTUP_SPAWNS
+        assert series["median_s"] == series["q1_s"] == series["q3_s"] == base
     assert doc["trees"]["parent"]["tier1"]["wall_s"] == 30.0
     assert doc["trees"]["change"]["tier1"]["wall_s"] == 38.9
     assert [r["wall_s"] for r in doc["trees"]["change"]["tier1"]["runs"]] \

@@ -1,6 +1,7 @@
 """Tests for graded Chow-class algebra, determinants, Pfaffians, and the
 relation-matrix verification reports."""
 
+import copy
 import itertools
 from fractions import Fraction
 
@@ -294,6 +295,50 @@ def triangular_factors(draw):
     return lower, upper
 
 
+def poly_leibniz(rows):
+    """The determinant by the Leibniz formula in plain `Poly` arithmetic,
+    skipping each permutation that meets a zero entry."""
+    n = len(rows)
+    total = Poly()
+    for perm in itertools.permutations(range(n)):
+        factors = [rows[i][j] for i, j in enumerate(perm)]
+        if any(f.is_zero() for f in factors):
+            continue
+        term = Poly.const(1)
+        for f in factors:
+            term = term * f
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def minor_rank(rows):
+    """The rank over Q(parameters): the largest k with a nonzero k x k
+    minor, each minor by `poly_leibniz`."""
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    for k in range(min(nrows, ncols), 0, -1):
+        for keep in itertools.combinations(range(nrows), k):
+            for cols in itertools.combinations(range(ncols), k):
+                if not poly_leibniz([[rows[i][j] for j in cols] for i in keep]).is_zero():
+                    return k
+    return 0
+
+
+def registry_matrices():
+    """(name, rows) for every printed and reconstructed matrix of the
+    lemma registry, as printed and with the lemma's substitutions."""
+    out = []
+    for spec in cs.LEMMAS.values():
+        for kind, rows in (("printed", spec.rows), ("reconstructed", spec.reconstructed_rows)):
+            if rows is None:
+                continue
+            out.append(("%s %s" % (spec.lemma_id, kind), rows))
+            if spec.substitutions:
+                out.append(("%s %s substituted" % (spec.lemma_id, kind),
+                            [[e.rewrite(spec.substitutions) for e in row] for row in rows]))
+    return out
+
+
 class TestDeterminants:
     @given(poly_matrices())
     def test_engines_agree_on_random_matrices(self, m):
@@ -357,20 +402,33 @@ class TestDeterminants:
                 assert handed == [packings[0], packings[0]]
                 assert isinstance(packings[0], cs.SlotPacked)
 
-    @given(poly_matrices())
-    def test_a_packing_is_left_as_it_was(self, m):
-        # det hands one packing to det_bareiss, then to det_cofactor
+    @given(poly_matrices(), st.booleans())
+    def test_a_packing_is_left_as_it_was(self, m, high):
+        # det hands one packing to det_bareiss, then to det_cofactor. The
+        # small entries put every variable in the slot, so the rows hold
+        # ints; a term in x0^4096 keeps x0 in the keys, and they hold
+        # dicts, which the engines must not write to either
+        if high:
+            m[0][0] = m[0][0] + Poly.var("x0", 4096)
         packed = cs._slot_pack_matrix(m)
-        entries = [[dict(entry) for entry in row] for row in packed.rows]
+        assert isinstance(packed, cs._IntSlotPacked) is not high
+        rows = [list(row) for row in packed.rows]
+        entries = copy.deepcopy(rows)
         assert cs.det_bareiss(packed) == cs.det_bareiss(m)
-        assert packed.rows == entries
+        assert packed.rows == rows == entries
+        assert all(a is b for r, s in zip(packed.rows, rows) for a, b in zip(r, s))
         assert cs.det_cofactor(packed) == cs.det_cofactor(m)
-        assert packed.rows == entries
+        assert packed.rows == rows == entries
 
     def test_det_on_all_registered_matrices(self):
-        for spec in cs.LEMMAS.values():
-            for rows in filter(None, (spec.rows, spec.reconstructed_rows)):
-                assert cs.det_bareiss(rows) == cs.det_cofactor(rows)
+        # each packs all its variables, so both engines run on ints; the
+        # Leibniz sum in Poly arithmetic shares no step with them
+        for name, rows in registry_matrices():
+            assert isinstance(cs._slot_pack_matrix(rows), cs._IntSlotPacked), name
+            want = poly_leibniz(rows)
+            assert cs.det_bareiss(rows) == want, name
+            assert cs.det_cofactor(rows) == want, name
+            assert cs.det(rows) == want, name
 
 
 class TestPfaffians:
@@ -675,6 +733,26 @@ class TestExactRowSpaces:
         for spec in cs.LEMMAS.values():
             if spec.reconstructed_rows is not None:
                 assert cs._rowspaces_agree(spec.rows, spec.reconstructed_rows)
+
+    def test_rowspace_ranks_against_minors(self):
+        # the three ranks _rowspaces_agree may take, as printed and
+        # substituted: each 5 x 5 matrix packs all its variables, and so
+        # does the stacked 10 x 5 one in the two variables left after
+        # the substitutions; as printed, with twice the degree bounds of
+        # five variables, it keeps some in the keys
+        checked = 0
+        for spec in cs.LEMMAS.values():
+            if spec.reconstructed_rows is None:
+                continue
+            for subs in ((), spec.substitutions):
+                a, b = ([[e.rewrite(subs) for e in row] for row in rows]
+                        for rows in (spec.rows, spec.reconstructed_rows))
+                for rows, ints in ((a, True), (b, True), (a + b, bool(subs))):
+                    packed = cs._slot_pack_matrix(rows)
+                    assert isinstance(packed, cs._IntSlotPacked) is ints
+                    assert cs._bareiss(rows)[0] == minor_rank(rows)
+                    checked += 1
+        assert checked == 12
 
     def _counting_bareiss(self, monkeypatch):
         calls = []

@@ -5,6 +5,7 @@ or as the product of U's diagonal for A = L.U."""
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -418,10 +419,12 @@ class TestExactScalars:
 
 def leibniz(mat):
     n = len(mat)
+    # the constant monomial, as long as the entries' monomials
+    one = (0,) * next((len(m) for row in mat for e in row for m in e), len(ONE))
     total = {}
     for perm in permutations(range(n)):
         inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-        term = {ONE: Fraction(-1 if inversions % 2 else 1)}
+        term = {one: Fraction(-1 if inversions % 2 else 1)}
         for i, j in enumerate(perm):
             term = r_mul(term, mat[i][j])
             if not term:
@@ -474,12 +477,14 @@ class TestCofactorAgainstLeibniz:
     @example([[{(1, 1, 0): Fraction(-3)}]])
     @example([])
     def test_cofactor_is_leibniz_sum(self, mat):
+        assert on_ints(mat) is fits_the_budget(mat)
         rows = [[to_poly(e) for e in row] for row in mat]
         assert from_poly(cs.det_cofactor(rows)) == leibniz(mat)
 
     @settings(max_examples=60, deadline=None)
     @given(mixed_degree_matrices())
     def test_rows_of_mixed_degrees(self, mat):
+        assert on_ints(mat)
         rows = [[to_poly(e) for e in row] for row in mat]
         assert from_poly(cs.det_cofactor(rows)) == leibniz(mat)
 
@@ -491,6 +496,7 @@ class TestCofactorAgainstLeibniz:
             "ties-before-low", "ties-around-low", "ties-swapped",
             "three-degrees"])
     def test_lowest_degree_row_anywhere(self, mat):
+        assert on_ints(mat)
         rows = [[to_poly(e) for e in row] for row in mat]
         want = leibniz(mat)
         assert want
@@ -542,20 +548,48 @@ def minor_rank(mat):
     return 0
 
 
-def _engines_match_leibniz(mat):
+def fits_the_budget(mat):
+    """Whether the span W * prod_v (b_v + 1) over every variable of the
+    reference rows is at most SLOT_BITS, so that every variable fits in
+    the slot; B' is taken over the rows scaled to integers."""
+    bound, bounds = 1, [0] * len(NAMES)
+    for row in mat:
+        terms = [(m, c) for e in row for m, c in e.items()]
+        scale = 1
+        for _, c in terms:
+            scale = scale * c.denominator // gcd(scale, c.denominator)
+        bound *= max(1, sum(abs(c) * scale for _, c in terms))
+        for k in range(len(NAMES)):
+            bounds[k] += max((m[k] for m, _ in terms), default=0)
+    span = (int(bound).bit_length() + 1) * prod(b + 1 for b in bounds)
+    return span <= cs.SLOT_BITS
+
+
+def on_ints(mat, names=NAMES):
+    """Whether `_slot_pack_matrix` moves every variable of the reference
+    rows into the slot, so that the engines run on ints: the side of
+    SLOT_BITS that the matrix falls on."""
+    packed = cs._slot_pack_matrix([[to_poly(e, names) for e in row] for row in mat])
+    return isinstance(packed, cs._IntSlotPacked)
+
+
+def _engines_match_leibniz(mat, ints, names=NAMES):
     """Both engines' determinants against Leibniz, and Bareiss's rank
-    against `minor_rank`; returns the determinant."""
-    rows = [[to_poly(e) for e in row] for row in mat]
+    against `minor_rank`, after checking on which side of the budget the
+    matrix falls (`on_ints`); returns the determinant."""
+    assert on_ints(mat, names) is ints
+    rows = [[to_poly(e, names) for e in row] for row in mat]
     want = leibniz(mat)
-    assert from_poly(cs.det_cofactor(rows)) == want
-    assert from_poly(cs.det_bareiss(rows)) == want
+    assert from_poly(cs.det_cofactor(rows), names) == want
+    assert from_poly(cs.det_bareiss(rows), names) == want
     assert cs._bareiss(rows)[0] == minor_rank(mat)
     return want
 
 
-def slot_packed(mat):
+def slot_packed(mat, names=NAMES):
     """(slot, width, scale) of `_slot_pack_matrix` for reference rows."""
-    return tuple(cs._slot_pack_matrix([[to_poly(e) for e in row] for row in mat])[3:])
+    return tuple(cs._slot_pack_matrix(
+        [[to_poly(e, names) for e in row] for row in mat])[3:])
 
 
 class TestSlotPacking:
@@ -571,10 +605,10 @@ class TestSlotPacking:
                [{}, {}, _monomial(0, 0, 0, c=7 * signs[2])]]
         if swap:
             mat[:2] = mat[1::-1]
-        want = _engines_match_leibniz(mat)
+        want = _engines_match_leibniz(mat, ints=True)
         bound = _row_bound(mat)
         assert [abs(c) for c in want.values()] == [bound]
-        assert slot_packed(mat) == ("x", bound.bit_length() + 1, 1)
+        assert slot_packed(mat) == ((("x", 3), ("y", 1)), bound.bit_length() + 1, 1)
         assert from_poly(cs.det([[to_poly(e) for e in row] for row in mat])) == want
 
     @pytest.mark.parametrize("mat", [
@@ -589,7 +623,7 @@ class TestSlotPacking:
          [_monomial(1, 0, 0), _monomial(0, 0, 0, c=2)]],
     ], ids=["below-positive", "all-negative", "between-positive"])
     def test_negative_digits_borrow_across_slots(self, mat):
-        want = _engines_match_leibniz(mat)
+        want = _engines_match_leibniz(mat, ints=True)
         assert any(c < 0 for c in want.values())
 
     @pytest.mark.parametrize("mat", [
@@ -601,7 +635,7 @@ class TestSlotPacking:
          [_monomial(1, 0, 1), _monomial(0, 1, 1)]],
     ], ids=["equal-rows", "fraction-multiple", "x-times-z"])
     def test_a_determinant_that_cancels_to_zero(self, mat):
-        assert _engines_match_leibniz(mat) == {}
+        assert _engines_match_leibniz(mat, ints=True) == {}
 
     def test_fraction_rows_with_different_denominators(self):
         mat = [[_monomial(1, 0, 0, c=Fraction(1, 2)), _monomial(0, 0, 0, c=Fraction(1, 3)),
@@ -611,7 +645,7 @@ class TestSlotPacking:
                 {}],
                [_monomial(0, 0, 0, c=2), _monomial(2, 0, 0, c=Fraction(-9, 4)),
                 _monomial(0, 0, 1, c=Fraction(1, 9))]]
-        want = _engines_match_leibniz(mat)
+        want = _engines_match_leibniz(mat, ints=True)
         assert any(c.denominator > 1 for c in want.values())
         assert slot_packed(mat)[2] == 6 * 140 * 36
 
@@ -622,8 +656,8 @@ class TestSlotPacking:
          [_monomial(0, 0, 0, c=4), _monomial(0, 0, 0, c=Fraction(5, 3))]],
     ], ids=["int", "fraction"])
     def test_a_constant_matrix(self, mat):
-        assert _engines_match_leibniz(mat)
-        assert slot_packed(mat)[0] is None
+        assert _engines_match_leibniz(mat, ints=True)
+        assert slot_packed(mat)[0] == ()
 
     def test_slot_variable_missing_from_some_rows(self):
         # x has the degree bound 2 + 0 + 1 and y 1 + 1 + 0, and row 1
@@ -631,15 +665,15 @@ class TestSlotPacking:
         mat = [[_monomial(2, 0, 0), _monomial(1, 0, 0, c=-1), _monomial(0, 1, 0)],
                [_monomial(0, 1, 0, c=2), _monomial(0, 0, 0, c=3), {}],
                [_monomial(0, 0, 0, c=-1), _monomial(0, 0, 1), _monomial(1, 0, 0, c=4)]]
-        assert _engines_match_leibniz(mat)
-        assert slot_packed(mat)[0] == "x"
+        assert _engines_match_leibniz(mat, ints=True)
+        assert slot_packed(mat)[0] == (("x", 3), ("y", 2), ("z", 1))
 
     def test_ties_go_to_the_first_name(self):
         # y and z both have the degree bound 2, and x 1
         mat = [[_monomial(0, 0, 1), _monomial(0, 1, 0)],
                [_monomial(1, 1, 0), _monomial(0, 0, 1, c=-1)]]
-        assert _engines_match_leibniz(mat)
-        assert slot_packed(mat)[0] == "y"
+        assert _engines_match_leibniz(mat, ints=True)
+        assert slot_packed(mat)[0] == (("y", 2), ("z", 2), ("x", 1))
 
     @pytest.mark.parametrize("swap", [False, True], ids=["no-swap", "row-swap"])
     def test_coefficients_around_ten_to_the_forty(self, swap):
@@ -653,7 +687,7 @@ class TestSlotPacking:
                [_monomial(0, 1, 0, c=-big + 1), _monomial(1, 0, 0, c=2), _monomial(0, 0, 0, c=big)]]
         if swap:
             mat[0][0] = {}
-        want = _engines_match_leibniz(mat)
+        want = _engines_match_leibniz(mat, ints=True)
         assert max(abs(c) for c in want.values()) > big ** 2
         assert from_poly(cs.det([[to_poly(e) for e in row] for row in mat])) == want
 
@@ -665,9 +699,9 @@ class TestSlotPacking:
         mat = [[r_add(_monomial(0, 0, 0, c=2), _monomial(1, 0, 0), -1),
                 r_add(_monomial(0, 0, 0, c=4), _monomial(1, 0, 0, c=2), -1)]]
         mat.insert(zero, [{}, {}])
-        assert _engines_match_leibniz(mat) == {}
+        assert _engines_match_leibniz(mat, ints=True) == {}
         assert cs._bareiss([[to_poly(e) for e in row] for row in mat])[0] == 1
-        assert slot_packed(mat) == ("x", 5, 1)
+        assert slot_packed(mat) == ((("x", 1),), 5, 1)
 
     @pytest.mark.parametrize("mat", [
         [],
@@ -676,7 +710,52 @@ class TestSlotPacking:
         [[r_add(_monomial(2, 1, 0, c=Fraction(3, 2)), _monomial(0, 0, 0, c=-5))]],
     ], ids=["0x0", "1x1-zero", "1x1-constant", "1x1"])
     def test_the_smallest_matrices(self, mat):
-        _engines_match_leibniz(mat)
+        _engines_match_leibniz(mat, ints=True)
+
+    @pytest.mark.parametrize("a2, ints", [(0, True), (1, False)],
+                             ids=["span-at-the-budget", "one-factor-over"])
+    def test_a_span_at_the_budget(self, a2, ints):
+        # B' = 2 * (2^13 + 1), so W = 16 bits, and x, y and z have the
+        # degree bound 7 each: the span is 16 * 8^3, SLOT_BITS itself,
+        # and all three join. A factor a2 doubles the span with a2, so
+        # a2, last by its bound, stays in the keys.
+        names = NAMES5[:4]
+        assert cs.SLOT_BITS == 16 * 8 ** 3
+        one = {(0, 0, 0, 0): Fraction(1)}
+        mat = [[{(7, 7, 7, a2): Fraction(1 << 13)}, one], [one, one]]
+        want = _engines_match_leibniz(mat, ints, names)
+        assert want == {(7, 7, 7, a2): 1 << 13, (0, 0, 0, 0): -1}
+        assert slot_packed(mat, names) == ((("x", 7), ("y", 7), ("z", 7)), 16, 1)
+
+    def test_a_span_one_bit_over_the_budget(self):
+        # B' = 3, so W = 3 bits, and x^2730 takes the span to 3 * 2731
+        # bits, one more than SLOT_BITS: x stays in the keys
+        assert cs.SLOT_BITS == 3 * 2731 - 1
+        mat = [[_monomial(2730, 0, 0, c=3)]]
+        assert _engines_match_leibniz(mat, ints=False) == mat[0][0]
+        assert slot_packed(mat) == ((), 3, 1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(square_matrices(), st.data())
+    def test_a_variable_outside_the_budget(self, mat, data):
+        # a term in z^4096 takes every span with z past SLOT_BITS, so z
+        # stays in the keys and the engines run on key dicts, with x and
+        # y in the slot where they fit
+        i, j = (data.draw(st.integers(0, len(mat) - 1)) for _ in range(2))
+        mat[i][j] = r_add(mat[i][j], _monomial(0, 0, 4096,
+                                               c=data.draw(st.sampled_from([-2, 1, 3]))))
+        _engines_match_leibniz(mat, ints=False)
+        assert "z" not in dict(slot_packed(mat)[0])
+
+    def test_an_inexact_int_division_raises(self):
+        # every Bareiss division is exact; a remainder can only come
+        # from a bug, which the int arithmetic reports
+        packed = cs._slot_pack_matrix([[Poly.var("x")]])
+        assert isinstance(packed, cs._IntSlotPacked)
+        assert packed.divide(-6 << 40, 3) == -2 << 40
+        for numerator, divisor in ((7, 2), (-7, 2), ((1 << 80) + 1, 1 << 40)):
+            with pytest.raises(RuntimeError, match="remainder"):
+                packed.divide(numerator, divisor)
 
 
 # ---------------------------------------------------------------------------
@@ -722,16 +801,25 @@ class TestBareissSlotPacking:
     def test_ranks_of_non_square_and_stacked_matrices(self, mats):
         a, b = mats
         for mat in (a, b, a + b):
+            assert on_ints(mat)
             rows = [[to_poly(e) for e in row] for row in mat]
             assert cs._bareiss(rows)[0] == minor_rank(mat)
 
-    def test_decoding_a_fraction_raises(self):
+    @pytest.mark.parametrize("exp", [1, 4096], ids=["int", "keys"])
+    def test_decoding_a_fraction_raises(self, exp):
         # a packed minor lies in Z[others]; a Fraction can come only
         # from an inexact division, and is never decoded
-        packing, _, _, slot, width, scale = cs._slot_pack_matrix([[Poly.var("x")]])
-        assert cs._slot_unpack(packing, {0: -1 << width}, slot, width, scale) == -Poly.var("x")
+        x = Poly.var("x", exp)
+        packed = cs._slot_pack_matrix([[x]])
+        if exp == 1:
+            value, bad = -1 << packed.width, Fraction(1, 2)
+        else:
+            key = packed.packing.pack(x)
+            value, bad = {k: -c for k, c in key.items()}, {0: Fraction(1, 2)}
+        assert isinstance(packed, cs._IntSlotPacked) is (exp == 1)
+        assert cs._slot_unpack(packed, value) == -x
         with pytest.raises(RuntimeError, match="not an integer"):
-            cs._slot_unpack(packing, {0: Fraction(1, 2)}, slot, width, scale)
+            cs._slot_unpack(packed, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -742,8 +830,8 @@ class TestBareissSlotPacking:
 # of the rows' largest degrees: in a 3x3 matrix whose first row has the
 # highest degree, the second Bareiss step multiplies two minors of
 # degree above D/2 each. `test_numerators_reach_2d_outside_the_slot`
-# does the same in a variable that stays in the keys, where a radix of
-# D+1 raises.
+# does the same in a variable that the budget keeps out of the slot,
+# where a radix of D+1 raises.
 
 mixed_coeffs = st.one_of(st.integers(-3, 3),
                          st.fractions(min_value=-3, max_value=3, max_denominator=4))
@@ -801,6 +889,7 @@ class TestPackedEngines:
               [{(1, 0, 0): Fraction(1)}, {ONE: Fraction(1)}, {}],
               [{ONE: Fraction(-2)}, {(1, 0, 0): Fraction(1, 2)}, {(1, 0, 0): Fraction(3)}]])
     def test_bareiss_cofactor_and_leibniz_agree(self, mat):
+        assert on_ints(mat)
         rows = [[to_poly(e) for e in row] for row in mat]
         want = leibniz(mat)
         assert from_poly(cs.det_bareiss(rows)) == want
@@ -817,22 +906,27 @@ class TestPackedEngines:
             assert cs._bareiss(rows)[0] == generic_rank(mat)
 
     def test_numerators_reach_2d_outside_the_slot(self):
-        # x ties y for the slot (degree bounds 2 + 1 + 1 each) and wins
-        # by name, so y stays in the keys: D = 4, and the second step
-        # multiplies two minors of y-degree 3
-        def entry(cy, cx, exp):
-            return r_add(_monomial(0, exp, 0, c=cy), _monomial(exp, 0, 0, c=cx))
+        # x and y have the degree bound 2 + 1 + 1 each, and row 0's
+        # factor 2^340 widens W to 351 bits: x joins the slot first, by
+        # name, at a span of 351 * 5 bits, and y, at 351 * 25, would
+        # pass SLOT_BITS, so y stays in the keys. D = 4, and the second
+        # step multiplies two minors of y-degree 3
+        def entry(cy, cx, exp, scale=1):
+            return r_add(_monomial(0, exp, 0, c=cy * scale),
+                         _monomial(exp, 0, 0, c=cx * scale))
 
-        mat = [[entry(1, 1, 2), entry(2, -1, 2), entry(1, 3, 2)],
+        big = 1 << 340
+        mat = [[entry(1, 1, 2, big), entry(2, -1, 2, big), entry(1, 3, 2, big)],
                [entry(1, 1, 1), entry(3, -1, 1), entry(-1, 2, 1)],
                [entry(2, -1, 1), entry(1, 1, 1), entry(1, -3, 1)]]
         rows = [[to_poly(e) for e in row] for row in mat]
-        assert slot_packed(mat)[0] == "x"
+        assert slot_packed(mat)[:2] == ((("x", 4),), 351)
+        assert not on_ints(mat)
         assert from_poly(cs.det_bareiss(rows)) == leibniz(mat)
 
     def test_product_reaching_the_radix_raises(self):
         x = Poly.var("x") + 1
-        packing = Packing([x], 2)
+        packing = Packing(x.variables(), 2)
         with pytest.raises(RuntimeError):
             packing.mul_add({}, packing.pack(x), packing.pack(x))
 
@@ -922,6 +1016,9 @@ class TestDetOnLU:
                  for i in range(n)]
         a, want = lu_product(lower, upper, ONE)
         assert all(len(e) == 4 for row in upper for e in row if e)
+        # as in the benchmark, x and y join the slot and z stays in the
+        # keys
+        assert [v for v, _ in slot_packed(a)[0]] == ["x", "y"]
         rows = [[to_poly(e) for e in row] for row in a]
         for engine in (cs.det, cs.det_bareiss, cs.det_cofactor):
             assert from_poly(engine(rows)) == want, engine.__name__

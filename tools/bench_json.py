@@ -14,7 +14,12 @@ fields and the metrics from the last two lines that run.py prints. Of
 run.py's per-pass lists it keeps the medians of pass_s, max_report_s
 and ref_s, as the provenance fields pass_s_median and so on, so a
 reader can tell whether the raw pass time or the reference slices that
-calibrate it moved. It
+calibrate it moved. After each pair of runs it also times
+STARTUP_SPAWNS_PER_PAIR pairs of fresh interpreters that run each
+tree's run.py SETUP_CODE, the parent first in every other pair, and
+records each tree's spawn times, their median and quartiles: a
+start-up series of STARTUP_SPAWNS spawns a tree spread over the whole
+run, where run.py's setup_s is the median of one burst of spawns. It
 then times the tier-1 tests of each tree three times, in alternating
 pairs (parent, change; change, parent; parent, change), keeps each
 run's wall time, exit code and summary, and records their median wall
@@ -24,15 +29,19 @@ that neither run reads the other's bytecode or test caches.
 
 `validate` checks the layout of each file, by default of every
 BENCH_*.json at the root of this repository, that its medians are
-those of its runs, made for every workload and seed above at 40 s, and
-that every tier-1 run exited 0. Files made before the tier-1 runs were
-repeated hold one run per tree, with no per-file times, and files made
-before the per-pass medians were kept hold none of them.
+those of its runs, made for every workload and seed above at 40 s, that
+every tier-1 run exited 0, and that a start-up series, where there is
+one, holds its spawns and their median and quartiles for both trees.
+Files made before the tier-1 runs were repeated hold one run per tree,
+with no per-file times, files made before the per-pass medians were
+kept hold none of them, and files made before the start-up series hold
+no series.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import glob
 import json
 import os
@@ -54,6 +63,9 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"
 TIER1_RUNS = 3  # per tree
 # run.py's per-pass lists whose medians a run keeps as provenance fields
 PER_PASS = ("pass_s", "max_report_s", "ref_s")
+# start-up spawns per tree after each pair of bench runs, and in all
+STARTUP_SPAWNS_PER_PAIR = 2
+STARTUP_SPAWNS = STARTUP_SPAWNS_PER_PAIR * len(WORKLOADS) * len(SEEDS)
 
 
 def bench_argv(workload: str, seed) -> List[str]:
@@ -135,8 +147,54 @@ def tier1_summary(runs: Sequence[dict]) -> dict:
             "file_s": {name: statistics.median(t) for name, t in by_file.items()}}
 
 
+def setup_code(tree: str) -> str:
+    """The SETUP_CODE string of a tree's bench/run.py, read without
+    running the file."""
+    path = os.path.join(tree, "bench", "run.py")
+    with open(path, encoding="utf-8") as fh:
+        module = ast.parse(fh.read(), path)
+    for node in module.body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and getattr(node.targets[0], "id", None) == "SETUP_CODE"):
+            return ast.literal_eval(node.value)
+    raise ValueError("%s assigns no SETUP_CODE" % path)
+
+
+def startup_summary(code: str, spawn_s: Sequence[float]) -> dict:
+    """One tree's start-up series: the code each spawn ran, the spawn
+    times in order, their median and their quartiles (the exclusive
+    method of statistics.quantiles)."""
+    q1, _, q3 = statistics.quantiles(spawn_s, n=4)
+    return {"code": code, "spawn_s": list(spawn_s),
+            "median_s": statistics.median(spawn_s), "q1_s": q1, "q3_s": q3}
+
+
 def _number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _validate_startup(trees: dict) -> None:
+    """Both trees hold a start-up series of STARTUP_SPAWNS positive
+    spawn times of the same code, with their median and quartiles, or
+    neither does, as in files made before the series."""
+    series = {label: tree.get("startup") for label, tree in trees.items()}
+    if all(one is None for one in series.values()):
+        return
+    codes = set()
+    for label, one in series.items():
+        spawns = one.get("spawn_s") if isinstance(one, dict) else None
+        if (not isinstance(spawns, list) or len(spawns) != STARTUP_SPAWNS
+                or not all(_number(t) and t > 0 for t in spawns)):
+            raise ValueError("tree %r has not %d positive start-up spawn times"
+                             % (label, STARTUP_SPAWNS))
+        if not isinstance(one.get("code"), str) or not one["code"]:
+            raise ValueError("tree %r has no start-up code" % label)
+        codes.add(one["code"])
+        if one != startup_summary(one["code"], spawns):
+            raise ValueError("tree %r: the start-up median and quartiles are "
+                             "not those of its spawns" % label)
+    if len(codes) != 1:
+        raise ValueError("the trees' start-up series ran different code")
 
 
 def _validate_tier1(label: str, tier1) -> None:
@@ -187,6 +245,7 @@ def validate(doc: dict) -> None:
         raise ValueError("trees are not labelled %s" % " and ".join(LABELS))
     for label, tree in doc["trees"].items():
         _validate_tier1(label, tree.get("tier1"))
+    _validate_startup(doc["trees"])
     expected = {(w, s, label) for w in doc["workloads"] for s in doc["seeds"]
                 for label in LABELS}
     seen = set()
@@ -227,6 +286,16 @@ def _bench(tree: str, label: str, workload: str, seed: int) -> dict:
     return run
 
 
+def _spawn(tree: str, code: str) -> float:
+    """Seconds for a fresh interpreter to run code in tree, with the
+    bytecode caches allowed, as run.py's setup_s spawns have them."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    start = perf_counter()
+    subprocess.run([sys.executable, "-c", code], cwd=tree, env=env,
+                   capture_output=True, check=True, timeout=120)
+    return perf_counter() - start
+
+
 def _tier1(tree: str) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -257,6 +326,10 @@ def run(trees: Dict[str, str]) -> dict:
     """The document of both trees' runs, not yet validated: `main` writes
     it before validating, so a failed tier-1 run keeps the bench runs."""
     runs, units = [], {}
+    codes = {label: setup_code(trees[label]) for label in LABELS}
+    spawns: Dict[str, List[float]] = {label: [] for label in LABELS}
+    for label in LABELS:
+        _spawn(trees[label], codes[label])  # writes the bytecode caches
     for workload in WORKLOADS:
         for k, seed in enumerate(SEEDS):
             for label in _pair(k):
@@ -264,6 +337,9 @@ def run(trees: Dict[str, str]) -> dict:
                 one = _bench(trees[label], label, workload, seed)
                 units.update(one.pop("units"))
                 runs.append(one)
+            for i in range(STARTUP_SPAWNS_PER_PAIR):
+                for label in _pair(i):
+                    spawns[label].append(_spawn(trees[label], codes[label]))
     tier1_runs: Dict[str, List[dict]] = {label: [] for label in LABELS}
     for k in range(TIER1_RUNS):
         for label in _pair(k):
@@ -275,7 +351,8 @@ def run(trees: Dict[str, str]) -> dict:
         if len(sha) != 1:
             raise RuntimeError("the %s tree changed during the runs" % label)
         tree_info[label] = {"source_sha256": sha.pop(),
-                            "tier1": tier1_summary(tier1_runs[label])}
+                            "tier1": tier1_summary(tier1_runs[label]),
+                            "startup": startup_summary(codes[label], spawns[label])}
     doc = {"format": FORMAT,
            "bench_command": " ".join(["python3"] + bench_argv("<workload>", "<seed>")),
            "tier1_command": " ".join(["PYTHONPATH=src", "python3"] + TIER1[1:]),
