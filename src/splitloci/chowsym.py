@@ -135,8 +135,7 @@ def _pack_matrix(mat) -> Tuple[Packing, List[List[Dict[int, Scalar]]]]:
     rows = [[_to_poly(x) for x in row] for row in mat]
     bound = sum(max((entry.total_degree() for entry in row), default=0)
                 for row in rows)
-    packing = Packing({var for row in rows for entry in row for var in entry.variables()},
-                      bound + 1)
+    packing = Packing([entry for row in rows for entry in row], bound + 1)
     return packing, [[packing.pack(entry) for entry in row] for row in rows]
 
 
@@ -320,7 +319,8 @@ def _slot_pack_matrix(mat) -> SlotPacked:
             shifts[var] = span
             span *= bounds[var] + 1
             slot.append((var, bounds[var]))
-    packing = Packing(bounds, 2 * sum(max(d, 0) for d in degrees) + 1)
+    packing = Packing([entry for row in rows for entry in row],
+                      2 * sum(max(d, 0) for d in degrees) + 1)
     places = packing.places
     packed = []
     for row, scale in zip(rows, scales):

@@ -97,10 +97,10 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 
 class Packing:
-    """Monomials in a fixed set of variables packed into ints.
+    """Monomials of a fixed set of polynomials packed into ints.
 
-    A monomial packs to a mixed-radix int with one digit per variable,
-    the first variable in sorted order the most
+    A monomial packs to a mixed-radix int with one digit per variable of
+    the polynomials, the first variable in sorted order the most
     significant, and its total degree as one more digit above them all,
     so int order is graded order and a monomial product is one int
     addition. Packed polynomials are dicts from int to coefficient, and
@@ -115,7 +115,12 @@ class Packing:
 
     __slots__ = ("radix", "digits", "places", "top")
 
-    def __init__(self, variables: Iterable[str], radix: int):
+    def __init__(self, polys: Iterable["Poly"], radix: int):
+        variables = set()
+        for p in polys:
+            for mono in p.terms:
+                for var, _ in mono:
+                    variables.add(var)
         self.radix = radix
         # (variable, place value), most significant first
         self.digits = []
@@ -221,16 +226,6 @@ class Packing:
         return quotient
 
 
-def _variables(polys: Iterable["Poly"]) -> set:
-    """The variables that occur in the polynomials."""
-    out = set()
-    for p in polys:
-        for mono in p.terms:
-            for var, _ in mono:
-                out.add(var)
-    return out
-
-
 def _demoted(terms: Dict[Monomial, Scalar]) -> Dict[Monomial, Scalar]:
     """terms without its zero coefficients, the integral ones as int."""
     return {m: c if type(c) is int or c.denominator != 1 else c.numerator
@@ -272,7 +267,11 @@ class Poly:
         return not self.terms
 
     def variables(self) -> set:
-        return _variables((self,))
+        out = set()
+        for mono in self.terms:
+            for v, _ in mono:
+                out.add(v)
+        return out
 
     def _coerce(self, other) -> "Poly":
         if isinstance(other, Poly):
@@ -322,7 +321,7 @@ class Poly:
                 for m2, c2 in other.terms.items():
                     terms[_mono_mul(m1, m2)] = c1 * c2
             return _wrap(_demoted(terms))
-        packing = Packing(_variables((self, other)),
+        packing = Packing((self, other),
                           self.total_degree() + other.total_degree() + 1)
         acc: Dict[int, Scalar] = {}
         packing.mul_add(acc, packing.pack(self), packing.pack(other))
@@ -446,7 +445,7 @@ class Poly:
         radix = self.total_degree() + 1
         if divisor.total_degree() >= radix:
             raise ValueError("inexact polynomial division")
-        packing = Packing(_variables((self, divisor)), radix)
+        packing = Packing((self, divisor), radix)
         return packing.unpack(packing.divide(packing.pack(self),
                                              packing.pack(divisor)))
 

@@ -926,7 +926,7 @@ class TestPackedEngines:
 
     def test_product_reaching_the_radix_raises(self):
         x = Poly.var("x") + 1
-        packing = Packing(x.variables(), 2)
+        packing = Packing([x], 2)
         with pytest.raises(RuntimeError):
             packing.mul_add({}, packing.pack(x), packing.pack(x))
 
