@@ -614,6 +614,12 @@ def _candidates(cover_degree: int, g: int):
                 [g4 - e_parts[k] for _, _, _, k in PENT_LINEAR])
 
 
+def report_notes(degree: int, g: int) -> List[str]:
+    """The notes every report of the degree-`degree` strata of genus g
+    carries: the genus-5 table discrepancy, for degree 4 and genus 5."""
+    return [GENUS5_PSI2_NOTE] if (degree, g) == (4, 5) else []
+
+
 def strata_report(records: Sequence[StratumRecord]) -> dict:
     if not records:
         raise ValueError("empty enumeration")
@@ -624,9 +630,7 @@ def strata_report(records: Sequence[StratumRecord]) -> dict:
         "cover_degree": degree,
         "strata": [r.to_dict() for r in records],
     }
-    notes = []
-    if degree == 4 and g == 5:
-        notes.append(GENUS5_PSI2_NOTE)
+    notes = report_notes(degree, g)
     if notes:
         report["notes"] = notes
     return report

@@ -463,6 +463,13 @@ class TestPfaffians:
         with pytest.raises(ValueError):
             cs.pfaffians(cs.generic_skew5()[:4])
 
+    def test_a_skew_matrix_of_the_other_size(self):
+        mat = cs.generic_skew5()
+        with pytest.raises(ValueError, match="expected a 4x4 matrix"):
+            cs.pfaffian4(mat)
+        with pytest.raises(ValueError, match="expected a 5x5 matrix"):
+            cs.pfaffians(cs.principal_minor(mat, 0))
+
     def test_checks_the_5x5_matrix_once(self, monkeypatch):
         checked = []
         original = cs._check_skew

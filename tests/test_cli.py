@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import splitloci
-from splitloci import cli
+from splitloci import cli, strata, tautring
 from splitloci.cli import Node, OLeaf, ParseError, Query
 
 from expressions import queries
@@ -63,6 +63,20 @@ class TestParser:
         with pytest.raises(ParseError) as err:
             cli.parse("h0(Twist(O(1), O(2)))")
         assert "integer" in err.value.expected
+
+    def test_a_number_where_an_expression_belongs(self):
+        with pytest.raises(ParseError) as err:
+            cli.parse("h0(1)")
+        assert err.value.offset == 3
+        assert err.value.expected == sorted(["'O'"] + list(cli.NODES))
+        assert str(err.value).startswith(
+            "parse error at byte 3: got '1' (expected 'O', Dual, End, ")
+
+    def test_a_node_with_too_few_arguments(self):
+        with pytest.raises(ParseError) as err:
+            cli.parse("h0(Tensor(O(1)))")
+        assert str(err.value) == \
+            "parse error at byte 14: wrong arity for Tensor (expected ',')"
 
     def test_bad_character(self):
         with pytest.raises(ParseError) as err:
@@ -143,6 +157,24 @@ class TestMain:
         assert cli.main(["strata", "--degree", "4", "--genus", "5"]) == 0
         assert "genus-5 discrepancy" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("degree,genus", [(4, 5), (4, 9), (5, 8)])
+    def test_strata_notes_in_both_formats(self, degree, genus, capsys):
+        notes = strata.report_notes(degree, genus)
+        assert bool(notes) is ((degree, genus) == (4, 5))
+        argv = ["strata", "--degree", str(degree), "--genus", str(genus)]
+        assert cli.main(argv) == 0
+        table = capsys.readouterr().out
+        assert table.endswith("".join("\n" + note for note in notes) + "\n")
+        assert (strata.GENUS5_PSI2_NOTE in table) is bool(notes)
+        assert cli.main(argv + ["--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out).get("notes", []) == notes
+
+    def test_strata_table_reads_report_notes(self, monkeypatch, capsys):
+        monkeypatch.setattr(strata, "report_notes",
+                            lambda degree, g: ["one %d" % degree, "two %d" % g])
+        assert cli.main(["strata", "--degree", "5", "--genus", "8"]) == 0
+        assert capsys.readouterr().out.endswith("\none 5\ntwo 8\n")
+
     def test_strata_json(self, capsys):
         assert cli.main(["strata", "--degree", "5", "--genus", "8",
                          "--format", "json"]) == 0
@@ -219,6 +251,21 @@ class TestMain:
         assert cli.main(["taut", "--genus", "9"]) == 1
         out = capsys.readouterr().out
         assert "does not sit in degree g-2" in out
+
+    @pytest.mark.parametrize("genus,reading,code", [
+        (7, "emended", 0), (7, "printed-split", 0), (8, None, 1),
+        (8, "corrected", 0), (9, None, 1), (9, "corrected", 0)])
+    def test_taut_exits_with_the_report_verdict(self, genus, reading, code,
+                                                monkeypatch, capsys):
+        argv = ["taut", "--genus", str(genus)]
+        if reading:
+            argv += ["--interpretation", reading]
+        assert tautring.quotient_report(genus, reading).is_failure is bool(code)
+        assert cli.main(argv) == code
+        # the exit code is the report's verdict, whatever it says
+        for verdict in (False, True):
+            monkeypatch.setattr(tautring.QuotientReport, "is_failure", verdict)
+            assert cli.main(argv) == int(verdict)
 
     def test_taut_json(self, capsys):
         assert cli.main(["taut", "--genus", "9", "--format", "json"]) == 1

@@ -337,6 +337,33 @@ class TestPowAndHash:
         assert hash((x + y) * (x - y)) == hash(x ** 2 - y ** 2)
 
 
+class TestOperands:
+    # a foreign operand gives NotImplemented, so Python raises TypeError
+    # or, for ==, compares identities
+    def test_an_operand_that_is_not_a_number(self):
+        x = Poly.var("x")
+        with pytest.raises(TypeError):
+            x + "x"
+        with pytest.raises(TypeError):
+            x - "x"
+        with pytest.raises(TypeError):
+            x * None
+        assert (x == "x") is False
+
+    def test_subtraction_from_a_scalar(self):
+        x = Poly.var("x")
+        assert 1 - x == Poly.const(1) - x == -(x - 1)
+        assert Fraction(1, 2) - x == Poly.const(Fraction(1, 2)) - x
+
+    def test_a_negative_power_raises(self):
+        with pytest.raises(ValueError, match="negative power"):
+            Poly.var("x") ** -1
+
+    def test_repr(self):
+        assert repr(Poly.var("x") + 1) == "Poly(x + 1)"
+        assert repr(Poly()) == "Poly(0)"
+
+
 class TestIntCoefficients:
     def test_integral_results_are_demoted(self):
         half = Poly.const(Fraction(1, 2))

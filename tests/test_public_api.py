@@ -26,8 +26,6 @@ ALLOWED = {
     "chowsym.ce_rank": "criterion 8: the syzygy bundle ranks",
     "chowsym.quadric_count": "criterion 8: quadrics through a canonical curve",
     "chowsym.sym2_chern_check": "criterion 8; bench/workloads.py",
-    "tautring.artinian_check": "bench/workloads.py; quotient_report reads "
-                               "the window off its own Hilbert function",
 }
 
 

@@ -37,6 +37,17 @@ class TestSplittingType:
     def test_str(self):
         assert str(SplittingType([1, 2])) == "(1,2)"
 
+    def test_hash_and_repr(self):
+        e = SplittingType([2, 1])
+        assert hash(e) == hash((1, 2))
+        assert {(1, 2): "parts"}[e] == "parts"
+        assert repr(e) == "SplittingType((1, 2))"
+
+    def test_a_float_is_not_equal(self):
+        e = SplittingType([1])
+        assert e != 1.0
+        assert not e == 1.0
+
     @pytest.mark.parametrize("parts", [(2.7, 3), (3.0, 3), ("4", 1),
                                        (1, None)])
     def test_a_part_that_is_not_an_integer_raises(self, parts):

@@ -443,6 +443,22 @@ class TestReports:
         with pytest.raises(ValueError):
             strata.strata_report([])
 
+    def test_report_notes(self):
+        # the genus-5 table discrepancy is the only note
+        assert strata.report_notes(4, 5) == [strata.GENUS5_PSI2_NOTE]
+        assert strata.strata_report(strata.enumerate_strata(4, 5))["notes"] \
+            == [strata.GENUS5_PSI2_NOTE]
+        for degree in range(3, 7):
+            for g in range(0, 30):
+                if (degree, g) != (4, 5):
+                    assert strata.report_notes(degree, g) == [], (degree, g)
+
+    def test_report_reads_its_notes_from_report_notes(self, monkeypatch):
+        monkeypatch.setattr(strata, "report_notes",
+                            lambda degree, g: ["note %d %d" % (degree, g)])
+        report = strata.strata_report(strata.enumerate_strata(5, 8))
+        assert report["notes"] == ["note 5 8"]
+
 
 def pair_order(r1, r2):
     """Product of the dominance orders on the e and f coordinates."""
@@ -1038,6 +1054,17 @@ class TestStarUnion:
         members = {(tuple(m["e"]), tuple(m["f"])) for m in result["members"]}
         assert members == {((2, 4, 6), (4, 8)), ((2, 5, 5), (4, 8))}
         assert result["all_match"]
+
+    def test_an_n_that_no_record_has(self):
+        # the genus-9 records have e1 in 1..4; the expected codimension
+        # still comes from their degree 12 and rank 3
+        result = strata.star_union_check(strata.enumerate_strata(4, 9), 0)
+        assert result == {"n": 0, "expected_codim": 10, "members": [],
+                          "all_match": True}
+
+    def test_no_records_raise(self):
+        with pytest.raises(ValueError, match="empty enumeration"):
+            strata.star_union_check([], 2)
 
     @pytest.mark.parametrize("n", [2.0, "2", None])
     def test_an_n_that_is_not_an_integer_raises(self, n):

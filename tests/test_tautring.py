@@ -528,8 +528,8 @@ class TestQuotientReports:
         (7, "emended"), (7, "printed-split"), (8, None), (8, "corrected"),
         (9, None), (9, "corrected")])
     def test_report_reads_the_public_checks(self, g, interpretation):
-        # the report derives these from one Hilbert function and one
-        # minimal-generator count; each public check builds its own
+        # the report asks these of the one quotient it builds; each
+        # public check given the ideal builds its own
         report = tr.quotient_report(g, interpretation)
         ideal = tr.builtin_ideal(g, interpretation)
         artinian, window = tr.artinian_check(ideal, g, g + 6)
@@ -548,6 +548,46 @@ class TestQuotientReports:
         report = tr.quotient_report(7, "emended")
         assert report.ci_verdict == "verdict"
         assert len(asked) == 1 and isinstance(asked[0], tr.GradedQuotient)
+
+    def test_report_asks_artinian_check_of_its_quotient(self, monkeypatch):
+        # one vanishing-window rule: the report's window is what
+        # artinian_check says of the quotient the report builds
+        asked, verdicts = [], []
+        monkeypatch.setattr(tr, "artinian_check", lambda q, g, d_max: (
+            asked.append((q, g, d_max)) or ("artinian", (20, 21))))
+        monkeypatch.setattr(tr, "ci_verdict",
+                            lambda q: verdicts.append(q) or True)
+        report = tr.quotient_report(8, "corrected")
+        assert report.artinian == "artinian"
+        assert report.artinian_window == [20, 21]
+        assert asked == [(verdicts[0], 8, 14)]
+        assert isinstance(verdicts[0], tr.GradedQuotient)
+
+    def test_is_failure_semantics(self):
+        # genus 8 and 9 are claims: Artinian, Gorenstein, and a socle of
+        # dimension 1 in degree g-2; genus 7's readings are reports
+        base = tr.quotient_report(8, "corrected")
+        fields = dict(zip(tr.QuotientReport.__slots__, base._fields()))
+        assert not base.is_failure and base.socle_at_g_minus_2
+        for name, value in [("artinian", False), ("gorenstein", False),
+                            ("socle_degrees", [5]), ("socle_degrees", [6, 7]),
+                            ("socle_dims", [2]), ("genus", 9)]:
+            assert tr.QuotientReport(**dict(fields, **{name: value})).is_failure
+        for name, value in [("artinian", False), ("gorenstein", False),
+                            ("socle_dims", [2])]:
+            assert not tr.QuotientReport(
+                **dict(fields, genus=7, **{name: value})).is_failure
+        assert not tr.QuotientReport(**dict(fields, genus=9,
+                                            socle_degrees=[7])).is_failure
+        assert tr.quotient_report(9).is_failure
+        assert not tr.quotient_report(7, "printed-split").is_failure
+
+    def test_the_note_states_the_socle_verdict(self):
+        sits, not_at = tr.quotient_report(8, "corrected"), tr.quotient_report(9)
+        assert sits.socle_at_g_minus_2 and not not_at.socle_at_g_minus_2
+        assert sits.notes == ["socle sits in degree g-2 = 6 with dimension 1"]
+        assert not_at.notes == [
+            "socle does not sit in degree g-2 = 7 with dimension 1"]
 
     def test_genus8_corrected_quotient(self):
         report = tr.quotient_report(8, "corrected")
