@@ -14,9 +14,10 @@ formulas for the resolution bundles, and the Sym^2 Chern-class identity.
 from __future__ import annotations
 
 import operator
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from math import comb, lcm, prod
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import strata
 from .linalg import Echelon, integer_row
@@ -41,11 +42,10 @@ _Z = Poly.var("z")
 _C2 = Poly.var("c2")
 
 
-class ZPair(NamedTuple):
-    """The class a + b*z, read off a polynomial reduced to degree 1 in z."""
-
-    a: Poly
-    b: Poly
+class ZPair(namedtuple("ZPair", "a b")):
+    """The class a + b*z, read off a polynomial reduced to degree 1 in z;
+    a and b are Polys."""
+    __slots__ = ()
 
 
 def _reduce_z(p: Poly) -> Poly:
@@ -99,7 +99,7 @@ class FilteredBundle:
         return sum(p.rank for p in self.pieces)
 
 
-def chern_total(bundle: FilteredBundle) -> List[ZPair]:
+def chern_total(bundle: FilteredBundle) -> list[ZPair]:
     """Chern classes c_1..c_rank via the splitting principle.
 
     The product of the pieces' total Chern classes is a polynomial in z,
@@ -123,7 +123,7 @@ def chern_total(bundle: FilteredBundle) -> List[ZPair]:
 # ---------------------------------------------------------------------------
 # determinants
 
-def _pack_matrix(mat) -> Tuple[Packing, List[List[Dict[int, Scalar]]]]:
+def _pack_matrix(mat) -> tuple[Packing, list[list[dict[int, Scalar]]]]:
     """One graded packing for a skew matrix and every product that the
     Pfaffians form, and the matrix packed with it. The radix is D+1,
     where D is the sum of the rows' largest total degrees: each Pfaffian
@@ -157,28 +157,27 @@ def _pack_matrix(mat) -> Tuple[Packing, List[List[Dict[int, Scalar]]]]:
 SLOT_BITS = 1 << 13
 
 
-class SlotPacked(NamedTuple):
+class SlotPacked(namedtuple("SlotPacked",
+                             "packing rows degrees slot width scale")):
     """A matrix as `_slot_pack_matrix` packs it, which the determinant
     engines take in place of Poly rows and leave unchanged, and the
-    arithmetic they run on it.
+    arithmetic they run on it. The fields: packing, a Packing; rows, a
+    list of lists of entries; degrees, each row's largest entry degree
+    as an int; slot, a tuple of (variable, degree bound) pairs; width,
+    the slot width W in bits; scale, an int.
 
     Here a variable stays outside the slot: each entry is a dict from
     the key of a monomial in those variables to an int, and products
     and divisions run through the packing's kernels. `_IntSlotPacked`
     holds every variable in the slot, so each entry is one int.
     """
-    packing: Packing
-    rows: list
-    degrees: List[int]
-    slot: Tuple[Tuple[str, int], ...]
-    width: int
-    scale: int
+    __slots__ = ()
 
     one = {0: 1}  # the packed constant 1, never written to
 
     def mul_sub(self, a, b, c, d):
         """a * b - c * d; a cancelled term stays as a zero."""
-        acc: Dict[int, int] = {}
+        acc: dict[int, int] = {}
         self.packing.mul_add(acc, a, b)
         self.packing.mul_add(acc, c, d, -1)
         return acc
@@ -287,11 +286,11 @@ def _slot_pack_matrix(mat) -> SlotPacked:
     digit for every slot variable, for the decoded results.
     """
     rows = [[_to_poly(x) for x in row] for row in mat]
-    bounds: Dict[str, int] = {}
+    bounds: dict[str, int] = {}
     degrees, scales = [], []
     bound = 1
     for row in rows:
-        largest: Dict[str, int] = {}
+        largest: dict[str, int] = {}
         degree = -1
         norm = 0
         scale = 1
@@ -314,7 +313,7 @@ def _slot_pack_matrix(mat) -> SlotPacked:
         bound *= max(1, norm * scale)
     width = int(bound).bit_length() + 1
     slot = []
-    shifts: Dict[str, int] = {}  # W * r_t for each slot variable v_t
+    shifts: dict[str, int] = {}  # W * r_t for each slot variable v_t
     span = width
     for var in sorted(bounds, key=lambda var: (-bounds[var], var)):
         if span * (bounds[var] + 1) <= SLOT_BITS:
@@ -328,7 +327,7 @@ def _slot_pack_matrix(mat) -> SlotPacked:
     for row, scale in zip(rows, scales):
         out = []
         for entry in row:
-            terms: Dict[int, int] = {}
+            terms: dict[int, int] = {}
             for mono, c in entry.terms.items():
                 if scale > 1:
                     c = int(c * scale)
@@ -372,7 +371,7 @@ def _slot_unpack(packed: SlotPacked, value) -> Poly:
         offsets = [offset + j * place for j in range(bound + 1) for offset in offsets]
     half = 1 << (width - 1)
     mask = (1 << width) - 1
-    terms: Dict[int, Scalar] = {}
+    terms: dict[int, Scalar] = {}
     for key, value in (value.items() if type(value) is dict else ((0, value),)):
         if type(value) is not int:
             raise RuntimeError("slot-packed value %r is not an integer" % (value,))
@@ -453,7 +452,7 @@ def det_cofactor(rows) -> Poly:
     return -value if inversions % 2 else value
 
 
-def _bareiss(rows) -> Tuple[int, Poly]:
+def _bareiss(rows) -> tuple[int, Poly]:
     """Fraction-free elimination over Q(parameters) (Bareiss 1968), on
     the slot packing of `_slot_pack_matrix`.
 
@@ -547,7 +546,7 @@ def _check_skew(mat) -> None:
 
 def _pfaffian4(packing: Packing, m, a: int, b: int, c: int, d: int) -> Poly:
     """m_ab m_cd - m_ac m_bd + m_ad m_bc of a packed matrix, unchecked."""
-    acc: Dict[int, Scalar] = {}
+    acc: dict[int, Scalar] = {}
     packing.mul_add(acc, m[a][b], m[c][d])
     packing.mul_add(acc, m[a][c], m[b][d], -1)
     packing.mul_add(acc, m[a][d], m[b][c])
@@ -567,7 +566,7 @@ def principal_minor(mat, drop: int):
     return [[_to_poly(mat[i][j]) for j in keep] for i in keep]
 
 
-def pfaffians(mat) -> Tuple[Poly, ...]:
+def pfaffians(mat) -> tuple[Poly, ...]:
     """The five quadric coefficients of a 5x5 skew matrix: Q_i is the
     Pfaffian of the principal 4x4 minor omitting row and column i. A
     principal minor of a skew matrix is skew, so the minors are not
@@ -580,7 +579,7 @@ def pfaffians(mat) -> Tuple[Poly, ...]:
                  for i in range(5))
 
 
-def generic_skew5() -> List[List[Poly]]:
+def generic_skew5() -> list[list[Poly]]:
     mat = [[Poly() for _ in range(5)] for _ in range(5)]
     for i in range(5):
         for j in range(i + 1, 5):
@@ -724,8 +723,8 @@ _DISCREPANCY_NOTE = (
 
 _PENT_F_ROW = (2 * F4 + 2 * F2, F4 + 2 * F2 + F1, 2 * F4 + F2 + F1)
 
-LEMMAS: Dict[str, LemmaSpec] = {}
-_HYPOTHESES: Dict[str, strata.Table] = {}  # each lemma's, compiled once
+LEMMAS: dict[str, LemmaSpec] = {}
+_HYPOTHESES: dict[str, strata.Table] = {}  # each lemma's, compiled once
 
 
 def _register(spec: LemmaSpec) -> None:
@@ -896,7 +895,7 @@ _register(LemmaSpec(
         (E1 + F2 + F5 - G - 4, "=="), (E2 + F1 + F4 - G - 4, "==")),
 ))
 
-def _stratum_values(g: int, e, f) -> Dict[str, int]:
+def _stratum_values(g: int, e, f) -> dict[str, int]:
     values = {"g": g}
     for i, p in enumerate(e):
         values["e%d" % (i + 1)] = p
@@ -905,7 +904,7 @@ def _stratum_values(g: int, e, f) -> Dict[str, int]:
     return values
 
 
-def _null_vector(rows: List[List[Fraction]]) -> Optional[List[Fraction]]:
+def _null_vector(rows: list[list[Fraction]]) -> list[Fraction] | None:
     """A nonzero rational kernel vector of a square matrix, or None."""
     form = Echelon()
     for row in rows:
@@ -972,7 +971,7 @@ class LemmaReport(Record):
 EVAL_GENUS_RANGE = {4: range(5, 13), 5: range(7, 10)}
 
 
-def _applicable_strata(spec: LemmaSpec, enumerated: Dict[Tuple[int, int], list]):
+def _applicable_strata(spec: LemmaSpec, enumerated: dict[tuple[int, int], list]):
     """Strata meeting the lemma's hypotheses; `enumerated` holds each
     (degree, genus) enumeration so that it is made once. Only the verdict
     is needed, so the records, already checked by the enumerator, go to
@@ -987,10 +986,14 @@ def _applicable_strata(spec: LemmaSpec, enumerated: Dict[Tuple[int, int], list])
                 yield g, rec
 
 
-def verify_lemma(lemma_id: str, _enumerated: Optional[dict] = None) -> LemmaReport:
-    """Verify one registered lemma. `verify_all_lemmas` passes
-    `_enumerated` so that its calls share each strata enumeration."""
-    spec = LEMMAS[lemma_id]
+def verify_lemma(lemma_id: str, _enumerated: dict | None = None) -> LemmaReport:
+    """Verify one registered lemma; an unknown id raises ValueError.
+    `verify_all_lemmas` passes `_enumerated` so that its calls share
+    each strata enumeration."""
+    spec = LEMMAS.get(lemma_id)
+    if spec is None:
+        raise ValueError("unknown lemma id %r (known: %s)"
+                         % (lemma_id, ", ".join(LEMMAS)))
     subs = spec.substitutions
     rows = [[entry.rewrite(subs) for entry in row] for row in spec.rows]
     det_computed = det(rows)
@@ -1004,7 +1007,7 @@ def verify_lemma(lemma_id: str, _enumerated: Optional[dict] = None) -> LemmaRepo
     else:
         verdict = "mismatch(%s)" % (det_computed - claimed_sub)
 
-    evaluations: List[dict] = []
+    evaluations: list[dict] = []
     for g, rec in _applicable_strata(
             spec, {} if _enumerated is None else _enumerated):
         values = _stratum_values(g, rec.e.parts, rec.f.parts)
@@ -1082,6 +1085,6 @@ def _engineered_zero_evaluation(spec: LemmaSpec) -> dict:
     }
 
 
-def verify_all_lemmas() -> List[LemmaReport]:
-    enumerated: Dict[Tuple[int, int], list] = {}
+def verify_all_lemmas() -> list[LemmaReport]:
+    enumerated: dict[tuple[int, int], list] = {}
     return [verify_lemma(lemma_id, enumerated) for lemma_id in LEMMAS]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import List, Optional, Sequence, Tuple, Union
+from collections.abc import Sequence
 
 from . import chowsym, jsontext, splitbundle, strata, tautring
 from .record import FrozenRecord
@@ -47,15 +47,15 @@ NODE_ARITIES = {name: kinds for name, (kinds, _) in NODES.items()}
 # expression AST
 
 class OLeaf(FrozenRecord):
-    __slots__ = ("parts",)  # Tuple[int, ...]
+    __slots__ = ("parts",)  # tuple[int, ...]
 
 
 class Node(FrozenRecord):
-    __slots__ = ("op", "args")  # str; Tuple[Union[Node, OLeaf, int], ...]
+    __slots__ = ("op", "args")  # str; tuple[Node | OLeaf | int, ...]
 
 
 class Query(FrozenRecord):
-    __slots__ = ("func", "expr")  # str; Union[Node, OLeaf]
+    __slots__ = ("func", "expr")  # str; Node | OLeaf
 
 
 class ParseError(ValueError):
@@ -88,7 +88,7 @@ class _Tokenizer:
         while self.pos < len(self.text) and self.text[self.pos] in _SPACE:
             self.pos += 1
 
-    def peek(self) -> Tuple[str, str, int]:
+    def peek(self) -> tuple[str, str, int]:
         """(kind, value, offset); kind in NAME, INT, PUNCT, END."""
         self._skip_ws()
         start = self.pos
@@ -110,7 +110,7 @@ class _Tokenizer:
             return ("PUNCT", ch, start)
         raise ParseError("unexpected character %r" % ch, start)
 
-    def next(self) -> Tuple[str, str, int]:
+    def next(self) -> tuple[str, str, int]:
         kind, value, offset = self.peek()
         if kind != "END":
             self.pos = offset + len(value)
@@ -131,14 +131,14 @@ def _parse_int(tok: _Tokenizer) -> int:
     return int(value)
 
 
-def _parse_expr(tok: _Tokenizer, depth: int = 0) -> Union[Node, OLeaf]:
+def _parse_expr(tok: _Tokenizer, depth: int = 0) -> Node | OLeaf:
     kind, value, offset = tok.next()
     if kind != "NAME":
         raise ParseError("got %r" % (value or "end of input"), offset,
                          ["'O'"] + sorted(NODE_ARITIES))
     if value == "O":
         tok.expect_punct("(")
-        parts: List[int] = []
+        parts: list[int] = []
         kind, nxt, off2 = tok.peek()
         if kind == "PUNCT" and nxt == ")":
             raise ParseError("empty splitting type", off2, ["integer"])
@@ -158,7 +158,7 @@ def _parse_expr(tok: _Tokenizer, depth: int = 0) -> Union[Node, OLeaf]:
     if depth == MAX_DEPTH:
         raise ParseError("nodes nested deeper than %d" % MAX_DEPTH, offset)
     tok.expect_punct("(")
-    args: List[Union[Node, OLeaf, int]] = []
+    args: list[Node | OLeaf | int] = []
     for i, want in enumerate(NODE_ARITIES[value]):
         if i:
             kind, nxt, off2 = tok.peek()
@@ -188,7 +188,7 @@ def parse(text: str) -> Query:
     return Query(func, expr)
 
 
-def print_expr(expr: Union[Node, OLeaf, int]) -> str:
+def print_expr(expr: Node | OLeaf | int) -> str:
     if isinstance(expr, int):
         return str(expr)
     if isinstance(expr, OLeaf):
@@ -200,7 +200,7 @@ def print_query(q: Query) -> str:
     return "%s(%s)" % (q.func, print_expr(q.expr))
 
 
-def eval_expr(expr: Union[Node, OLeaf]) -> SplittingType:
+def eval_expr(expr: Node | OLeaf) -> SplittingType:
     if isinstance(expr, OLeaf):
         return SplittingType(expr.parts)
     kinds, func = NODES[expr.op]
@@ -215,7 +215,7 @@ def eval_query(q: Query) -> int:
 # ---------------------------------------------------------------------------
 # output helpers
 
-def _emit(text: str, out_path: Optional[str]) -> None:
+def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -258,7 +258,7 @@ def _cmd_eval(args) -> int:
 def _cmd_strata(args) -> int:
     records = strata.enumerate_strata(args.degree, args.genus)
     if args.format == "json":
-        _emit(strata.strata_report_json(records), args.out)
+        _emit(jsontext.dumps(strata.strata_report(records)), args.out)
     elif args.format == "dot":
         _, dot = strata.hasse(records)
         _emit(dot, args.out)
@@ -281,12 +281,8 @@ def _cmd_strata(args) -> int:
 def _cmd_lemma(args) -> int:
     if args.target == "all":
         reports = chowsym.verify_all_lemmas()
-    elif args.target in chowsym.LEMMAS:
-        reports = [chowsym.verify_lemma(args.target)]
     else:
-        print("unknown lemma id %r (known: %s)"
-              % (args.target, ", ".join(chowsym.LEMMAS)), file=sys.stderr)
-        return 2
+        reports = [chowsym.verify_lemma(args.target)]
     if args.format == "json":
         _emit(jsontext.dumps([r.to_dict() for r in reports]), args.out)
     else:
@@ -303,7 +299,7 @@ def _cmd_lemma(args) -> int:
 def _cmd_taut(args) -> int:
     report = tautring.quotient_report(args.genus, args.interpretation)
     if args.format == "json":
-        _emit(report.to_json(), args.out)
+        _emit(jsontext.dumps(report.to_dict()), args.out)
     else:
         rows = [
             ["weights", ",".join(str(w) for w in report.weights)],
@@ -369,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

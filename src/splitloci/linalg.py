@@ -29,11 +29,11 @@ the lcm of its pivots.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from math import gcd, lcm
 from numbers import Rational
-from typing import Dict, Iterable, Mapping
 
-Row = Dict[int, int]
+Row = dict[int, int]
 
 
 def integer_row(values: Mapping[int, Rational]) -> Row:
@@ -68,7 +68,7 @@ class Echelon:
     """
 
     def __init__(self) -> None:
-        self.rows: Dict[int, Row] = {}
+        self.rows: dict[int, Row] = {}
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -34,18 +34,17 @@ or a string, would not stay exact, and raises TypeError.
 from __future__ import annotations
 
 from bisect import insort
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Dict, Iterable, Tuple, Union
 
-Monomial = Tuple[Tuple[str, int], ...]
-Scalar = Union[int, Fraction]
+Monomial = tuple[tuple[str, int], ...]
+Scalar = int | Fraction
 
 ONE_MONO: Monomial = ()
 
 
-def _normalize_mono(pairs: Iterable[Tuple[str, int]]) -> Monomial:
-    merged: Dict[str, int] = {}
+def _normalize_mono(pairs: Iterable[tuple[str, int]]) -> Monomial:
+    merged: dict[str, int] = {}
     for var, exp in pairs:
         if exp < 0:
             raise ValueError("negative exponent %d of %r" % (exp, var))
@@ -133,7 +132,7 @@ class Packing:
         # each exponent also counts once in the total-degree digit
         self.places = {var: p + place for var, p in self.digits}
 
-    def pack(self, p: "Poly") -> Dict[int, Scalar]:
+    def pack(self, p: "Poly") -> dict[int, Scalar]:
         places = self.places
         out = {}
         for mono, coeff in p.terms.items():
@@ -146,7 +145,7 @@ class Packing:
     def unpack(self, packed: Mapping[int, Scalar]) -> "Poly":
         """The canonical, demoted Poly of the nonzero packed terms."""
         top = self.top
-        terms: Dict[Monomial, Scalar] = {}
+        terms: dict[Monomial, Scalar] = {}
         for key, coeff in packed.items():
             if not coeff:
                 continue
@@ -162,7 +161,7 @@ class Packing:
                                   else coeff.numerator)
         return _wrap(terms)
 
-    def mul_add(self, acc: Dict[int, Scalar], a: Mapping[int, Scalar],
+    def mul_add(self, acc: dict[int, Scalar], a: Mapping[int, Scalar],
                 b: Mapping[int, Scalar], sign: int = 1) -> None:
         """acc += sign * a * b, leaving any cancelled term as a zero."""
         if not a or not b:
@@ -182,7 +181,7 @@ class Packing:
                 acc[k] = get(k, 0) + c1 * c2
 
     def divide(self, dividend: Mapping[int, Scalar],
-               divisor: Mapping[int, Scalar]) -> Dict[int, Scalar]:
+               divisor: Mapping[int, Scalar]) -> dict[int, Scalar]:
         """The exact quotient, without zero terms; raises ValueError if
         the division leaves a remainder. Every monomial the remainder
         reaches has total degree at most the dividend's, so a radix
@@ -197,7 +196,7 @@ class Packing:
         # the divisor lead's nonzero digits, as (place value, digit)
         lows = [(place, div_lead // place % radix) for _, place in self.digits
                 if div_lead // place % radix]
-        quotient: Dict[int, Scalar] = {}
+        quotient: dict[int, Scalar] = {}
         # the remainder's keys in increasing order, so each lead is the
         # last; a cancelled term stays as a zero until it is reached
         keys = sorted(remainder)
@@ -226,13 +225,13 @@ class Packing:
         return quotient
 
 
-def _demoted(terms: Dict[Monomial, Scalar]) -> Dict[Monomial, Scalar]:
+def _demoted(terms: dict[Monomial, Scalar]) -> dict[Monomial, Scalar]:
     """terms without its zero coefficients, the integral ones as int."""
     return {m: c if type(c) is int or c.denominator != 1 else c.numerator
             for m, c in terms.items() if c}
 
 
-def _wrap(terms: Dict[Monomial, Scalar]) -> "Poly":
+def _wrap(terms: dict[Monomial, Scalar]) -> "Poly":
     """A Poly around terms that are already canonical, nonzero and demoted."""
     out = Poly.__new__(Poly)
     out.terms = terms
@@ -245,7 +244,7 @@ class Poly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        clean: Dict[Monomial, Scalar] = {}
+        clean: dict[Monomial, Scalar] = {}
         if terms:
             for mono, coeff in terms.items():
                 if type(coeff) is not int and type(coeff) is not Fraction:
@@ -316,14 +315,14 @@ class Poly:
         if len(self.terms) < 2 or len(other.terms) < 2:
             # with one term on a side, packing costs more than the merges
             # it saves, and no two products share a monomial
-            terms: Dict[Monomial, Scalar] = {}
+            terms: dict[Monomial, Scalar] = {}
             for m1, c1 in self.terms.items():
                 for m2, c2 in other.terms.items():
                     terms[_mono_mul(m1, m2)] = c1 * c2
             return _wrap(_demoted(terms))
         packing = Packing((self, other),
                           self.total_degree() + other.total_degree() + 1)
-        acc: Dict[int, Scalar] = {}
+        acc: dict[int, Scalar] = {}
         packing.mul_add(acc, packing.pack(self), packing.pack(other))
         return packing.unpack(acc)
 
@@ -358,8 +357,8 @@ class Poly:
         """Replace variables simultaneously by polynomials or scalars."""
         subs = {v: (p if isinstance(p, Poly) else Poly.const(p))
                 for v, p in mapping.items()}
-        powers: Dict[Tuple[str, int], Dict[Monomial, Scalar]] = {}
-        acc: Dict[Monomial, Scalar] = {}
+        powers: dict[tuple[str, int], dict[Monomial, Scalar]] = {}
+        acc: dict[Monomial, Scalar] = {}
         get = acc.get
         for mono, coeff in self.terms.items():
             kept = []
@@ -374,7 +373,7 @@ class Poly:
                 power = powers.get((var, exp))
                 if power is None:
                     power = powers[var, exp] = (subs[var] ** exp).terms
-                product: Dict[Monomial, Scalar] = {}
+                product: dict[Monomial, Scalar] = {}
                 for m1, c1 in term.items():
                     for m2, c2 in power.items():
                         m = _mono_mul(m1, m2)
@@ -384,7 +383,7 @@ class Poly:
                 acc[m] = get(m, 0) + c
         return _wrap(_demoted(acc))
 
-    def rewrite(self, rewrites: Iterable[Tuple[str, "Poly | Scalar"]]) -> "Poly":
+    def rewrite(self, rewrites: Iterable[tuple[str, "Poly | Scalar"]]) -> "Poly":
         """Apply substitutions one after another, in the given order.
         A mapping raises TypeError: it has no order, and its keys are
         not pairs."""
@@ -427,8 +426,8 @@ class Poly:
                 best = d
         return best
 
-    def homogeneous_parts(self, weights: Mapping[str, int] | None = None) -> Dict[int, "Poly"]:
-        parts: Dict[int, Dict[Monomial, Scalar]] = {}
+    def homogeneous_parts(self, weights: Mapping[str, int] | None = None) -> dict[int, "Poly"]:
+        parts: dict[int, dict[Monomial, Scalar]] = {}
         for mono, coeff in self.terms.items():
             d = sum(exp * (weights[var] if weights else 1) for var, exp in mono)
             parts.setdefault(d, {})[mono] = coeff
@@ -457,7 +456,7 @@ class Poly:
         index = {var: i for i, var in enumerate(sorted(self.variables()))}
         width = len(index)
 
-        def key(mono: Monomial) -> Tuple[int, list]:
+        def key(mono: Monomial) -> tuple[int, list]:
             exps = [0] * width
             total = 0
             for var, exp in mono:

@@ -10,8 +10,8 @@ the expected codimension of a splitting locus.
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterable
 from itertools import combinations
-from typing import Iterable
 
 
 class SplittingType:

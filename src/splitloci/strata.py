@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
+from collections.abc import Sequence
 from itertools import (accumulate, combinations,
                        combinations_with_replacement)
-from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import jsontext, splitbundle as sb
+from . import splitbundle as sb
 from .polynomial import Poly
 from .record import FrozenRecord, Record
 from .splitbundle import SplittingType
@@ -53,7 +53,7 @@ class StratumRecord(Record):
     def __init__(self, genus: int, cover_degree: int, e: SplittingType,
                  f: SplittingType, codim: int, expected_e: int,
                  expected_f: int, correction: int, in_psi: bool,
-                 flags: Tuple[str, ...], label: Optional[str] = None,
+                 flags: tuple[str, ...], label: str | None = None,
                  lower_gonality: bool = False):
         self.genus = genus
         self.cover_degree = cover_degree
@@ -68,7 +68,7 @@ class StratumRecord(Record):
         self.label = label
         self.lower_gonality = lower_gonality
 
-    def key(self) -> Tuple:
+    def key(self) -> tuple:
         return (self.e.parts, self.f.parts)
 
     def to_dict(self) -> dict:
@@ -146,7 +146,7 @@ class Table:
     directly. `check` validates its arguments, asks `holds`, and only
     for a stratum that fails asks `verdicts` which constraints to name."""
 
-    def __init__(self, degree: int, constraints: Dict[str, Sequence[tuple]]):
+    def __init__(self, degree: int, constraints: dict[str, Sequence[tuple]]):
         self.ranks, self.genus_min = RANKS[degree], GENUS_MIN[degree]
         parts = [x + str(i) for x, n in zip("ef", self.ranks)
                  for i in range(1, n + 1)]
@@ -246,8 +246,8 @@ def in_psi(record: StratumRecord) -> bool:
 
 
 def classify(genus: int, cover_degree: int, e: SplittingType,
-             f: SplittingType) -> Tuple[str, ...]:
-    flags: List[str] = []
+             f: SplittingType) -> tuple[str, ...]:
+    flags: list[str] = []
     if cover_degree == 4:
         if e.parts[0] == 1:
             flags.append("hyperelliptic")
@@ -264,7 +264,7 @@ def classify(genus: int, cover_degree: int, e: SplittingType,
 
 # Printed stratum labels from the source tables, keyed by
 # (cover_degree, genus, e, f).
-FIXTURE_LABELS: Dict[Tuple[int, int, tuple, tuple], str] = {
+FIXTURE_LABELS: dict[tuple[int, int, tuple, tuple], str] = {
     (4, 5, (2, 3, 3), (4, 4)): "Psi0",
     (4, 5, (2, 3, 3), (3, 5)): "Psi1",
     (4, 5, (1, 3, 4), (2, 6)): "Z",
@@ -332,7 +332,7 @@ GENUS5_PSI2_NOTE = (
 
 
 def _weakly_increasing_tuples(length: int, total: int, lo: int, hi: int
-                              ) -> List[Tuple[int, ...]]:
+                              ) -> list[tuple[int, ...]]:
     """The list of all weakly increasing integer tuples t of the given
     length (at least 1) and sum, with lo <= t[i] <= hi, in lexicographic
     order.
@@ -345,7 +345,7 @@ def _weakly_increasing_tuples(length: int, total: int, lo: int, hi: int
     two slots are that range with the last entry r - v."""
     if length == 1:
         return [(total,)] if lo <= total <= hi else []
-    tuples: List[Tuple[int, ...]] = []
+    tuples: list[tuple[int, ...]] = []
 
     def rec(prefix, previous, remaining, later):
         start = remaining - hi * later
@@ -362,7 +362,7 @@ def _weakly_increasing_tuples(length: int, total: int, lo: int, hi: int
     return tuples
 
 
-def _f_plan(linear) -> Tuple[Tuple[int, ...], Tuple[tuple, ...]]:
+def _f_plan(linear) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
     """What `_pentagonal_f` reads off the L atoms `linear`, entries
     (name, a, b, k) as in PENT_LINEAR: the positions in `linear` of the
     pairs _F_PAIRS, and per slot s of f the terms (name, name', k, k')
@@ -396,7 +396,7 @@ _F_POSITIONS, _F_CAPS = _f_plan(PENT_LINEAR)
 
 
 def _pentagonal_f(total: int, lo: int, caps: Sequence[int],
-                  bounds: Sequence[int]) -> List[Tuple[int, ...]]:
+                  bounds: Sequence[int]) -> list[tuple[int, ...]]:
     """The list of all weakly increasing integer 5-tuples f of the given
     sum with f[0] >= lo, f[s] <= caps[s] for each slot s, and f[a] +
     f[b] >= c for the pair (a, b) and bound c of each L atom, bounds
@@ -439,7 +439,7 @@ def _pentagonal_f(total: int, lo: int, caps: Sequence[int],
     c4 = min(caps[3], c5)
     c3 = min(caps[2], c4)
     c2 = min(caps[1], c3)
-    tuples: List[Tuple[int, ...]] = []
+    tuples: list[tuple[int, ...]] = []
     for f1 in range(max(lo, b14 - c4, b15 - c5),
                     min(caps[0], c2, total // 5, total - b25 - b34) + 1):
         r1 = total - f1
@@ -471,7 +471,7 @@ def _positive_part_sum(tops: Sequence[int], sums: Sequence[int]) -> int:
     return total
 
 
-def _e_side(g: int, cover_degree: int, parts: Tuple[int, ...]) -> List[int]:
+def _e_side(g: int, cover_degree: int, parts: tuple[int, ...]) -> list[int]:
     """e's side of the correction term: in degree 4 the sums e_i + e_k
     (i <= k) in increasing order, in degree 5 the tops g + 3 - e_i."""
     if cover_degree == 4:
@@ -479,7 +479,7 @@ def _e_side(g: int, cover_degree: int, parts: Tuple[int, ...]) -> List[int]:
     return [g + 3 - x for x in parts]
 
 
-def _f_side(g: int, cover_degree: int, parts: Tuple[int, ...]) -> List[int]:
+def _f_side(g: int, cover_degree: int, parts: tuple[int, ...]) -> list[int]:
     """f's side of the correction term: in degree 4 the tops f_j - 1, in
     degree 5 the sums f_j + f_l (j < l) in increasing order."""
     if cover_degree == 4:
@@ -487,7 +487,7 @@ def _f_side(g: int, cover_degree: int, parts: Tuple[int, ...]) -> List[int]:
     return sorted([a + b for a, b in combinations(parts, 2)])
 
 
-def _correction(cover_degree: int, e_side: List[int], f_side: List[int]) -> int:
+def _correction(cover_degree: int, e_side: list[int], f_side: list[int]) -> int:
     """The correction term from the sides of e and f: the tops are f's in
     degree 4 and e's in degree 5."""
     if cover_degree == 4:
@@ -516,7 +516,7 @@ def _make_record(g: int, cover_degree: int, e: SplittingType, f: SplittingType,
     return record
 
 
-def enumerate_strata(cover_degree: int, g: int) -> List[StratumRecord]:
+def enumerate_strata(cover_degree: int, g: int) -> list[StratumRecord]:
     """The record of every admissible pair (e, f) of the cover degree and
     genus g, in increasing lexicographic order of (e parts, f parts).
 
@@ -567,8 +567,8 @@ def enumerate_strata(cover_degree: int, g: int) -> List[StratumRecord]:
         raise ValueError("genus out of range for degree-%d enumeration"
                          % cover_degree)
     check = tet_check if cover_degree == 4 else pent_check
-    records: List[StratumRecord] = []
-    made: Dict[Tuple[int, ...], Tuple[SplittingType, int, List[int]]] = {}
+    records: list[StratumRecord] = []
+    made: dict[tuple[int, ...], tuple[SplittingType, int, list[int]]] = {}
 
     def prepare(parts, side):
         # the generator's tuples are sorted int tuples, as _from_sorted needs
@@ -614,7 +614,7 @@ def _candidates(cover_degree: int, g: int):
                 [g4 - e_parts[k] for _, _, _, k in PENT_LINEAR])
 
 
-def report_notes(degree: int, g: int) -> List[str]:
+def report_notes(degree: int, g: int) -> list[str]:
     """The notes every report of the degree-`degree` strata of genus g
     carries: the genus-5 table discrepancy, for degree 4 and genus 5."""
     return [GENUS5_PSI2_NOTE] if (degree, g) == (4, 5) else []
@@ -636,14 +636,10 @@ def strata_report(records: Sequence[StratumRecord]) -> dict:
     return report
 
 
-def strata_report_json(records: Sequence[StratumRecord]) -> str:
-    return jsontext.dumps(strata_report(records))
-
-
-def part_texts(records: Sequence[StratumRecord]) -> List[Tuple[str, str]]:
+def part_texts(records: Sequence[StratumRecord]) -> list[tuple[str, str]]:
     """str(e) and str(f) of each record, each distinct part's text
     written once per call."""
-    texts: Dict[Tuple[int, ...], str] = {}
+    texts: dict[tuple[int, ...], str] = {}
 
     def text(split):
         t = texts.get(split.parts)
@@ -654,7 +650,7 @@ def part_texts(records: Sequence[StratumRecord]) -> List[Tuple[str, str]]:
     return [(text(r.e), text(r.f)) for r in records]
 
 
-def _prefix_sums(records: Sequence[StratumRecord]) -> Tuple[list, list]:
+def _prefix_sums(records: Sequence[StratumRecord]) -> tuple[list, list]:
     """Each record's prefix sums of e and of f, without the last entries,
     accumulated once per distinct parts tuple. The last entries are the
     degrees of e and f; unless every record has the same degrees and
@@ -668,7 +664,7 @@ def _prefix_sums(records: Sequence[StratumRecord]) -> Tuple[list, list]:
     return out[0], out[1]
 
 
-def _below_masks(sums: Sequence[Tuple[int, ...]]) -> List[int]:
+def _below_masks(sums: Sequence[tuple[int, ...]]) -> list[int]:
     """Bit j of the i-th mask is set when every entry of sums[j] is at
     most the matching entry of sums[i] and sums[j] != sums[i].
 
@@ -680,7 +676,7 @@ def _below_masks(sums: Sequence[Tuple[int, ...]]) -> List[int]:
     bits = [1 << j for j in range(n)]
     masks = [(1 << n) - 1] * n
     for column in zip(*sums):
-        buckets: Dict[int, int] = {}
+        buckets: dict[int, int] = {}
         for v, bit in zip(column, bits):
             buckets[v] = buckets.get(v, 0) | bit
         mask = 0
@@ -688,13 +684,13 @@ def _below_masks(sums: Sequence[Tuple[int, ...]]) -> List[int]:
             mask |= buckets[v]
             buckets[v] = mask
         masks = [m & buckets[v] for m, v in zip(masks, column)]
-    same: Dict[Tuple[int, ...], int] = {}
+    same: dict[tuple[int, ...], int] = {}
     for s, bit in zip(sums, bits):
         same[s] = same.get(s, 0) | bit
     return [m & ~same[s] for m, s in zip(masks, sums)]
 
 
-def hasse(records: Sequence[StratumRecord]) -> Tuple[List[Tuple[str, str]], str]:
+def hasse(records: Sequence[StratumRecord]) -> tuple[list[tuple[str, str]], str]:
     """Transitive reduction of the pair order, plus DOT text.
 
     The pair order is the product of the dominance orders on e and on f.
@@ -725,7 +721,7 @@ def hasse(records: Sequence[StratumRecord]) -> Tuple[List[Tuple[str, str]], str]
     sums = [se + sf for se, sf in zip(*_prefix_sums(records))]
     order = sorted(range(len(sums)), key=sums.__getitem__)
     down = _below_masks([sums[i] for i in order])
-    covers: List[List[int]] = [[] for _ in order]
+    covers: list[list[int]] = [[] for _ in order]
     for j, bits in zip(order, down):
         while bits:
             c = bits.bit_length() - 1

@@ -36,10 +36,9 @@ scaled to the lcm of those pivots, so no fraction is formed.
 from __future__ import annotations
 
 import operator
+from collections.abc import Sequence
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from . import jsontext
 from .linalg import Echelon, Row, integer_row
 from .polynomial import Poly
 from .record import Record
@@ -96,7 +95,7 @@ class _Degree:
         basis = [0] if d == 0 else []
         self.form = Echelon()
         # the first i with k_i times a pivot of I_{d-w_i} at each column
-        self.shifted_by: Dict[int, int] = {}
+        self.shifted_by: dict[int, int] = {}
         for i, (w, place) in enumerate(zip(q.ideal.weights, q.places)):
             if d < w:
                 continue
@@ -126,7 +125,7 @@ class _Degree:
         self.basis = basis
         self.free = [m for m in basis if m not in self.form.rows]
 
-    def normal_form(self, key: int) -> Tuple[Row, int]:
+    def normal_form(self, key: int) -> tuple[Row, int]:
         """(x, p): the monomial with this key is sum_c x[c]/p * c modulo
         I_d over the basis `free`, with x its nonzero coordinates keyed
         by free key and p > 0. A free key is itself, over 1; a pivot row
@@ -154,11 +153,11 @@ class GradedQuotient:
         self.places = [RADIX ** (n - 1 - i) for i in range(n)]
         self._place = {_var(i): p for i, p in enumerate(self.places)}
         # each generator's row over the keys, grouped by its degree
-        self.generator_rows: Dict[int, List[Row]] = {}
+        self.generator_rows: dict[int, list[Row]] = {}
         for g, dg in zip(ideal.generators, ideal.degrees):
             self.generator_rows.setdefault(dg, []).append(integer_row(
                 {self._key(mono): c for mono, c in g.terms.items()}))
-        self._degrees: List[_Degree] = []
+        self._degrees: list[_Degree] = []
 
     def _key(self, mono) -> int:
         """The key of a Poly monomial ((name, exponent), ...)."""
@@ -172,7 +171,7 @@ class GradedQuotient:
         return (len(self._degrees) >= w
                 and not any(deg.free for deg in self._degrees[-w:]))
 
-    def degree(self, d: int) -> Optional[_Degree]:
+    def degree(self, d: int) -> _Degree | None:
         """The echelon form of I_d, or None where R_d = 0 past the
         vanishing window."""
         if d < 0:
@@ -183,7 +182,7 @@ class GradedQuotient:
         return self._degrees[d] if d < len(self._degrees) else None
 
     def _image_rank(self, keys: Sequence[int],
-                    targets: Sequence[Tuple[int, Optional[_Degree]]]) -> int:
+                    targets: Sequence[tuple[int, _Degree | None]]) -> int:
         """The rank over Q of f -> the normal forms of f + shift in each
         target degree, over the keys f. Target j's coordinate at free key
         c is column c + j * R^n: every key lies in (-R^n, 0], so columns
@@ -209,7 +208,7 @@ class GradedQuotient:
 
 # The checks below take a WeightedIdeal, or the GradedQuotient of one so
 # that the checks of one report share its eliminations.
-IdealOrQuotient = Union[WeightedIdeal, GradedQuotient]
+IdealOrQuotient = WeightedIdeal | GradedQuotient
 
 # the degrees a report, and a check given no d_max, searches: 0 to g + 6
 DEGREES_PAST_GENUS = 6
@@ -219,20 +218,20 @@ def _quotient(ideal: IdealOrQuotient) -> GradedQuotient:
     return ideal if isinstance(ideal, GradedQuotient) else GradedQuotient(ideal)
 
 
-def hilbert(ideal: IdealOrQuotient, d_max: int) -> List[int]:
+def hilbert(ideal: IdealOrQuotient, d_max: int) -> list[int]:
     """hilbert[d] = dim of the degree-d piece of the quotient ring."""
     q = _quotient(ideal)
     return [len(deg.free) if deg else 0 for deg in map(q.degree, range(d_max + 1))]
 
 
-def socle(ideal: IdealOrQuotient, d_max: int) -> Tuple[List[int], List[int]]:
+def socle(ideal: IdealOrQuotient, d_max: int) -> tuple[list[int], list[int]]:
     """Degrees d <= d_max - max(weight) with nonzero socle, and their
     dimensions; the socle of R_d is the kernel of x -> (k_1 x, ..., k_w x)
     into the sum of the R_{d+w_i}."""
     q = _quotient(ideal)
     weights = q.ideal.weights
-    degrees: List[int] = []
-    dims: List[int] = []
+    degrees: list[int] = []
+    dims: list[int] = []
     for d in range(d_max - max(weights) + 1):
         deg = q.degree(d)
         if deg is None:
@@ -248,7 +247,7 @@ def socle(ideal: IdealOrQuotient, d_max: int) -> Tuple[List[int], List[int]]:
 
 
 def artinian_check(ideal: IdealOrQuotient, g: int,
-                   d_max: Optional[int] = None) -> Tuple[bool, Optional[Tuple[int, int]]]:
+                   d_max: int | None = None) -> tuple[bool, tuple[int, int] | None]:
     """The first max(weight) consecutive vanishing degrees at or above
     g-1, up to d_max (default g + DEGREES_PAST_GENUS); once found, every
     higher degree vanishes too, because any monomial of higher degree
@@ -265,7 +264,7 @@ def artinian_check(ideal: IdealOrQuotient, g: int,
 
 
 def gorenstein_check(ideal: IdealOrQuotient, g: int,
-                     d_max: Optional[int] = None) -> dict:
+                     d_max: int | None = None) -> dict:
     """Socle must be 1-dimensional in its top degree D, and every
     multiplication pairing R^i x R^{D-i} -> R^D must have full rank."""
     q = _quotient(ideal)
@@ -299,14 +298,14 @@ def gorenstein_check(ideal: IdealOrQuotient, g: int,
 
 
 def minimal_generators(ideal: IdealOrQuotient,
-                       d_max: Optional[int] = None) -> Dict[int, int]:
+                       d_max: int | None = None) -> dict[int, int]:
     """dim I_d / (m . I)_d per degree; nonzero entries count a minimal
     generating set. Past the vanishing window there are none: every
     monomial there has a proper divisor in the ideal."""
     q = _quotient(ideal)
     if d_max is None:
         d_max = max(q.ideal.degrees, default=0)
-    out: Dict[int, int] = {}
+    out: dict[int, int] = {}
     for d in range(d_max + 1):
         deg = q.degree(d)
         if deg is None:
@@ -324,13 +323,13 @@ def ci_verdict(ideal: IdealOrQuotient) -> bool:
 # ---------------------------------------------------------------------------
 # built-in ideals
 
-def _poly(*terms: Tuple[int, Tuple[int, ...]]) -> Poly:
+def _poly(*terms: tuple[int, tuple[int, ...]]) -> Poly:
     """The sum of the terms c * k1^e1 * k2^e2 * ..., given as (c, e)."""
     return Poly({tuple((_var(i), x) for i, x in enumerate(e) if x): c
                  for c, e in terms})
 
 
-def builtin_ideal(g: int, interpretation: Optional[str] = None) -> WeightedIdeal:
+def builtin_ideal(g: int, interpretation: str | None = None) -> WeightedIdeal:
     """The printed kappa-class ideals for g in {7, 8, 9}, and readings of
     them. Each generator is written as its printed terms, in printed
     order, each a coefficient and the exponents of k1, k2[, k3].
@@ -425,9 +424,6 @@ class QuotientReport(Record):
             out["notes"] = self.notes
         return out
 
-    def to_json(self) -> str:
-        return jsontext.dumps(self.to_dict())
-
     @property
     def socle_at_g_minus_2(self) -> bool:
         """Whether the socle is one-dimensional and sits in degree g-2."""
@@ -443,7 +439,7 @@ class QuotientReport(Record):
 
 
 def quotient_report(g: int,
-                    interpretation: Optional[str] = None) -> QuotientReport:
+                    interpretation: str | None = None) -> QuotientReport:
     ideal = builtin_ideal(g, interpretation)
     d_max = g + DEGREES_PAST_GENUS
     quotient = GradedQuotient(ideal)

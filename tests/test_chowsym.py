@@ -557,8 +557,10 @@ class TestLemmaReports:
             "twoequalparts", "distinctparts-1", "distinctparts-2",
             "distinctparts-3i", "distinctparts-3ii",
             "shape1", "forsigma2", "forsigma3"}
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError) as info:
             cs.verify_lemma("nope")
+        assert str(info.value) == (
+            "unknown lemma id 'nope' (known: %s)" % ", ".join(cs.LEMMAS))
 
     def test_twoequalparts_invertible_everywhere(self):
         report = cs.verify_lemma("twoequalparts")

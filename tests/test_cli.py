@@ -207,7 +207,12 @@ class TestMain:
 
     def test_lemma_unknown_id_exit2(self, capsys):
         assert cli.main(["lemma", "verify", "nope"]) == 2
-        assert "unknown lemma id" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unknown lemma id" in err
+        assert err == (
+            "unknown lemma id 'nope' (known: twoequalparts, distinctparts-1, "
+            "distinctparts-2, distinctparts-3i, distinctparts-3ii, shape1, "
+            "forsigma2, forsigma3)\n")
 
     def test_taut_genus7_both_readings_exit0(self, capsys):
         assert cli.main(["taut", "--genus", "7",

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from splitloci import chowsym as cs
 from splitloci import splitbundle as sb
-from splitloci import strata
+from splitloci import jsontext, strata
 from splitloci.polynomial import Poly
 from splitloci.strata import E1, E2, G
 
@@ -432,7 +432,7 @@ class TestDegree5Fixtures:
 class TestReports:
     def test_json_round_trip(self):
         records = strata.enumerate_strata(4, 7)
-        data = json.loads(strata.strata_report_json(records))
+        data = json.loads(jsontext.dumps(strata.strata_report(records)))
         assert data["genus"] == 7
         assert data["cover_degree"] == 4
         assert len(data["strata"]) == 5

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from splitloci import tautring as tr
+from splitloci import jsontext, tautring as tr
 from splitloci.polynomial import Poly
 
 
@@ -607,7 +607,7 @@ class TestQuotientReports:
 
     def test_report_serialization(self):
         report = tr.quotient_report(7, "emended")
-        data = json.loads(report.to_json())
+        data = json.loads(jsontext.dumps(report.to_dict()))
         assert data["genus"] == 7
         assert data["interpretation"] == "emended"
         assert data["minimal_generators_by_degree"] == {"4": 2}
