@@ -524,7 +524,7 @@ def det(rows: Sequence[Sequence[Poly]]) -> Poly:
     the Leibniz references in the tests."""
     packed = _square_packing(rows)
     value = det_bareiss(packed)
-    if len(rows) <= 6 and value != det_cofactor(packed):
+    if len(packed.rows) <= 6 and value != det_cofactor(packed):
         raise RuntimeError("determinant engines disagree")
     return value
 
@@ -973,16 +973,15 @@ EVAL_GENUS_RANGE = {4: range(5, 13), 5: range(7, 10)}
 
 def _applicable_strata(spec: LemmaSpec, enumerated: dict[tuple[int, int], list]):
     """Strata meeting the lemma's hypotheses; `enumerated` holds each
-    (degree, genus) enumeration so that it is made once. Only the verdict
-    is needed, so the records, already checked by the enumerator, go to
-    the compiled predicate directly."""
-    holds = _HYPOTHESES[spec.lemma_id].holds
+    (degree, genus) enumeration so that it is made once. The records hold
+    valid parts, so they go to the compiled function directly."""
+    violated = _HYPOTHESES[spec.lemma_id].violated
     for g in EVAL_GENUS_RANGE[spec.degree]:
         key = (spec.degree, g)
         if key not in enumerated:
             enumerated[key] = strata.enumerate_strata(*key)
         for rec in enumerated[key]:
-            if holds(g, rec.e.parts + rec.f.parts):
+            if not violated(g, rec.e.parts + rec.f.parts):
                 yield g, rec
 
 

@@ -4,18 +4,18 @@ degree-5 covers of the projective line.
 Each stratum is a pair (e, f) of splitting types subject to named
 constraints: a table of integer-linear atoms in g and the parts. One
 class, `Table`, also used for the hypotheses of the lemmas in `chowsym`,
-compiles each table once into generated Python: a predicate, `holds`,
-which gives the verdict and stops at the first failing constraint, and
-`verdicts`, the truth of each constraint. `check` validates its
-arguments, asks `holds`, and only for a stratum that fails names the
-violated constraints from `verdicts`. The module
-computes codimensions, membership in the good open locus Psi, forced
-linear-series flags, the product dominance order with its Hasse
-diagram, union-of-strata codimension checks, and the single-locus
-coincidence test used to realize a pair stratum as one splitting
-locus. That test's rule asks every surviving stratum below on
-the same axis to pass it too, so passing is the rule's least fixpoint;
-it and the Hasse diagram share one routine of prefix-sum bitmasks.
+compiles each table once into one generated function, `violated`, which
+names the failing constraints; `check` validates its arguments and asks
+it. `enumerate_strata` asks no table: its closed-form ranges list
+exactly the admissible pairs, and tier-1 checks them against `CHECKS`
+over the whole domain. The module computes codimensions, membership in
+the good open locus Psi, forced linear-series flags, the product
+dominance order with its Hasse diagram, union-of-strata codimension
+checks, and the single-locus coincidence test used to realize a pair
+stratum as one splitting locus. That test's rule asks every surviving
+stratum below on the same axis to pass it too, so passing is the rule's
+least fixpoint; it and the Hasse diagram share one routine of
+prefix-sum bitmasks.
 """
 
 from __future__ import annotations
@@ -135,22 +135,18 @@ class Table:
     constraint with no atoms, raises ValueError.
 
     The atoms are then compiled, in one generated module whose text is
-    kept as `source`, into two functions of (g, parts), with parts the
-    parts of e followed by those of f. Each constraint is one clause, a
-    tuple the `and` of its atoms and an AnyOf their `or`, each atom a
-    literal `c1*e1 + ... + cg*g relation -c0`. `holds` is the `and` of
-    the clauses in table order, so it stops at the first failing
-    constraint; `verdicts` is the tuple of every clause's truth. `holds`
-    answers whether a stratum is allowed and nothing else: callers that
-    only need that verdict, such as the lemma hypotheses, call it
-    directly. `check` validates its arguments, asks `holds`, and only
-    for a stratum that fails asks `verdicts` which constraints to name."""
+    kept as `source`, into one function `violated(g, parts)`, with parts
+    the parts of e followed by those of f. Each constraint is one clause,
+    a tuple the `and` of its atoms and an AnyOf their `or`, each atom a
+    literal `c1*e1 + ... + cg*g relation -c0`, and `violated` returns
+    the names of the failing clauses in table order, `()` for an allowed
+    stratum. Callers that pass valid parts, such as the lemma
+    hypotheses, call it directly; `check` validates its arguments first."""
 
     def __init__(self, degree: int, constraints: dict[str, Sequence[tuple]]):
         self.ranks, self.genus_min = RANKS[degree], GENUS_MIN[degree]
         parts = [x + str(i) for x, n in zip("ef", self.ranks)
                  for i in range(1, n + 1)]
-        self.names = tuple(constraints)
         clauses = []
         for name, atoms in constraints.items():
             if not atoms:
@@ -163,35 +159,28 @@ class Table:
                     raise ValueError("%s %s 0 is not an integer-linear atom in "
                                      "g, %s" % (form, relation, ", ".join(parts)))
                 literals.append(_literal(form, relation))
-            clauses.append("(%s)" % (" or " if isinstance(atoms, AnyOf)
-                                     else " and ").join(literals))
-        unpack = "def %s(g, parts):\n    " + ", ".join(parts) + " = parts\n"
-        self.source = (unpack % "holds" + "    return (%s)\n"
-                       % "\n            and ".join(clauses or ["True"])
-                       + unpack % "verdicts" + "    return [%s]\n"
-                       % ", ".join(clauses))
+            clauses.append("    if not (%s):\n        bad += (%r,)\n" % (
+                (" or " if isinstance(atoms, AnyOf) else " and ").join(literals),
+                name))
+        self.source = ("def violated(g, parts):\n    %s = parts\n    bad = ()\n"
+                       % ", ".join(parts) + "".join(clauses) + "    return bad\n")
         namespace: dict = {}
         exec(compile(self.source, "<Table %d>" % degree, "exec"), namespace)
-        self.holds, self.verdicts = namespace["holds"], namespace["verdicts"]
+        self.violated = namespace["violated"]
 
     def check(self, g: int, e, f) -> ConstraintVerdict:
         """The verdict on the stratum (e, f) of genus g; e and f are
         SplittingTypes or sequences of parts. A genus or part that is not
-        an integer raises TypeError. The enumerator passes an int genus and
-        SplittingTypes it built, which skip the conversions."""
-        if type(g) is not int:
-            g = operator.index(g)
+        an integer raises TypeError."""
+        g = operator.index(g)
         e = e if isinstance(e, SplittingType) else SplittingType(e)
         f = f if isinstance(f, SplittingType) else SplittingType(f)
         if (len(e.parts), len(f.parts)) != self.ranks or g < self.genus_min:
             raise ValueError("degree-%d strata have genus >= %d, rank-%d e and "
                              "rank-%d f" % ((self.ranks[0] + 1, self.genus_min)
                                             + self.ranks))
-        parts = e.parts + f.parts
-        if self.holds(g, parts):
-            return _ALLOWED
-        return ConstraintVerdict(False, tuple(
-            n for n, ok in zip(self.names, self.verdicts(g, parts)) if not ok))
+        bad = self.violated(g, e.parts + f.parts)
+        return ConstraintVerdict(not bad, bad)
 
 
 def _literal(form: Poly, relation: str) -> str:
@@ -209,16 +198,7 @@ def _literal(form: Poly, relation: str) -> str:
     return "%s %s %d" % (text, relation, -constant)
 
 
-_ALLOWED = ConstraintVerdict(True, ())
 CHECKS = {4: Table(4, TET_CONSTRAINTS), 5: Table(5, PENT_CONSTRAINTS)}
-
-
-def tet_check(g: int, e, f) -> ConstraintVerdict:
-    return CHECKS[4].check(g, e, f)
-
-
-def pent_check(g: int, e, f) -> ConstraintVerdict:
-    return CHECKS[5].check(g, e, f)
 
 
 def in_psi(record: StratumRecord) -> bool:
@@ -497,7 +477,7 @@ def _correction(cover_degree: int, e_side: list[int], f_side: list[int]) -> int:
 
 def _make_record(g: int, cover_degree: int, e: SplittingType, f: SplittingType,
                  xe: int, xf: int, corr: int) -> StratumRecord:
-    """The record of a pair the enumerator has accepted; xe, xf and corr
+    """The record of a pair the enumerator has listed; xe, xf and corr
     are expected_codim(e), expected_codim(f) and the correction term,
     which the enumerator computes from values it prepares once per
     distinct part. The correction is h1(f^dual (x) Sym2 e) in degree 4
@@ -520,11 +500,11 @@ def enumerate_strata(cover_degree: int, g: int) -> list[StratumRecord]:
     """The record of every admissible pair (e, f) of the cover degree and
     genus g, in increasing lexicographic order of (e parts, f parts).
 
-    Each candidate pair goes through `tet_check` or `pent_check` once,
-    and only the pairs it allows are recorded. The bounds below are read
-    off the constraints, so they only spare building candidates that the
-    check would reject; the parts are 1-based, and each sum is fixed
-    (TOTALDEG, SUM_E, SUM_F).
+    The ranges below are read off the constraints and list exactly the
+    admissible pairs, so each pair they list is recorded and no table is
+    asked; tier-1 checks every listed pair against `CHECKS` over the
+    whole domain (degree 4, g = 5..24; degree 5, g = 7..24). The parts
+    are 1-based, and each sum is fixed (TOTALDEG, SUM_E, SUM_F).
 
     Degree 4. The entries of e lie in [1, (g + 3) // 2] (E1MIN, E3MAX).
     f = (f1, g + 3 - f1) with f1 <= f2, so f1 <= (g + 3) // 2; NO0 gives
@@ -566,7 +546,6 @@ def enumerate_strata(cover_degree: int, g: int) -> list[StratumRecord]:
     if not GENUS_MIN[cover_degree] <= g <= GENUS_MAX:
         raise ValueError("genus out of range for degree-%d enumeration"
                          % cover_degree)
-    check = tet_check if cover_degree == 4 else pent_check
     records: list[StratumRecord] = []
     made: dict[tuple[int, ...], tuple[SplittingType, int, list[int]]] = {}
 
@@ -581,16 +560,15 @@ def enumerate_strata(cover_degree: int, g: int) -> list[StratumRecord]:
         e, xe, e_side = prepare(e_parts, _e_side)
         for f_parts in fs:
             f, xf, f_side = made.get(f_parts) or prepare(f_parts, _f_side)
-            if check(g, e, f).allowed:
-                records.append(_make_record(
-                    g, cover_degree, e, f, xe, xf,
-                    _correction(cover_degree, e_side, f_side)))
+            records.append(_make_record(
+                g, cover_degree, e, f, xe, xf,
+                _correction(cover_degree, e_side, f_side)))
     return records
 
 
 def _candidates(cover_degree: int, g: int):
     """Each e that the bounds of `enumerate_strata` leave, in increasing
-    order, with the list of its candidate f, also in increasing order."""
+    order, with the list of its admissible f, also in increasing order."""
     if cover_degree == 4:
         total = g + 3
         for e_parts in _weakly_increasing_tuples(3, total, 1, total // 2):

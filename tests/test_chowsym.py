@@ -402,6 +402,20 @@ class TestDeterminants:
                 assert handed == [packings[0], packings[0]]
                 assert isinstance(packings[0], cs.SlotPacked)
 
+    @pytest.mark.parametrize("n,packed,calls", [
+        (7, True, 0), (7, False, 0), (6, True, 1), (6, False, 1)])
+    def test_the_cross_check_reads_the_matrix_size(self, n, packed, calls,
+                                                   monkeypatch):
+        # a SlotPacked is a tuple of six fields, so len() of one is 6 for
+        # a packed matrix of any size
+        m = [[Poly.const(int(i == j)) for j in range(n)] for i in range(n)]
+        rows = cs._slot_pack_matrix(m) if packed else m
+        cofactor, asked = cs.det_cofactor, []
+        monkeypatch.setattr(cs, "det_cofactor",
+                            lambda rows: asked.append(rows) or cofactor(rows))
+        assert cs.det(rows) == Poly.const(1)
+        assert len(asked) == calls
+
     @given(poly_matrices(), st.booleans())
     def test_a_packing_is_left_as_it_was(self, m, high):
         # det hands one packing to det_bareiss, then to det_cofactor. The

@@ -33,28 +33,28 @@ def labeled_pairs(degree, genus):
 
 
 class TestConstraints:
-    def test_tet_check_accepts_balanced(self):
-        assert strata.tet_check(9, (4, 4, 4), (6, 6)).allowed
+    def test_degree4_check_accepts_balanced(self):
+        assert strata.CHECKS[4].check(9, (4, 4, 4), (6, 6)).allowed
 
-    def test_tet_check_rejects_printed_genus5_pair(self):
-        verdict = strata.tet_check(5, (2, 2, 4), (3, 5))
+    def test_degree4_check_rejects_printed_genus5_pair(self):
+        verdict = strata.CHECKS[4].check(5, (2, 2, 4), (3, 5))
         assert not verdict.allowed
         assert "Q12VAN" in verdict.violated
 
-    def test_tet_check_degree_mismatch(self):
-        verdict = strata.tet_check(9, (4, 4, 4), (6, 7))
+    def test_degree4_check_degree_mismatch(self):
+        verdict = strata.CHECKS[4].check(9, (4, 4, 4), (6, 7))
         assert "TOTALDEG" in verdict.violated
 
-    def test_tet_check_rank_guard(self):
+    def test_degree4_check_rank_guard(self):
         with pytest.raises(ValueError):
-            strata.tet_check(9, (4, 4), (6, 6))
+            strata.CHECKS[4].check(9, (4, 4), (6, 6))
 
-    def test_pent_check_accepts_balanced(self):
-        assert strata.pent_check(9, (3, 3, 3, 4), (5, 5, 5, 5, 6)).allowed
+    def test_degree5_check_accepts_balanced(self):
+        assert strata.CHECKS[5].check(9, (3, 3, 3, 4), (5, 5, 5, 5, 6)).allowed
 
-    def test_pent_check_linear_conditions(self):
+    def test_degree5_check_linear_conditions(self):
         # f1 + f3 + e4 too small trips L1
-        verdict = strata.pent_check(9, (3, 3, 3, 4), (3, 5, 5, 5, 8))
+        verdict = strata.CHECKS[5].check(9, (3, 3, 3, 4), (3, 5, 5, 5, 8))
         assert not verdict.allowed
 
     def test_genus_range(self):
@@ -67,25 +67,25 @@ class TestConstraints:
 
     def test_check_genus_guard(self):
         with pytest.raises(ValueError):
-            strata.tet_check(4, (2, 2, 3), (3, 4))
+            strata.CHECKS[4].check(4, (2, 2, 3), (3, 4))
         with pytest.raises(ValueError):
-            strata.pent_check(6, (2, 2, 3, 3), (4, 4, 4, 4, 4))
+            strata.CHECKS[5].check(6, (2, 2, 3, 3), (4, 4, 4, 4, 4))
 
     def test_parts_that_are_not_integers_raise(self):
         # 4.9 + 4 + 4 = 12.9: a truncated 4.9 would pass as (4, 4, 4)
         with pytest.raises(TypeError):
-            strata.tet_check(9, (4.9, 4, 4), (6, 6))
+            strata.CHECKS[4].check(9, (4.9, 4, 4), (6, 6))
         with pytest.raises(TypeError):
-            strata.pent_check(9, ("3", 3, 3, 4), (5, 5, 5, 5, 6))
+            strata.CHECKS[5].check(9, ("3", 3, 3, 4), (5, 5, 5, 5, 6))
 
     @pytest.mark.parametrize("genus", [9.0, "9", None])
     def test_a_genus_that_is_not_an_integer_raises(self, genus, monkeypatch):
         # a float genus would be compared and summed as a float, and
-        # tet_check(9.0, (4, 4, 4), (6, 6)) allowed
+        # CHECKS[4].check(9.0, (4, 4, 4), (6, 6)) allowed
         with pytest.raises(TypeError):
-            strata.tet_check(genus, (4, 4, 4), (6, 6))
+            strata.CHECKS[4].check(genus, (4, 4, 4), (6, 6))
         with pytest.raises(TypeError):
-            strata.pent_check(genus, (3, 3, 3, 4), (5, 5, 5, 5, 6))
+            strata.CHECKS[5].check(genus, (3, 3, 3, 4), (5, 5, 5, 5, 6))
 
         def unreachable(*args):
             raise AssertionError("enumerated with genus %r" % (genus,))
@@ -105,7 +105,7 @@ class TestConstraints:
     def test_a_bool_genus_is_an_int(self):
         # True is genus 1, below every genus floor: ValueError, not TypeError
         with pytest.raises(ValueError):
-            strata.tet_check(True, (4, 4, 4), (6, 6))
+            strata.CHECKS[4].check(True, (4, 4, 4), (6, 6))
         with pytest.raises(ValueError):
             strata.enumerate_strata(5, True)
 
@@ -117,7 +117,7 @@ class TestConstraints:
         with pytest.raises(ValueError, match="cover degree must be 4 or 5"):
             strata.enumerate_strata(3, 9)
 
-    def test_only_enumerator_arguments_skip_the_conversions(self, monkeypatch):
+    def test_splitting_types_skip_the_conversion(self, monkeypatch):
         indexed, built = [], []
         index, init = strata.operator.index, sb.SplittingType.__init__
 
@@ -135,15 +135,15 @@ class TestConstraints:
         monkeypatch.setattr(sb.SplittingType, "__init__", counting_init)
         e, f = sb.SplittingType((3, 4, 5)), sb.SplittingType((6, 6))
         built.clear()
-        # an int genus and SplittingTypes, as the enumerator passes them
-        assert strata.tet_check(9, e, f).allowed
-        assert indexed == built == []
-        # anything else is converted as before
-        assert strata.tet_check(9, [5, 3, 4], (6, 6)).allowed
-        assert indexed == [] and built == [(5, 3, 4), (6, 6)]
+        # SplittingTypes are taken as they are; every genus is indexed
+        assert strata.CHECKS[4].check(9, e, f).allowed
+        assert indexed == [9] and built == []
+        # sequences of parts are converted
+        assert strata.CHECKS[4].check(9, [5, 3, 4], (6, 6)).allowed
+        assert indexed == [9, 9] and built == [(5, 3, 4), (6, 6)]
         with pytest.raises(ValueError):
-            strata.tet_check(True, e, f)
-        assert indexed == [True]
+            strata.CHECKS[4].check(True, e, f)
+        assert indexed == [9, 9, True]
 
 
 # The checks and lemma hypotheses as hand-written predicates, frozen from
@@ -269,22 +269,21 @@ class TestConstraintTable:
         (5, range(7, 9), reference_pent_check, 34503)])
     def test_violated_names_match_the_reference(self, degree, genera,
                                                 reference, size):
-        check = strata.tet_check if degree == 4 else strata.pent_check
-        holds = strata.CHECKS[degree].holds
+        table = strata.CHECKS[degree]
         fired = set()
         cases = 0
         for g, e, f in window(degree, genera):
             violated = reference(g, e, f)
-            verdict = check(g, e, f)
+            verdict = table.check(g, e, f)
             assert verdict.violated == violated, (g, e, f)
             assert verdict.allowed == (not violated)
-            assert holds(g, e + f) is (not violated), (g, e, f)
+            assert table.violated(g, e + f) == violated, (g, e, f)
             fired.update(violated)
             cases += 1
         # every constraint fires somewhere in the window
-        table = strata.TET_CONSTRAINTS if degree == 4 \
+        constraints = strata.TET_CONSTRAINTS if degree == 4 \
             else strata.PENT_CONSTRAINTS
-        assert fired == set(table)
+        assert fired == set(constraints)
         assert cases == size
 
     def test_lemma_atoms_accept_the_reference_strata(self):
@@ -300,17 +299,17 @@ class TestConstraintTable:
                     expected = REFERENCE_HYPOTHESES[lemma_id](
                         genus, r.e.parts, r.f.parts)
                     assert table.check(genus, r.e, r.f).allowed == expected
-                    assert table.holds(
-                        genus, r.e.parts + r.f.parts) is expected
+                    assert (not table.violated(
+                        genus, r.e.parts + r.f.parts)) is expected
                     accepted += expected
             assert accepted, lemma_id
 
     def test_an_any_of_fails_only_when_all_its_atoms_fail(self):
         # f2 = 10 > e1 + e3 = 9 and f1 = 2 != 2 * e1 = 6
-        assert strata.tet_check(9, (3, 3, 6), (2, 10)).violated == (
+        assert strata.CHECKS[4].check(9, (3, 3, 6), (2, 10)).violated == (
             "Q12VAN", "CONDITIONAL")
         # f2 = 10 > e1 + e3 = 7, but f1 = 2 = 2 * e1
-        assert strata.tet_check(9, (1, 5, 6), (2, 10)).allowed
+        assert strata.CHECKS[4].check(9, (1, 5, 6), (2, 10)).allowed
 
     @pytest.mark.parametrize("atom", [
         (E1 * E2, ">="),                     # not linear
@@ -337,15 +336,16 @@ class TestConstraintTable:
                           (9, 0, 2), (9, 2, 2), (5, 3, 4)]:
             a = e1 >= 1 and e2 != e1
             b = e1 == 3 or g >= 2 * e2
-            assert table.holds(g, (e1, e2, 9, 1, 1)) is (a and b)
-            assert table.verdicts(g, (e1, e2, 9, 1, 1)) == [a, b]
+            violated = ("A",) * (not a) + ("B",) * (not b)
+            assert (not table.violated(g, (e1, e2, 9, 1, 1))) is (a and b)
+            assert table.violated(g, (e1, e2, 9, 1, 1)) == violated
             verdict = table.check(g, (e1, e2, 9), (1, 1))
-            assert verdict.violated == ("A",) * (not a) + ("B",) * (not b)
+            assert verdict.violated == violated
 
     def test_a_table_with_no_constraints_allows_every_stratum(self):
         table = strata.Table(4, {})
-        assert table.holds(9, (0,) * 5)
-        assert table.verdicts(9, (0,) * 5) == []
+        assert not table.violated(9, (0,) * 5)
+        assert table.violated(9, (0,) * 5) == ()
         assert table.check(9, (0, 0, 0), (0, 0)).allowed
 
 
@@ -669,13 +669,13 @@ def random_admissible_pair(rng, degree, g):
         if degree == 4:
             e = random_sorted(rng, 3, g + 3, 1, (g + 3) // 2)
             f = random_sorted(rng, 2, g + 3, 1, g + 2)
-            verdict = strata.tet_check(g, e, f)
+            verdict = strata.CHECKS[4].check(g, e, f)
         else:
             e1 = rng.randint(-(-(g + 4) // 10), (g + 4) // 4)
             e = (e1,) + random_sorted(rng, 3, g + 4 - e1, e1,
                                       (2 * g + 8) // 5)
             f = random_sorted(rng, 5, 2 * g + 8, 1, 2 * e[3])
-            verdict = strata.pent_check(g, e, f)
+            verdict = strata.CHECKS[5].check(g, e, f)
         if verdict.allowed:
             return sb.SplittingType(e), sb.SplittingType(f)
     raise AssertionError("no admissible pair drawn")
@@ -892,22 +892,17 @@ class TestClosedForms:
             assert (e.parts, f.parts) in pairs(enumerated(degree, g))
 
     @pytest.mark.parametrize("degree,genus", STRATA_WINDOWS)
-    def test_each_candidate_is_checked_once(self, degree, genus,
-                                            monkeypatch):
-        name = "tet_check" if degree == 4 else "pent_check"
-        original = getattr(strata, name)
-        calls = []
-
-        def counted(g, e, f):
-            calls.append((e.parts, f.parts))
-            return original(g, e, f)
-
-        monkeypatch.setattr(strata, name, counted)
-        records = strata.enumerate_strata(degree, genus)
-        assert len(calls) == len(set(calls))
-        # the f generator yields only admissible f, and the degree-4 f1
-        # range only f1 that meet CONDITIONAL
-        assert calls == [(r.e.parts, r.f.parts) for r in records]
+    def test_every_listed_pair_is_admissible(self, degree, genus):
+        # the enumerator's ranges are its only admissibility decision: the
+        # table must allow every pair they list, and they list each pair
+        # once, in increasing order
+        table = strata.CHECKS[degree]
+        listed = []
+        for r in strata.enumerate_strata(degree, genus):
+            verdict = table.check(genus, r.e, r.f)
+            assert verdict.allowed and verdict.violated == (), (r.e, r.f)
+            listed.append((r.e.parts, r.f.parts))
+        assert all(a < b for a, b in zip(listed, listed[1:]))
 
     @pytest.mark.parametrize("degree,genus", STRATA_WINDOWS)
     def test_parts_are_those_the_checking_constructor_builds(self, degree,
@@ -956,34 +951,42 @@ class TestPerCallSharing:
 
 class TestWholeStratumSet:
     """`enumerate_strata` against every sorted pair of the right sums in
-    a universe bounded here, kept when the reference check accepts it.
-    Each bound below holds for every admissible pair, by the argument
-    given with it, so the universe holds every admissible pair."""
+    a universe bounded here, kept when the table's `violated` names no
+    constraint; the hand-written reference check must keep the same
+    pairs. Each bound below holds for every admissible pair, by the
+    argument given with it, so the universe holds every admissible
+    pair."""
 
     @pytest.mark.parametrize("genus", range(5, strata.GENUS_MAX + 1))
     def test_degree4(self, genus):
         # E1MIN: e1 >= 1. Then e2 + e3 <= g + 2 with e2 <= e3 gives
         # 2 * e2 <= g + 2, so Q12VAN puts f2 <= g + 2 and f1 >= 1.
         total = genus + 3
-        expected = [(e, f) for e in sorted_tuples(3, total, 1, total)
-                    for f in sorted_tuples(2, total, 1, total)
-                    if not reference_tet_check(genus, e, f)]
+        box = [(e, f) for e in sorted_tuples(3, total, 1, total)
+               for f in sorted_tuples(2, total, 1, total)]
+        expected = [(e, f) for e, f in box
+                    if not strata.CHECKS[4].violated(genus, e + f)]
         assert [(r.e.parts, r.f.parts)
                 for r in enumerated(4, genus)] == expected
+        assert expected == [(e, f) for e, f in box
+                            if not reference_tet_check(genus, e, f)]
 
     # every genus up to 20 takes about 2 s on 2 vCPUs
     @pytest.mark.parametrize("genus", range(7, 21))
     def test_degree5(self, genus):
         # E1RANGE: 10 * e1 >= g + 4. TOPF: f5 <= 2 * e4. L1: f1 >= g + 4
         # - e4 - f3, and f3 <= f5 <= 2 * e4, so f1 >= g + 4 - 3 * e4.
-        expected = [(e, f)
-                    for e in sorted_tuples(4, genus + 4, (genus + 13) // 10,
-                                           genus + 4)
-                    for f in sorted_tuples(5, 2 * genus + 8,
-                                           genus + 4 - 3 * e[3], 2 * e[3])
-                    if not reference_pent_check(genus, e, f)]
+        box = [(e, f)
+               for e in sorted_tuples(4, genus + 4, (genus + 13) // 10,
+                                      genus + 4)
+               for f in sorted_tuples(5, 2 * genus + 8,
+                                      genus + 4 - 3 * e[3], 2 * e[3])]
+        expected = [(e, f) for e, f in box
+                    if not strata.CHECKS[5].violated(genus, e + f)]
         assert [(r.e.parts, r.f.parts)
                 for r in enumerated(5, genus)] == expected
+        assert expected == [(e, f) for e, f in box
+                            if not reference_pent_check(genus, e, f)]
 
 
 def skip_bounds(g, e):
